@@ -9,8 +9,9 @@ from .asm import (AsmError, Instruction, MalformedOperand, Program,
 from .machine import (ArchState, InvalidPc, MemoryLayout, OutOfRangeAccess,
                       RunResult, StepEffect, run_seq, step)
 from .contracts import (ARCH, CT, MEM, SEQ, SHM, SPEC, STL,
-                        EnumerationCapExceeded, ExecModel, InconsistentChoice,
-                        LeakageModel, contract_trace, contract_trace_set)
+                        EnumerationCapExceeded, ExecModel, FuelExhausted,
+                        InconsistentChoice, LeakageModel, contract_trace,
+                        contract_trace_set)
 from .modes import (BURST, BURST_STA, INSECURE, MI6, SAFE, HwMode,
                     ReportProgramMismatch, hw_trace_set, sta_gate)
 from .ni import (Policy, StateSpace, check_direct_ni, check_hw_satisfies,

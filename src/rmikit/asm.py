@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 # Canonical register numbering: x0..x31 plus the usual ABI aliases.
 _ABI_ALIASES = {

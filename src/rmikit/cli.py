@@ -10,25 +10,28 @@ Commands:
     corpus-verify  re-run every golden corpus verdict
 
 Exit codes: 0 success / verdict reproduced, 1 check violated, 2 analysis
-failed, 3 path explosion, 64 usage error.
+failed, 3 path explosion (the analyzer's path bound, the enumeration cap,
+or a committed path out of fuel), 4 the committed path faults, 64 usage
+error. Codes 3 and 4 print {"error": message} with --json, and the
+message on stderr otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .analyzer import PathExplosion, analyze, explain
 from .asm import AsmError, parse_program
-from .contracts import (EXEC_KINDS, LEAK_KINDS, ExecModel, LeakageModel,
+from .contracts import (EXEC_KINDS, LEAK_KINDS, EnumerationCapExceeded,
+                        ExecModel, FuelExhausted, LeakageModel,
                         contract_trace_set, trace_set_to_json)
 from .corpus import (_parse_layout, _parse_policy, _parse_space, load_corpus,
                      load_reference_table, verify_corpus)
 from .llc import LlcError, PartitionTable, PartitionedCache
-from .machine import MemoryLayout
-from .modes import HwMode, MODE_KINDS, hw_trace_set
+from .machine import MachineError, MemoryLayout
+from .modes import HwMode, MODE_KINDS
 from .ni import Policy, check_direct_ni, check_hw_satisfies_one, check_relative_ni
 
 USAGE_EXIT = 64
@@ -86,8 +89,6 @@ def _setup(args):
 
 def build_parser():
     parser = _Parser(prog="rmikit", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized sampling")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, space_required=False):
@@ -223,11 +224,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    random.seed(args.seed)
+    as_json = getattr(args, "as_json", False)
     try:
         return _DISPATCH[args.command](args)
     except AsmError as exc:
-        as_json = getattr(args, "as_json", False)
         if as_json:
             print(json.dumps({"error": exc.to_json()}, sort_keys=True))
         else:
@@ -236,6 +236,12 @@ def main(argv=None):
     except (LlcError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (EnumerationCapExceeded, FuelExhausted, MachineError) as exc:
+        if as_json:
+            print(json.dumps({"error": str(exc)}, sort_keys=True))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 4 if isinstance(exc, MachineError) else 3
 
 
 if __name__ == "__main__":

@@ -1,25 +1,31 @@
-"""Contract trace generation: leakage models x execution models.
+"""Contract traces: one exploration of a (program, state), many projections.
 
-A contract pairs a leakage model (which architectural events an observer
-sees) with an execution model (which speculative control flows exist).
-Traces are tuples of tagged event tuples:
+A contract pairs a leakage model (which events an observer sees) with an
+execution model (which speculative control flows exist): the leak x exec
+lattice of Guarnieri et al., "Hardware-Software Contracts for Secure
+Speculation" (IEEE S&P 2021). Traces are tuples of tagged event tuples:
 
     ("pc", index)              program-counter observation
     ("addr", address, domain)  memory-access address observation
     ("val", value)             loaded-value observation
     ("rollback",)              end of a mispredicted wrong-path window
 
-Speculation never changes architectural results here, so a program's trace
-under any predictor choice is the committed trace with self-contained
-wrong-path windows spliced in after each mispredicted control transfer.
-That lets the full trace set be enumerated as a product of per-branch
-options instead of re-simulating every combination.
+Speculation never changes architectural results here, so every trace is
+the committed trace with self-contained wrong-path windows spliced in
+after mispredicted control transfers. `simulate_committed` explores a
+(program, state) once: the committed steps with their burst flag, the
+state after each control instruction, and each wrong-path window, run on
+first use. Contracts and hardware modes (modes.py) are projections of
+that run: a leakage model filters events (ct, arch, mem, shm), an
+execution model chooses decision points (seq: none, stl: taken branches,
+spec: every branch arm and jalr target), and `splice` enumerates the
+product of per-point choices.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .asm import BRANCHES, BURST_ON, STORE_SIZES
 from .machine import DEFAULT_FUEL, MachineError, step
@@ -40,11 +46,15 @@ class InconsistentChoice(ContractError):
 
 
 class EnumerationCapExceeded(ContractError):
-    def __init__(self, cap, needed=None):
-        detail = f" (needed {needed})" if needed else ""
-        super().__init__(f"trace enumeration exceeds cap {cap}{detail}")
+    def __init__(self, cap, needed, unit):
+        super().__init__(f"{needed} {unit} exceed the enumeration cap {cap}")
         self.cap = cap
         self.needed = needed
+
+
+class FuelExhausted(ContractError):
+    """The committed path did not halt within the fuel bound, so none of
+    its traces is complete."""
 
 
 class SelfContainmentViolation(UserWarning):
@@ -82,34 +92,27 @@ STL = ExecModel("stl")
 SPEC = ExecModel("spec")
 
 CORRECT = "correct"
+ROLLBACK = (("rollback",),)     # the event that closes every window
 
 
 def mispredict(target):
     return ("mispredict", target)
 
 
-def _events_for(index, ins, effect, leak):
-    """Events one executed instruction (at program index) contributes."""
+def _events(steps, kind):
+    """Events that (program index, effect, ...) steps contribute under the
+    leakage model `kind`."""
     events = []
-    kind = leak.kind
-    if kind in ("ct", "arch"):
-        events.append(("pc", index))
-    ev = effect.mem_event
-    if ev is not None:
-        if kind in ("ct", "arch", "mem") or ev.domain == "shared":
-            events.append(("addr", ev.address, ev.domain))
-        if kind == "arch" and ev.kind == "load":
-            events.append(("val", ev.value))
+    for index, effect, *_ in steps:
+        if kind in ("ct", "arch"):
+            events.append(("pc", index))
+        ev = effect.mem_event
+        if ev is not None:
+            if kind in ("ct", "arch", "mem") or ev.domain == "shared":
+                events.append(("addr", ev.address, ev.domain))
+            if kind == "arch" and ev.kind == "load":
+                events.append(("val", ev.value))
     return tuple(events)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    index: int                 # program index of the executed instruction
-    state_before: object
-    state_after: object
-    effect: object
-    burst_active: bool         # flag value while this instruction executed
 
 
 @dataclass(frozen=True)
@@ -117,33 +120,44 @@ class DecisionPoint:
     step: int                  # position in the committed step sequence
     index: int                 # program index of the control instruction
     targets: tuple             # admissible mispredict targets
-    resume_state: object       # committed state after the instruction
     burst_active: bool
 
 
 @dataclass(frozen=True)
 class CommittedRun:
-    records: tuple
-    fuel_exhausted: bool
+    """The exploration of one (program, state)."""
+    program: object
+    layout: object
+    steps: tuple               # (index, effect, burst flag) per committed step
+    resume: dict               # step -> committed state after a control step
+    final_state: object
+    windows: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def decision_points(self, program, exec_model):
+    def decision_points(self, exec_model):
         points = []
-        for pos, rec in enumerate(self.records):
-            targets = _mispredict_targets(program, rec, exec_model)
+        for pos in self.resume:
+            index, effect, burst_active = self.steps[pos]
+            targets = _mispredict_targets(self.program, index, effect.next_pc,
+                                          exec_model)
             if targets:
-                points.append(DecisionPoint(
-                    step=pos, index=rec.index, targets=targets,
-                    resume_state=rec.state_after,
-                    burst_active=rec.burst_active))
+                points.append(DecisionPoint(pos, index, targets, burst_active))
         return points
 
+    def window(self, step, target, spec_depth):
+        """Raw steps of the wrong-path window at `target` after committed
+        step `step`, run on first use."""
+        key = (step, target, spec_depth)
+        if key not in self.windows:
+            self.windows[key] = wrong_path_events(
+                self.program, self.resume[step], target, self.layout, spec_depth)
+        return self.windows[key]
 
-def _mispredict_targets(program, rec, exec_model):
-    ins = program.instructions[rec.index]
-    if exec_model.kind == "seq" or not ins.is_control:
+
+def _mispredict_targets(program, index, actual, exec_model):
+    ins = program.instructions[index]
+    if exec_model.kind == "seq":
         return ()
-    actual = rec.effect.next_pc
-    fall_through = rec.index + 1
+    fall_through = index + 1
     if ins.opcode in BRANCHES:
         if exec_model.kind == "stl":
             # branches predicted not-taken: a wrong path exists only when
@@ -160,44 +174,46 @@ def _mispredict_targets(program, rec, exec_model):
 
 
 def simulate_committed(program, state0, layout, fuel=DEFAULT_FUEL):
-    """Run the non-speculative path, recording per-step state snapshots
-    and the dynamic burst-region flag."""
-    records = []
+    """Run the non-speculative path once, recording each step's effect and
+    the dynamic burst-region flag, the state after each control
+    instruction, and the final state. Raises FuelExhausted when the path
+    does not halt within `fuel` steps."""
+    steps = []
+    resume = {}
     state = state0
     burst_active = False
-    exhausted = False
     if len(program) == 0:
-        return CommittedRun((), False)
+        return CommittedRun(program, layout, (), {}, state0)
     for _ in range(fuel):
         if state.halted:
             break
         index = state.pc
         ins = program.instructions[index]
-        new_state, effect = step(program, state, layout)
-        records.append(StepRecord(index=index, state_before=state,
-                                  state_after=new_state, effect=effect,
-                                  burst_active=burst_active))
+        state, effect = step(program, state, layout)
+        if ins.is_control:
+            resume[len(steps)] = state
+        steps.append((index, effect, burst_active))
         if ins.opcode == "csrwi":
             burst_active = ins.csr_value == BURST_ON
-        state = new_state
     else:
-        exhausted = not state.halted
-    return CommittedRun(tuple(records), exhausted)
+        if not state.halted:
+            raise FuelExhausted(f"committed path runs past {fuel} steps")
+    return CommittedRun(program, layout, tuple(steps), resume, state)
 
 
-def wrong_path_events(program, resume_state, target, layout, leak, exec_model):
-    """Observation window for one mispredicted control transfer.
+def wrong_path_events(program, resume_state, target, layout, spec_depth):
+    """Raw (index, effect) steps of one mispredicted control transfer.
 
     Executes up to spec_depth instructions starting at `target` from the
     committed post-instruction state, with stores buffered in an overlay
     and never committed. Faults and out-of-range fetches squash silently.
     Writing the speculation CSR acts as a barrier in every execution
-    model, so a window never crosses it. Always ends with a rollback.
+    model, so a window never crosses it.
     """
-    events = []
+    steps = []
     overlay = {}
     state = replace(resume_state, pc=target, halted=False)
-    for _ in range(exec_model.spec_depth):
+    for _ in range(spec_depth):
         if not 0 <= state.pc < len(program):
             break
         ins = program.instructions[state.pc]
@@ -208,7 +224,7 @@ def wrong_path_events(program, resume_state, target, layout, leak, exec_model):
             new_state, effect = step(program, state, layout, mem_overlay=overlay)
         except MachineError:
             break
-        events.extend(_events_for(index, ins, effect, leak))
+        steps.append((index, effect))
         ev = effect.mem_event
         if ev is not None and ev.kind == "store":
             # buffer the store; forward it to younger loads, never commit
@@ -220,15 +236,46 @@ def wrong_path_events(program, resume_state, target, layout, leak, exec_model):
         state = new_state
         if state.halted:
             break
-    events.append(("rollback",))
-    return tuple(events)
+    return tuple(steps)
 
 
-def _committed_events(program, run, leak):
-    return [
-        _events_for(rec.index, program.instructions[rec.index], rec.effect, leak)
-        for rec in run.records
-    ]
+def splice(run, leak, spec_depth, options, enum_cap=DEFAULT_ENUM_CAP):
+    """Set of traces of `run` over every combination of choices.
+
+    `options` pairs each decision point's committed step, in execution
+    order, with its choices: None for a correct prediction, or a
+    mispredict target whose window is spliced in after that step.
+    """
+    total = 1
+    for _, choices in options:
+        total *= len(choices)
+        if total > enum_cap:
+            raise EnumerationCapExceeded(enum_cap, total, "traces")
+    kind = leak.kind
+    segments, windows, start = [], [], 0
+    for pos, choices in options:
+        segments.append(_events(run.steps[start:pos + 1], kind))
+        windows.append([
+            () if target is None
+            else _events(run.window(pos, target, spec_depth), kind) + ROLLBACK
+            for target in choices])
+        start = pos + 1
+    tail = _events(run.steps[start:], kind)
+    traces = set()
+    for combo in itertools.product(*windows):
+        trace = []
+        for segment, window in zip(segments, combo):
+            trace += segment
+            trace += window
+        traces.add(tuple(trace) + tail)
+    return frozenset(traces)
+
+
+def trace_set(run, leak, exec_model, enum_cap=DEFAULT_ENUM_CAP):
+    """Traces of `run` under the contract (leak, exec_model)."""
+    options = [(p.step, (None,) + p.targets)
+               for p in run.decision_points(exec_model)]
+    return splice(run, leak, exec_model.spec_depth, options, enum_cap)
 
 
 def contract_trace(program, state0, layout, leak, exec_model, choice=(),
@@ -240,14 +287,13 @@ def contract_trace(program, state0, layout, leak, exec_model, choice=(),
     ("mispredict", target). Missing trailing entries default to correct.
     """
     run = simulate_committed(program, state0, layout, fuel)
-    points = run.decision_points(program, exec_model)
+    points = run.decision_points(exec_model)
     choice = tuple(choice)
     if len(choice) > len(points):
         raise InconsistentChoice(
             f"{len(choice)} decisions given but only {len(points)} "
             f"speculation points exist under {exec_model.kind}")
-    committed = _committed_events(program, run, leak)
-    windows = {}
+    options = []
     for point, decision in zip(points, choice):
         if decision == CORRECT:
             continue
@@ -259,58 +305,16 @@ def contract_trace(program, state0, layout, leak, exec_model, choice=(),
             raise InconsistentChoice(
                 f"target {target} not admissible at instruction {point.index} "
                 f"under {exec_model.kind}")
-        windows[point.step] = wrong_path_events(
-            program, point.resume_state, target, layout, leak, exec_model)
-    events = []
-    for pos, step_events in enumerate(committed):
-        events.extend(step_events)
-        if pos in windows:
-            events.extend(windows[pos])
-    return tuple(events)
+        options.append((point.step, (target,)))
+    (trace,) = splice(run, leak, exec_model.spec_depth, options)
+    return trace
 
 
 def contract_trace_set(program, state0, layout, leak, exec_model,
-                       fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP,
-                       burst_gated=False):
-    """Set of traces over every admissible predictor choice.
-
-    With `burst_gated`, speculation points are live only while the burst
-    CSR flag is on, which is how the burst hardware mode reuses this
-    machinery.
-    """
-    run = simulate_committed(program, state0, layout, fuel)
-    points = run.decision_points(program, exec_model)
-    if burst_gated:
-        points = [p for p in points if p.burst_active]
-    committed = _committed_events(program, run, leak)
-
-    total = 1
-    for point in points:
-        total *= 1 + len(point.targets)
-        if total > enum_cap:
-            raise EnumerationCapExceeded(enum_cap, needed=total)
-
-    window_cache = {}
-    options_per_point = []
-    for point in points:
-        options = [None]
-        for target in point.targets:
-            key = (point.step, target)
-            window_cache[key] = wrong_path_events(
-                program, point.resume_state, target, layout, leak, exec_model)
-            options.append(key)
-        options_per_point.append(options)
-
-    traces = set()
-    for combo in itertools.product(*options_per_point):
-        events = []
-        splice = {key[0]: window_cache[key] for key in combo if key is not None}
-        for pos, step_events in enumerate(committed):
-            events.extend(step_events)
-            if pos in splice:
-                events.extend(splice[pos])
-        traces.add(tuple(events))
-    return frozenset(traces)
+                       fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP):
+    """Set of traces over every admissible predictor choice."""
+    return trace_set(simulate_committed(program, state0, layout, fuel),
+                     leak, exec_model, enum_cap)
 
 
 def trace_to_json(trace):

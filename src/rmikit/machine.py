@@ -144,7 +144,7 @@ class ArchState:
         )
 
 
-def _check_alignment(opcode, address, size):
+def _check_alignment(address, size):
     if size > 1 and address % size != 0:
         raise OutOfRangeAccess(address)
 
@@ -201,7 +201,7 @@ def step(program, state, layout, mem_overlay=None):
     if op in LOADS:
         size = LOAD_SIZES[op]
         address = (state.reg(ins.rs1) + ins.imm) & MASK64
-        _check_alignment(op, address, size)
+        _check_alignment(address, size)
         domain = layout.classify_span(address, size)
         raw = bytearray(
             state.mem(domain).get(address + i, 0) for i in range(size))
@@ -220,7 +220,7 @@ def step(program, state, layout, mem_overlay=None):
     if op in STORES:
         size = STORE_SIZES[op]
         address = (state.reg(ins.rs1) + ins.imm) & MASK64
-        _check_alignment(op, address, size)
+        _check_alignment(address, size)
         domain = layout.classify_span(address, size)
         value = state.reg(ins.rs2)
         new = state.with_store(domain, address, value, size, pc=nxt)
@@ -246,16 +246,6 @@ def step(program, state, layout, mem_overlay=None):
         return finish({ins.rd: nxt}, next_pc=target)
 
     raise MachineError(f"unhandled opcode {op}")  # pragma: no cover
-
-
-def branch_taken(ins, state):
-    """Resolved direction of a conditional branch in `state`."""
-    a, b = state.reg(ins.rs1), state.reg(ins.rs2)
-    return {
-        "beq": a == b, "bne": a != b,
-        "blt": to_signed(a) < to_signed(b),
-        "bgeu": a >= b,
-    }[ins.opcode]
 
 
 @dataclass(frozen=True)

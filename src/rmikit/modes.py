@@ -9,6 +9,10 @@ traces an attacker can obtain:
     burst      straight-line speculation, but only inside burst regions
     burst_sta  burst if the static analyzer accepted the program,
                otherwise the program is refused and nothing is observed
+
+Each mode that observes anything projects one committed run: insecure is
+the (shm, spec) contract, safe (shm, seq), and burst (shm, stl) with only
+the decision points reached while the MSPEC flag is on.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 from .contracts import (DEFAULT_ENUM_CAP, SEQ, SHM, SPEC, STL,
-                        SelfContainmentViolation, contract_trace,
-                        contract_trace_set, simulate_committed)
+                        SelfContainmentViolation, simulate_committed, splice,
+                        trace_set)
 from .machine import DEFAULT_FUEL
 
 MODE_KINDS = ("insecure", "mi6", "safe", "burst", "burst_sta")
@@ -50,15 +54,14 @@ BURST_STA = HwMode("burst_sta")
 EMPTY_TRACE_SET = frozenset({()})
 
 
-def _check_runtime_containment(program, state0, layout, fuel):
+def _check_runtime_containment(run):
     """Warn if execution with the burst flag on ever leaves every static
     burst region; traces are still returned."""
-    run = simulate_committed(program, state0, layout, fuel)
-    for rec in run.records:
-        if rec.burst_active and not any(
-                on <= rec.index <= off for on, off in program.burst_regions):
+    for index, _, burst_active in run.steps:
+        if burst_active and not any(
+                on <= index <= off for on, off in run.program.burst_regions):
             warnings.warn(
-                f"instruction {rec.index} executed with burst mode on "
+                f"instruction {index} executed with burst mode on "
                 f"outside every static burst region",
                 SelfContainmentViolation, stacklevel=3)
             return
@@ -73,25 +76,32 @@ def sta_gate(program, report):
     return BURST if report.verdict == "pass" else None
 
 
+def hw_projection(program, mode, enum_cap=DEFAULT_ENUM_CAP, sta_report=None):
+    """The attacker's view under `mode` as a function of a committed run of
+    `program`, or None when the mode lets the attacker observe nothing
+    (mi6, or burst_sta refusing the program), which needs no run."""
+    kind = mode.kind
+    if kind == "burst_sta":
+        kind = "burst" if sta_gate(program, sta_report) else "mi6"
+    if kind == "mi6":
+        return None
+    if kind == "insecure":
+        return lambda run: trace_set(run, SHM, SPEC, enum_cap)
+    if kind == "safe":
+        return lambda run: trace_set(run, SHM, SEQ, enum_cap)
+
+    def burst(run):
+        _check_runtime_containment(run)
+        options = [(p.step, (None,) + p.targets)
+                   for p in run.decision_points(STL) if p.burst_active]
+        return splice(run, SHM, STL.spec_depth, options, enum_cap)
+    return burst
+
+
 def hw_trace_set(program, state0, layout, mode, fuel=DEFAULT_FUEL,
                  enum_cap=DEFAULT_ENUM_CAP, sta_report=None):
     """Attacker-observable trace set of `program` from `state0` under `mode`."""
-    kind = mode.kind
-    if kind == "mi6":
+    project = hw_projection(program, mode, enum_cap, sta_report)
+    if project is None:
         return EMPTY_TRACE_SET
-    if kind == "insecure":
-        return contract_trace_set(program, state0, layout, SHM, SPEC,
-                                  fuel=fuel, enum_cap=enum_cap)
-    if kind == "safe":
-        return frozenset({contract_trace(program, state0, layout, SHM, SEQ,
-                                         fuel=fuel)})
-    if kind == "burst_sta":
-        resolved = sta_gate(program, sta_report)
-        if resolved is None:
-            return EMPTY_TRACE_SET
-        kind = "burst"
-    # burst: straight-line speculation gated by the dynamic CSR flag,
-    # sequential semantics everywhere else
-    _check_runtime_containment(program, state0, layout, fuel)
-    return contract_trace_set(program, state0, layout, SHM, STL,
-                              fuel=fuel, enum_cap=enum_cap, burst_gated=True)
+    return project(simulate_committed(program, state0, layout, fuel))

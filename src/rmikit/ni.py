@@ -6,8 +6,10 @@ Three checks, all exhaustive over a finite state space:
     relative NI   equal traces under contract A implies equal under B
     satisfaction  equal contract traces implies equal hardware traces
 
-States are grouped by the left-hand-side key (public projection or
-A-trace set), so only pairs that can possibly violate are compared.
+Each state is explored once (contracts.simulate_committed); both sides
+of a check are projections of that one run. States are grouped by the
+left-hand-side key (public projection or A-trace set), so each state is
+compared only with its group's first state.
 """
 
 from __future__ import annotations
@@ -16,13 +18,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .contracts import (DEFAULT_ENUM_CAP, EnumerationCapExceeded,
-                        contract_trace_set, trace_set_to_json)
+                        simulate_committed, trace_set, trace_set_to_json)
 from .machine import DEFAULT_FUEL, MASK64
-from .modes import hw_trace_set
-
-REGISTER_DOMAIN = (0, 1, 2, 0x8000)
-CELL_DOMAIN = (0, 1)
-DEFAULT_PAIR_CAP = 1 << 20
+from .modes import EMPTY_TRACE_SET, hw_projection
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,11 @@ class NiVerdict:
         return out
 
 
-def _check_pair_cap(states, pair_cap):
-    if len(states) * len(states) > pair_cap:
-        raise EnumerationCapExceeded(pair_cap, needed=len(states) ** 2)
+def _states(space, layout, enum_cap):
+    """The states of the space, refusing more than enum_cap of them."""
+    if space.size() > enum_cap:
+        raise EnumerationCapExceeded(enum_cap, space.size(), "states")
+    return enumerate_states(space, layout)
 
 
 def _component_resets(space, layout):
@@ -121,112 +121,95 @@ def _component_resets(space, layout):
     return resets
 
 
-def _shrink(a, b, space, layout, still_violates):
+def _shrink(a, b, space, layout, observe):
     """Greedy witness minimization: reset varying components to their base
-    values, one at a time in both states, while the violation persists."""
+    values, one at a time in both states, while the violation persists.
+    `a` and `b` are (state, value) pairs, and so is the result."""
     resets = _component_resets(space, layout)
     changed = True
     while changed:
         changed = False
         for reset in resets:
-            na, nb = reset(a), reset(b)
-            if (na, nb) != (a, b) and still_violates(na, nb):
-                a, b = na, nb
+            na, nb = reset(a[0]), reset(b[0])
+            if (na, nb) == (a[0], b[0]):
+                continue
+            (key_a, value_a), (key_b, value_b) = observe(na), observe(nb)
+            if key_a == key_b and value_a != value_b:
+                a, b = (na, value_a), (nb, value_b)
                 changed = True
     return a, b
 
 
-def _check_grouped(states, key_fn, value_fn, space, layout, detail_fn):
-    """Shared engine: within each group of states with equal keys, all
-    values must be equal; the first mismatching pair is the witness."""
+def _check_grouped(states, observe, space, layout, detail_names):
+    """Shared engine: `observe(state)` explores the state once and returns
+    its (key, value); within each group of states with equal keys, all
+    values must be equal; the first mismatching pair is the witness, and
+    its two trace-set values are its detail under `detail_names`."""
     groups = {}
     pairs = 0
     for state in states:
-        key = key_fn(state)
+        key, value = observe(state)
         if key not in groups:
-            groups[key] = (state, value_fn(state))
+            groups[key] = (state, value)
             continue
-        ref_state, ref_value = groups[key]
-        value = value_fn(state)
         pairs += 1
-        if value != ref_value:
-            def still_violates(a, b):
-                return key_fn(a) == key_fn(b) and value_fn(a) != value_fn(b)
-            a, b = _shrink(ref_state, state, space, layout, still_violates)
+        if value != groups[key][1]:
+            (a, value_a), (b, value_b) = _shrink(
+                groups[key], (state, value), space, layout, observe)
+            name_a, name_b = detail_names
             return NiVerdict(
                 holds=False, witness=(a, b),
-                witness_detail=detail_fn(a, b), pairs_checked=pairs)
+                witness_detail={name_a: trace_set_to_json(value_a),
+                                name_b: trace_set_to_json(value_b)},
+                pairs_checked=pairs)
     return NiVerdict(holds=True, pairs_checked=pairs)
 
 
 def check_direct_ni(program, contract, policy, space, layout,
-                    fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP,
-                    pair_cap=DEFAULT_PAIR_CAP):
+                    fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP):
     """Exhaustive direct non-interference for one (leak, exec) contract."""
     leak, exec_model = contract
-    states = enumerate_states(space, layout)
-    _check_pair_cap(states, pair_cap)
+    states = _states(space, layout, enum_cap)
 
-    def traces(state):
-        return contract_trace_set(program, state, layout, leak, exec_model,
-                                  fuel=fuel, enum_cap=enum_cap)
+    def observe(state):
+        run = simulate_committed(program, state, layout, fuel)
+        return pi_key(state, policy), trace_set(run, leak, exec_model, enum_cap)
 
-    def detail(a, b):
-        return {"traces_a": trace_set_to_json(traces(a)),
-                "traces_b": trace_set_to_json(traces(b))}
-
-    return _check_grouped(states, lambda s: pi_key(s, policy), traces,
-                          space, layout, detail)
+    return _check_grouped(states, observe, space, layout,
+                          ("traces_a", "traces_b"))
 
 
 def check_relative_ni(program, contract_a, contract_b, space, layout,
-                      fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP,
-                      pair_cap=DEFAULT_PAIR_CAP):
+                      fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP):
     """Equal trace sets under contract A must imply equal sets under B,
     over every pair of states in the space (no public/secret split)."""
-    states = enumerate_states(space, layout)
-    _check_pair_cap(states, pair_cap)
+    states = _states(space, layout, enum_cap)
 
-    def traces_under(contract):
-        leak, exec_model = contract
+    def observe(state):
+        run = simulate_committed(program, state, layout, fuel)
+        return (trace_set(run, *contract_a, enum_cap),
+                trace_set(run, *contract_b, enum_cap))
 
-        def traces(state):
-            return contract_trace_set(program, state, layout, leak, exec_model,
-                                      fuel=fuel, enum_cap=enum_cap)
-        return traces
-
-    key_fn = traces_under(contract_a)
-    value_fn = traces_under(contract_b)
-
-    def detail(a, b):
-        return {"traces_b_a": trace_set_to_json(value_fn(a)),
-                "traces_b_b": trace_set_to_json(value_fn(b))}
-
-    return _check_grouped(states, key_fn, value_fn, space, layout, detail)
+    return _check_grouped(states, observe, space, layout,
+                          ("traces_b_a", "traces_b_b"))
 
 
 def check_hw_satisfies_one(program, mode, contract, space, layout,
                            fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP,
-                           pair_cap=DEFAULT_PAIR_CAP, sta_report=None):
+                           sta_report=None):
     """One program: equal contract traces must imply equal attacker
     observations under the hardware mode."""
     leak, exec_model = contract
-    states = enumerate_states(space, layout)
-    _check_pair_cap(states, pair_cap)
+    states = _states(space, layout, enum_cap)
+    project = hw_projection(program, mode, enum_cap, sta_report)
 
-    def key_fn(state):
-        return contract_trace_set(program, state, layout, leak, exec_model,
-                                  fuel=fuel, enum_cap=enum_cap)
+    def observe(state):
+        run = simulate_committed(program, state, layout, fuel)
+        return (trace_set(run, leak, exec_model, enum_cap),
+                EMPTY_TRACE_SET if project is None else project(run))
 
-    def value_fn(state):
-        return hw_trace_set(program, state, layout, mode, fuel=fuel,
-                            enum_cap=enum_cap, sta_report=sta_report)
-
-    def detail(a, b):
-        return {"hw_traces_a": trace_set_to_json(value_fn(a)),
-                "hw_traces_b": trace_set_to_json(value_fn(b))}
-
-    return _check_grouped(states, key_fn, value_fn, space, layout, detail)
+    return _check_grouped(states, observe, space, layout,
+                          ("hw_traces_a", "hw_traces_b"))
 
 
 @dataclass
@@ -241,7 +224,7 @@ class SatisfactionVerdict:
 
 
 def check_hw_satisfies(mode, contract, entries, fuel=DEFAULT_FUEL,
-                       enum_cap=DEFAULT_ENUM_CAP, pair_cap=DEFAULT_PAIR_CAP):
+                       enum_cap=DEFAULT_ENUM_CAP):
     """Run the satisfaction check across a corpus of entries, each exposing
     name, program, space, layout, and (for the analyzer-gated mode) an
     sta_report attribute."""
@@ -250,8 +233,7 @@ def check_hw_satisfies(mode, contract, entries, fuel=DEFAULT_FUEL,
         report = getattr(entry, "sta_report", None)
         per_program[entry.name] = check_hw_satisfies_one(
             entry.program, mode, contract, entry.space, entry.layout,
-            fuel=fuel, enum_cap=enum_cap, pair_cap=pair_cap,
-            sta_report=report)
+            fuel=fuel, enum_cap=enum_cap, sta_report=report)
     return SatisfactionVerdict(
         per_program=per_program,
         holds=all(v.holds for v in per_program.values()))

@@ -130,3 +130,34 @@ def test_corpus_verify_json_deterministic():
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["ok"] is True
+
+
+FAULTING = "li a1, 0x4000\nlbu a2, 0(a1)\n"
+TWENTY_TAKEN_BRANCHES = "\n".join(
+    f"beq a0, a0, l{i}\nli a1, {i}\nl{i}:" for i in range(20)) + "\n"
+NON_HALTING = ("li t0, 20000\nloop:\naddi t0, t0, -1\nbne t0, x0, loop\n"
+               "li a1, 0x8000\nadd a1, a1, a2\nlbu a3, 0(a1)\n")
+
+
+@pytest.mark.parametrize("source, code", [
+    (FAULTING, 4), (TWENTY_TAKEN_BRANCHES, 3), (NON_HALTING, 3)],
+    ids=["fault", "trace-cap", "fuel"])
+@pytest.mark.parametrize("command", [
+    ["trace", "--contract", "shm:stl"],
+    ["ni", "--direct", "shm:stl"],
+    ["hw-check", "--mode", "safe", "--contract", "shm:stl"]],
+    ids=["trace", "ni", "hw-check"])
+def test_library_errors_exit_without_traceback(source, code, command, capsys,
+                                              tmp_path):
+    snippet = tmp_path / "s.s"
+    snippet.write_text(source)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"base_state": {"pc": 0}}))
+    argv = [command[0], str(snippet), *command[1:]]
+    if command[0] != "trace":
+        argv += ["--space", str(space)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert main(argv + ["--json"]) == code
+    assert set(json.loads(capsys.readouterr().out)) == {"error"}

@@ -198,7 +198,7 @@ def test_wrong_path_isolation(regs):
     expected = run_seq(_BRANCHY, state0, LAYOUT).state
     from rmikit.contracts import simulate_committed
     run = simulate_committed(_BRANCHY, state0, LAYOUT)
-    assert run.records[-1].state_after == expected
+    assert run.final_state == expected
 
 
 @settings(max_examples=60, deadline=None)

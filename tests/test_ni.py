@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmikit import contracts, ni
 from rmikit.asm import parse_program, reg_num
 from rmikit.contracts import (SEQ, SHM, SPEC, STL, EnumerationCapExceeded,
-                              contract_trace_set)
+                              FuelExhausted, contract_trace_set)
 from rmikit.machine import ArchState, MemoryLayout
 from rmikit.modes import INSECURE, MI6, SAFE
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
@@ -128,7 +129,44 @@ def test_pair_cap_enforced():
                        varying_registers=((A0, tuple(range(40))),))
     with pytest.raises(EnumerationCapExceeded):
         check_direct_ni(parse_program("li a0, 1"), (SHM, SEQ), Policy(),
-                        space, LAYOUT, pair_cap=100)
+                        space, LAYOUT, enum_cap=16)
+
+
+def test_state_cap_counts_states_not_pairs():
+    space = StateSpace(base_state=ArchState(regs={A0: 8}),
+                       varying_registers=((A0, (2, 8)),),
+                       varying_cells=((0x1008, tuple(range(256))),
+                                      (0x1002, (0, 1, 2, 3))))
+    assert space.size() == 2048
+    verdict = check_direct_ni(GADGET, (SHM, SPEC), GADGET_POLICY, space, LAYOUT)
+    assert not verdict.holds
+
+
+def test_fuel_exhausted_run_is_never_holds():
+    program = parse_program(
+        "li t0, 20000\nloop:\naddi t0, t0, -1\nbne t0, x0, loop\n"
+        "li a1, 0x8000\nadd a1, a1, a2\nlbu a3, 0(a1)")
+    space = StateSpace(base_state=ArchState(),
+                       varying_registers=((reg_num("a2"), (0, 1)),))
+    with pytest.raises(FuelExhausted):
+        check_direct_ni(program, (SHM, SEQ), Policy(), space, LAYOUT)
+
+
+def test_one_committed_run_per_state(monkeypatch):
+    calls = []
+    original = contracts.simulate_committed
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in (contracts, ni):
+        monkeypatch.setattr(module, "simulate_committed", counting)
+    states = enumerate_states(GADGET_SPACE, LAYOUT)
+    verdict = check_relative_ni(GADGET, (SHM, SPEC), (SHM, SEQ),
+                                GADGET_SPACE, LAYOUT)
+    assert verdict.holds
+    assert calls == states
 
 
 def test_verdict_json_shape():
