@@ -12,7 +12,8 @@ Commands:
 Exit codes: 0 success / verdict reproduced, 1 check violated, 2 analysis
 failed, 3 path explosion (the analyzer's path bound, the enumeration cap,
 or a committed path out of fuel), 4 the committed path faults, 64 usage
-error. Codes 3 and 4 print {"error": message} with --json, and the
+error (including a state space that cannot be enumerated). Codes 3 and 4,
+and 64 for a state space, print {"error": message} with --json, and the
 message on stderr otherwise.
 """
 
@@ -32,7 +33,8 @@ from .corpus import (_parse_layout, _parse_policy, _parse_space, load_corpus,
 from .llc import LlcError, PartitionTable, PartitionedCache
 from .machine import MachineError, MemoryLayout
 from .modes import HwMode, MODE_KINDS
-from .ni import Policy, check_direct_ni, check_hw_satisfies_one, check_relative_ni
+from .ni import (InvalidSpace, Policy, check_direct_ni, check_hw_satisfies_one,
+                 check_relative_ni)
 
 USAGE_EXIT = 64
 
@@ -236,11 +238,14 @@ def main(argv=None):
     except (LlcError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EnumerationCapExceeded, FuelExhausted, MachineError) as exc:
+    except (EnumerationCapExceeded, FuelExhausted, MachineError,
+            InvalidSpace) as exc:
         if as_json:
             print(json.dumps({"error": str(exc)}, sort_keys=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, InvalidSpace):
+            return USAGE_EXIT
         return 4 if isinstance(exc, MachineError) else 3
 
 

@@ -25,10 +25,11 @@ product of per-point choices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .asm import BRANCHES, BURST_ON, STORE_SIZES
-from .machine import DEFAULT_FUEL, MachineError, step
+from .asm import BRANCHES, BURST_ON
+from .machine import (DEFAULT_FUEL, PRIVATE, SHARED, ArchState, MachineError,
+                      execute)
 
 DEFAULT_SPEC_DEPTH = 8
 DEFAULT_ENUM_CAP = 1 << 16
@@ -173,69 +174,71 @@ def _mispredict_targets(program, index, actual, exec_model):
     return ()  # jal: direct target, known at decode
 
 
+def _snapshot(pc, regs, mems, end):
+    """A frozen ArchState that owns copies of the core's dicts."""
+    return ArchState(pc, dict(regs), dict(mems[PRIVATE]), dict(mems[SHARED]),
+                     halted=pc == end)
+
+
 def simulate_committed(program, state0, layout, fuel=DEFAULT_FUEL):
     """Run the non-speculative path once, recording each step's effect and
     the dynamic burst-region flag, the state after each control
     instruction, and the final state. Raises FuelExhausted when the path
-    does not halt within `fuel` steps."""
+    does not halt within `fuel` steps.
+
+    The path runs on one mutable core; states are snapshotted only after
+    control instructions (where wrong-path windows resume) and at the end.
+    """
+    if state0.halted or len(program) == 0:
+        return CommittedRun(program, layout, (), {}, state0)
     steps = []
     resume = {}
-    state = state0
+    end = len(program)
+    pc = state0.pc
+    regs = dict(state0.regs)
+    mems = {PRIVATE: dict(state0.private_mem), SHARED: dict(state0.shared_mem)}
     burst_active = False
-    if len(program) == 0:
-        return CommittedRun(program, layout, (), {}, state0)
     for _ in range(fuel):
-        if state.halted:
-            break
-        index = state.pc
-        ins = program.instructions[index]
-        state, effect = step(program, state, layout)
+        effect = execute(program, layout, pc, regs, mems)
+        ins = program.instructions[pc]
+        steps.append((pc, effect, burst_active))
+        pc = effect.next_pc
         if ins.is_control:
-            resume[len(steps)] = state
-        steps.append((index, effect, burst_active))
-        if ins.opcode == "csrwi":
+            resume[len(steps) - 1] = _snapshot(pc, regs, mems, end)
+        elif ins.opcode == "csrwi":
             burst_active = ins.csr_value == BURST_ON
+        if pc == end:
+            break
     else:
-        if not state.halted:
-            raise FuelExhausted(f"committed path runs past {fuel} steps")
-    return CommittedRun(program, layout, tuple(steps), resume, state)
+        raise FuelExhausted(f"committed path runs past {fuel} steps")
+    return CommittedRun(program, layout, tuple(steps), resume,
+                        _snapshot(pc, regs, mems, end))
 
 
 def wrong_path_events(program, resume_state, target, layout, spec_depth):
     """Raw (index, effect) steps of one mispredicted control transfer.
 
-    Executes up to spec_depth instructions starting at `target` from the
-    committed post-instruction state, with stores buffered in an overlay
-    and never committed. Faults and out-of-range fetches squash silently.
-    Writing the speculation CSR acts as a barrier in every execution
-    model, so a window never crosses it.
+    Executes up to spec_depth instructions starting at `target` on a copy
+    of the committed post-instruction registers. Loads read the committed
+    memories through a store overlay, and stores go into the overlay, so
+    they are forwarded to younger loads and never committed. Faults and
+    out-of-range fetches squash silently. Writing the speculation CSR acts
+    as a barrier in every execution model, so a window never crosses it.
     """
     steps = []
     overlay = {}
-    state = replace(resume_state, pc=target, halted=False)
+    regs = dict(resume_state.regs)
+    mems = {PRIVATE: resume_state.private_mem, SHARED: resume_state.shared_mem}
+    pc = target
     for _ in range(spec_depth):
-        if not 0 <= state.pc < len(program):
+        if not 0 <= pc < len(program) or program.instructions[pc].opcode == "csrwi":
             break
-        ins = program.instructions[state.pc]
-        if ins.opcode == "csrwi":
-            break
-        index = state.pc
         try:
-            new_state, effect = step(program, state, layout, mem_overlay=overlay)
+            effect = execute(program, layout, pc, regs, mems, overlay)
         except MachineError:
             break
-        steps.append((index, effect))
-        ev = effect.mem_event
-        if ev is not None and ev.kind == "store":
-            # buffer the store; forward it to younger loads, never commit
-            size = STORE_SIZES[ins.opcode]
-            for i, b in enumerate(int(ev.value).to_bytes(8, "little")[:size]):
-                overlay[(ev.domain, ev.address + i)] = b
-            new_state = replace(state, pc=effect.next_pc,
-                                halted=effect.next_pc == len(program))
-        state = new_state
-        if state.halted:
-            break
+        steps.append((pc, effect))
+        pc = effect.next_pc
     return tuple(steps)
 
 

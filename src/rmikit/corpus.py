@@ -17,8 +17,8 @@ from .asm import AsmError, parse_program, reg_num
 from .contracts import SEQ, SHM, SPEC, STL
 from .machine import ArchState, MemoryLayout
 from .modes import BURST, BURST_STA, MI6, SAFE
-from .ni import (Policy, StateSpace, check_direct_ni, check_hw_satisfies_one,
-                 check_relative_ni)
+from .ni import (InvalidSpace, Policy, StateSpace, check_direct_ni,
+                 check_hw_satisfies_one, check_relative_ni)
 
 DATA_PACKAGE = "rmikit.corpus_data"
 
@@ -78,6 +78,8 @@ def _parse_policy(data):
 
 
 def _parse_space(data):
+    if "base_state" not in data:
+        raise InvalidSpace("state space lacks the required key 'base_state'")
     return StateSpace(
         base_state=ArchState.from_json(data["base_state"]),
         varying_registers=tuple(

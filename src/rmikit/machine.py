@@ -1,11 +1,17 @@
-"""Architectural state and the sequential single-instruction step function.
+"""Architectural state and the one interpreter core.
 
-This is the non-speculative base semantics every other execution model is
-built on: one instruction at a time, in order.
+`execute` holds the opcode semantics: it runs one instruction on a
+mutable core (a register dict and one memory dict per domain), updating
+it in place, or reading and writing a store-buffer overlay in place of
+memory on a wrong path. `step` is its functional wrapper over frozen
+`ArchState`s (copy in, execute, freeze out), and `run_seq` iterates
+`step`. This is the non-speculative base semantics every other execution
+model is built on: one instruction at a time, in order.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 from .asm import (BRANCHES, LOAD_SIZES, LOADS, R_OPS, STORE_SIZES, STORES,
@@ -110,11 +116,6 @@ class ArchState:
     def mem(self, domain):
         return self.private_mem if domain == PRIVATE else self.shared_mem
 
-    def load_bytes(self, domain, address, size):
-        mem = self.mem(domain)
-        return int.from_bytes(
-            bytes(mem.get(address + i, 0) & 0xFF for i in range(size)), "little")
-
     def with_store(self, domain, address, value, size, pc):
         mem = dict(self.mem(domain))
         for i, b in enumerate(int(value & MASK64).to_bytes(8, "little")[:size]):
@@ -149,103 +150,106 @@ def _check_alignment(address, size):
         raise OutOfRangeAccess(address)
 
 
+_ALU = {"add": operator.add, "sub": operator.sub, "and": operator.and_,
+        "or": operator.or_, "xor": operator.xor}
+_TAKEN = {"beq": operator.eq, "bne": operator.ne, "bgeu": operator.ge,
+          "blt": lambda a, b: to_signed(a) < to_signed(b)}
+
+
+def execute(program, layout, pc, regs, mems, overlay=None):
+    """Execute the instruction at `pc` on a mutable core; returns its StepEffect.
+
+    `regs` ({reg number: value}) and `mems` ({PRIVATE: {address: byte},
+    SHARED: {...}}) are updated in place. With an `overlay`
+    ({(domain, address): byte}, a speculative store buffer), loads read
+    through it and stores go into it, never into `mems`. Every check
+    (pc, alignment, mapping, target range) comes before the first write,
+    so an instruction that raises leaves the core unchanged.
+    """
+    instructions = program.instructions
+    if not 0 <= pc < len(instructions):
+        raise InvalidPc(pc)
+    ins = instructions[pc]
+    op = ins.opcode
+    a = regs.get(ins.rs1, 0) if ins.rs1 else 0
+    b = regs.get(ins.rs2, 0) if ins.rs2 else 0
+    target = pc + 1
+    value = None                # the value written to rd, if any
+    event = None
+    if op in R_OPS:
+        value = _ALU[op](a, b) & MASK64
+    elif op == "addi":
+        value = (a + ins.imm) & MASK64
+    elif op == "li":
+        value = ins.imm & MASK64
+    elif op == "mv":
+        value = a
+    elif op == "slli":
+        value = (a << (ins.imm & 63)) & MASK64
+    elif op == "srli":
+        value = (a & MASK64) >> (ins.imm & 63)
+    elif op in LOADS or op in STORES:
+        size = LOAD_SIZES.get(op) or STORE_SIZES[op]
+        address = (a + ins.imm) & MASK64
+        _check_alignment(address, size)
+        domain = layout.classify_span(address, size)
+        span = range(address, address + size)
+        mem = mems[domain]
+        if op in STORES:
+            data = (b & MASK64).to_bytes(8, "little")[:size]
+            event = MemEvent("store", address, domain,
+                             int.from_bytes(data, "little"))
+            if overlay is None:
+                mem.update(zip(span, data))
+            else:
+                overlay.update(((domain, x), byte) for x, byte in zip(span, data))
+        else:
+            if overlay:
+                raw = bytes(overlay.get((domain, x), mem.get(x, 0)) for x in span)
+            else:
+                raw = bytes(mem.get(x, 0) for x in span)
+            value = int.from_bytes(raw, "little")
+            if op == "lw" and value >> 31:
+                value = (value - (1 << 32)) & MASK64
+            event = MemEvent("load", address, domain, value)
+    elif op in BRANCHES:
+        if _TAKEN[op](a, b):
+            target = ins.target
+    elif op == "jal":
+        value, target = pc + 1, ins.target
+    elif op == "jalr":
+        value, target = pc + 1, (a + ins.imm) & MASK64
+    elif op not in ("label", "csrwi"):
+        raise MachineError(f"unhandled opcode {op}")  # pragma: no cover
+    if not 0 <= target <= len(instructions):
+        raise InvalidPc(target)
+    if value is None:
+        return StepEffect(next_pc=target, mem_event=event)
+    if ins.rd:
+        regs[ins.rd] = value & MASK64
+    return StepEffect(next_pc=target, mem_event=event,
+                      reg_writes={ins.rd: value})
+
+
 def step(program, state, layout, mem_overlay=None):
     """Execute one instruction; returns (new ArchState, StepEffect).
 
-    `mem_overlay` is an optional {(domain, address): byte} mapping consulted
-    before memory on loads; the speculative engine uses it for buffered
-    wrong-path stores. Stores do not modify it here.
+    The functional form of `execute`: copy the state in, execute, freeze
+    the result out. `mem_overlay` is an optional {(domain, address): byte}
+    mapping consulted before memory on loads; it is never modified, and a
+    store is committed to the new state.
     """
     if state.halted:
         raise InvalidPc(state.pc)
-    if not 0 <= state.pc < len(program):
-        raise InvalidPc(state.pc)
-
-    ins = program.instructions[state.pc]
     pc = state.pc
-    nxt = pc + 1
-    op = ins.opcode
-
-    def finish(writes=None, next_pc=None, event=None):
-        writes = writes or {}
-        target = nxt if next_pc is None else next_pc
-        if not 0 <= target <= len(program):
-            raise InvalidPc(target)
-        new = state.with_regs(writes, pc=target)
-        if target == len(program):
-            new = replace(new, halted=True)
-        return new, StepEffect(next_pc=target, mem_event=event, reg_writes=writes)
-
-    if op in ("label", "csrwi"):
-        return finish()
-
-    if op in R_OPS:
-        a, b = state.reg(ins.rs1), state.reg(ins.rs2)
-        value = {
-            "add": a + b, "sub": a - b,
-            "and": a & b, "or": a | b, "xor": a ^ b,
-        }[op] & MASK64
-        return finish({ins.rd: value})
-
-    if op == "addi":
-        return finish({ins.rd: (state.reg(ins.rs1) + ins.imm) & MASK64})
-    if op == "slli":
-        return finish({ins.rd: (state.reg(ins.rs1) << (ins.imm & 63)) & MASK64})
-    if op == "srli":
-        return finish({ins.rd: (state.reg(ins.rs1) & MASK64) >> (ins.imm & 63)})
-    if op == "li":
-        return finish({ins.rd: ins.imm & MASK64})
-    if op == "mv":
-        return finish({ins.rd: state.reg(ins.rs1)})
-
-    if op in LOADS:
-        size = LOAD_SIZES[op]
-        address = (state.reg(ins.rs1) + ins.imm) & MASK64
-        _check_alignment(address, size)
-        domain = layout.classify_span(address, size)
-        raw = bytearray(
-            state.mem(domain).get(address + i, 0) for i in range(size))
-        if mem_overlay:
-            for i in range(size):
-                key = (domain, address + i)
-                if key in mem_overlay:
-                    raw[i] = mem_overlay[key]
-        value = int.from_bytes(bytes(raw), "little")
-        if op == "lw" and value >> 31:
-            value = (value - (1 << 32)) & MASK64
-        event = MemEvent("load", address, domain, value)
-        new, effect = finish({ins.rd: value})
-        return new, replace(effect, mem_event=event)
-
-    if op in STORES:
-        size = STORE_SIZES[op]
-        address = (state.reg(ins.rs1) + ins.imm) & MASK64
-        _check_alignment(address, size)
-        domain = layout.classify_span(address, size)
-        value = state.reg(ins.rs2)
-        new = state.with_store(domain, address, value, size, pc=nxt)
-        if nxt == len(program):
-            new = replace(new, halted=True)
-        event = MemEvent("store", address, domain, value & ((1 << (8 * size)) - 1))
-        return new, StepEffect(next_pc=nxt, mem_event=event, reg_writes={})
-
-    if op in BRANCHES:
-        a, b = state.reg(ins.rs1), state.reg(ins.rs2)
-        taken = {
-            "beq": a == b, "bne": a != b,
-            "blt": to_signed(a) < to_signed(b),
-            "bgeu": a >= b,
-        }[op]
-        return finish(next_pc=ins.target if taken else nxt)
-
-    if op == "jal":
-        return finish({ins.rd: nxt}, next_pc=ins.target)
-
-    if op == "jalr":
-        target = (state.reg(ins.rs1) + ins.imm) & MASK64
-        return finish({ins.rd: nxt}, next_pc=target)
-
-    raise MachineError(f"unhandled opcode {op}")  # pragma: no cover
+    if (mem_overlay and 0 <= pc < len(program)
+            and program.instructions[pc].opcode in STORES):
+        mem_overlay = None      # stores commit; only loads read the overlay
+    regs = dict(state.regs)
+    mems = {PRIVATE: dict(state.private_mem), SHARED: dict(state.shared_mem)}
+    effect = execute(program, layout, pc, regs, mems, mem_overlay)
+    return ArchState(effect.next_pc, regs, mems[PRIVATE], mems[SHARED],
+                     halted=effect.next_pc == len(program)), effect
 
 
 @dataclass(frozen=True)

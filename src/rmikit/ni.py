@@ -19,8 +19,13 @@ from dataclasses import dataclass, field
 
 from .contracts import (DEFAULT_ENUM_CAP, EnumerationCapExceeded,
                         simulate_committed, trace_set, trace_set_to_json)
-from .machine import DEFAULT_FUEL, MASK64
+from .machine import DEFAULT_FUEL, MASK64, PRIVATE, ArchState
 from .modes import EMPTY_TRACE_SET, hw_projection
+
+
+class InvalidSpace(ValueError):
+    """A state space that cannot be enumerated: a required key is missing,
+    or a varying cell lies in no mapped range."""
 
 
 @dataclass(frozen=True)
@@ -50,24 +55,28 @@ class StateSpace:
 
 
 def enumerate_states(space, layout):
-    """All states of the space, in a deterministic order."""
+    """All states of the space, in a deterministic order. Each state is
+    built in one constructor call and owns copies of the base dicts."""
+    base = space.base_state
     regs = [(r, tuple(d)) for r, d in space.varying_registers]
-    cells = [(a, tuple(d)) for a, d in space.varying_cells]
-    domains = [d for _, d in regs] + [d for _, d in cells]
+    cells = []
+    for addr, d in space.varying_cells:
+        domain = layout.classify(addr)
+        if domain is None:
+            raise InvalidSpace(f"varying cell {addr:#x} is in no mapped range")
+        cells.append((addr, domain == PRIVATE, tuple(d)))
+    domains = [d for _, d in regs] + [d for _, _, d in cells]
     states = []
     for combo in itertools.product(*domains):
-        state = space.base_state
-        reg_writes = {}
-        for (r, _), value in zip(regs, combo[:len(regs)]):
-            reg_writes[r] = value & MASK64
-        if reg_writes:
-            state = state.with_regs(reg_writes, pc=state.pc)
-        for (addr, _), value in zip(cells, combo[len(regs):]):
-            domain = layout.classify(addr)
-            if domain is None:
-                raise ValueError(f"varying cell {addr:#x} is in no mapped range")
-            state = state.with_store(domain, addr, value & 0xFF, 1, pc=state.pc)
-        states.append(state)
+        state_regs = dict(base.regs)
+        private, shared = dict(base.private_mem), dict(base.shared_mem)
+        for (r, _), value in zip(regs, combo):
+            if r != 0:
+                state_regs[r] = value & MASK64
+        for (addr, is_private, _), value in zip(cells, combo[len(regs):]):
+            (private if is_private else shared)[addr] = value & 0xFF
+        states.append(ArchState(base.pc, state_regs, private, shared,
+                                base.halted))
     return states
 
 

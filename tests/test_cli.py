@@ -161,3 +161,22 @@ def test_library_errors_exit_without_traceback(source, code, command, capsys,
     assert captured.err.startswith("error: ") and not captured.out
     assert main(argv + ["--json"]) == code
     assert set(json.loads(capsys.readouterr().out)) == {"error"}
+
+
+@pytest.mark.parametrize("space, message", [
+    ({"base_state": {"pc": 0}, "varying_cells": [["0x4000", [0, 1]]]},
+     "varying cell 0x4000 is in no mapped range"),
+    ({"varying_registers": [["a0", [0, 1]]]}, "'base_state'")],
+    ids=["unmapped-cell", "no-base-state"])
+def test_unusable_space_is_usage_error(space, message, capsys, tmp_path):
+    snippet = tmp_path / "s.s"
+    snippet.write_text("li a1, 0x8000\nlbu a2, 0(a1)\n")
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(space))
+    argv = ["ni", str(snippet), "--space", str(space_file), "--direct", "shm:seq"]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not captured.out
+    assert main(argv + ["--json"]) == 64
+    assert message in json.loads(capsys.readouterr().out)["error"]
