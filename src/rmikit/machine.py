@@ -231,23 +231,17 @@ def execute(program, layout, pc, regs, mems, overlay=None):
                       reg_writes={ins.rd: value})
 
 
-def step(program, state, layout, mem_overlay=None):
+def step(program, state, layout):
     """Execute one instruction; returns (new ArchState, StepEffect).
 
     The functional form of `execute`: copy the state in, execute, freeze
-    the result out. `mem_overlay` is an optional {(domain, address): byte}
-    mapping consulted before memory on loads; it is never modified, and a
-    store is committed to the new state.
+    the result out.
     """
     if state.halted:
         raise InvalidPc(state.pc)
-    pc = state.pc
-    if (mem_overlay and 0 <= pc < len(program)
-            and program.instructions[pc].opcode in STORES):
-        mem_overlay = None      # stores commit; only loads read the overlay
     regs = dict(state.regs)
     mems = {PRIVATE: dict(state.private_mem), SHARED: dict(state.shared_mem)}
-    effect = execute(program, layout, pc, regs, mems, mem_overlay)
+    effect = execute(program, layout, state.pc, regs, mems)
     return ArchState(effect.next_pc, regs, mems[PRIVATE], mems[SHARED],
                      halted=effect.next_pc == len(program)), effect
 
