@@ -12,6 +12,11 @@ observable operands.
 A program fails when a secret initial register can be leaked on a
 speculative-only path, or conservatively whenever a leaked value depends
 on another memory value.
+
+The speculative walk spans at most `contracts.SPEC_DEPTH` window slots,
+the window the contracts and hardware modes run, so a "pass" covers
+every window the relative-NI oracle checks. One analysis pops at most
+`NODE_CAP` worklist nodes and raises PathExplosion beyond that.
 """
 
 from __future__ import annotations
@@ -19,15 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .asm import BRANCHES, LOADS, R_OPS, STORES, reg_name
-from .contracts import DEFAULT_SPEC_DEPTH
+from .contracts import SPEC_DEPTH
 
-DEFAULT_NODE_CAP = 10_000
+# The most worklist nodes one analysis may pop before it gives up.
+NODE_CAP = 10_000
 
 
 class PathExplosion(Exception):
-    def __init__(self, cap):
-        super().__init__(f"backward exploration exceeded {cap} nodes")
-        self.cap = cap
+    """The backward walk popped more than NODE_CAP worklist nodes."""
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,7 @@ def _x0_reading(opcode):
     return {"beq": "==", "bne": "!=", "blt": "<", "bgeu": ">="}[opcode]
 
 
-def analyze(program, policy, layout=None, spec_depth=DEFAULT_SPEC_DEPTH,
-            node_cap=DEFAULT_NODE_CAP):
+def analyze(program, policy, layout=None):
     """Analyze every burst region of `program` under `policy`.
 
     `layout` is unused by the register-level analysis and accepted for
@@ -208,8 +211,7 @@ def analyze(program, policy, layout=None, spec_depth=DEFAULT_SPEC_DEPTH,
                 continue
             explored = _explore_transmitter(
                 program, policy, region, t_index, sources - {0},
-                arch_preds, divergences, spec_depth, node_cap,
-                violations, leaked_initial, explored)
+                arch_preds, divergences, violations, leaked_initial, explored)
 
     verdict = "pass" if not violations else "fail"
     return AnalysisReport(verdict=verdict, violations=violations,
@@ -218,8 +220,8 @@ def analyze(program, policy, layout=None, spec_depth=DEFAULT_SPEC_DEPTH,
 
 
 def _explore_transmitter(program, policy, region, t_index, sources,
-                         arch_preds, divergences, spec_depth, node_cap,
-                         violations, leaked_initial, explored):
+                         arch_preds, divergences, violations, leaked_initial,
+                         explored):
     """Backward walk from one transmitter; mutates the result accumulators."""
     mdl_reported = False
     leak_keys = set()
@@ -235,8 +237,9 @@ def _explore_transmitter(program, policy, region, t_index, sources,
     while stack:
         position, leaked, steps, condition, path = stack.pop()
         explored += 1
-        if explored > node_cap:
-            raise PathExplosion(node_cap)
+        if explored > NODE_CAP:
+            raise PathExplosion(
+                f"backward exploration exceeded {NODE_CAP} nodes")
         speculative = condition is None
 
         if not leaked:
@@ -277,7 +280,7 @@ def _explore_transmitter(program, policy, region, t_index, sources,
                           (pred,) + path))
 
         if speculative:
-            if steps < spec_depth:
+            if steps < SPEC_DEPTH:
                 for pred in arch_preds.get(position, ()):
                     expand(pred, None, steps + 1)
             # crossing the divergence is allowed even at the window limit:

@@ -29,7 +29,6 @@ LOADS = frozenset({"lw", "lbu", "ld"})
 STORES = frozenset({"sw", "sb", "sd"})
 BRANCHES = frozenset({"beq", "bne", "blt", "bgeu"})
 JUMPS = frozenset({"jal", "jalr"})
-CONTROL_OPS = BRANCHES | JUMPS
 
 # "label" is an internal marker opcode: a label-definition line occupies
 # one instruction slot so that instruction indices line up with source
@@ -99,14 +98,6 @@ class Instruction:
     label_name: str | None = None    # for "label" marker slots
     source_line: int = 0
 
-    @property
-    def is_control(self):
-        return self.opcode in CONTROL_OPS
-
-    @property
-    def is_memory(self):
-        return self.opcode in LOADS or self.opcode in STORES
-
 
 @dataclass(frozen=True)
 class Program:
@@ -128,10 +119,6 @@ class Program:
 
     def __hash__(self):
         return hash((self.instructions, self.burst_regions))
-
-    def in_burst_region(self, index):
-        """True if instruction `index` lies strictly inside a burst region."""
-        return any(on < index < off for on, off in self.burst_regions)
 
 
 def reg_num(name):

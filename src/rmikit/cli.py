@@ -12,9 +12,10 @@ Commands:
 Exit codes: 0 success / verdict reproduced, 1 check violated, 2 analysis
 failed, 3 path explosion (the analyzer's path bound, the enumeration cap,
 or a committed path out of fuel), 4 the committed path faults, 64 usage
-error (including a state space that cannot be enumerated). Codes 3 and 4,
-and 64 for a state space, print {"error": message} with --json, and the
-message on stderr otherwise.
+error (a --layout, --policy, --space or --state file that is not JSON or
+not such a document, or a state space that cannot be enumerated). Codes
+3 and 4, and 64 for an input file or a state space, print {"error":
+message} with --json, and the message on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -31,12 +32,17 @@ from .contracts import (EXEC_KINDS, LEAK_KINDS, EnumerationCapExceeded,
 from .corpus import (_parse_layout, _parse_policy, _parse_space, load_corpus,
                      load_reference_table, verify_corpus)
 from .llc import LlcError, PartitionTable, PartitionedCache
-from .machine import MachineError, MemoryLayout
+from .machine import ArchState, MachineError, MemoryLayout
 from .modes import HwMode, MODE_KINDS
 from .ni import (InvalidSpace, Policy, check_direct_ni, check_hw_satisfies_one,
                  check_relative_ni)
 
 USAGE_EXIT = 64
+
+
+class InvalidInput(ValueError):
+    """An input document that does not describe a layout, policy, state
+    space or state."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,19 +80,27 @@ def _contract(text):
     return LeakageModel(leak), ExecModel(exec_kind)
 
 
+def _input(args, option, parse, default=None):
+    """The document named by --option, parsed, or `default` without one.
+    What a parser raises on a malformed document becomes InvalidInput."""
+    path = getattr(args, option, None)
+    if not path:
+        return default
+    try:
+        return parse(_load_json(path))
+    except (AttributeError, LookupError, OverflowError, TypeError,
+            ValueError) as exc:
+        reason = (f"unknown or missing name {exc}" if isinstance(exc, KeyError)
+                  else exc)
+        raise InvalidInput(f"--{option} {path}: {reason}") from None
+
+
 def _setup(args):
     """Common inputs: program, layout, policy, space."""
-    program = _load_program(args.file)
-    layout = MemoryLayout()
-    policy = Policy()
-    space = None
-    if getattr(args, "layout", None):
-        layout = _parse_layout(_load_json(args.layout))
-    if getattr(args, "policy", None):
-        policy = _parse_policy(_load_json(args.policy))
-    if getattr(args, "space", None):
-        space = _parse_space(_load_json(args.space))
-    return program, layout, policy, space
+    return (_load_program(args.file),
+            _input(args, "layout", _parse_layout, MemoryLayout()),
+            _input(args, "policy", _parse_policy, Policy()),
+            _input(args, "space", _parse_space))
 
 
 def build_parser():
@@ -134,8 +148,7 @@ def build_parser():
 
 def _cmd_trace(args):
     program, layout, _, _ = _setup(args)
-    from .machine import ArchState
-    state = ArchState.from_json(_load_json(args.state)) if args.state else ArchState()
+    state = _input(args, "state", ArchState.from_json, ArchState())
     leak, exec_model = args.contract
     traces = contract_trace_set(program, state, layout, leak, exec_model)
     payload = trace_set_to_json(traces)
@@ -239,12 +252,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EnumerationCapExceeded, FuelExhausted, MachineError,
-            InvalidSpace) as exc:
+            InvalidInput, InvalidSpace) as exc:
         if as_json:
             print(json.dumps({"error": str(exc)}, sort_keys=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, InvalidSpace):
+        if isinstance(exc, (InvalidInput, InvalidSpace)):
             return USAGE_EXIT
         return 4 if isinstance(exc, MachineError) else 3
 

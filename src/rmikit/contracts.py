@@ -20,6 +20,10 @@ that run: a leakage model filters events (ct, arch, mem, shm), an
 execution model chooses decision points (seq: none, stl: taken branches,
 spec: every branch arm and jalr target), and `splice` enumerates the
 product of per-point choices.
+
+Constants, not parameters, bound every verdict: `machine.FUEL` a committed
+path, `SPEC_DEPTH` a wrong-path window (the analyzer's too), and
+`ENUM_CAP` a trace set and a state space.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ import itertools
 from dataclasses import dataclass, field
 
 from .asm import BRANCHES, BURST_ON
-from .machine import (DEFAULT_FUEL, PRIVATE, SHARED, ArchState, MachineError,
-                      execute)
+from .machine import FUEL, PRIVATE, SHARED, ArchState, MachineError, execute
 
-DEFAULT_SPEC_DEPTH = 8
-DEFAULT_ENUM_CAP = 1 << 16
+# The most instructions a wrong-path window runs.
+SPEC_DEPTH = 8
+# The most traces in a trace set, and the most states in a state space.
+ENUM_CAP = 1 << 16
 
 LEAK_KINDS = ("ct", "arch", "mem", "shm")
 EXEC_KINDS = ("seq", "stl", "spec")
@@ -47,15 +52,20 @@ class InconsistentChoice(ContractError):
 
 
 class EnumerationCapExceeded(ContractError):
-    def __init__(self, cap, needed, unit):
-        super().__init__(f"{needed} {unit} exceed the enumeration cap {cap}")
-        self.cap = cap
+    def __init__(self, needed, unit):
+        super().__init__(f"{needed} {unit} exceed the enumeration cap {ENUM_CAP}")
         self.needed = needed
 
 
+def enforce_enum_cap(needed, unit):
+    """Refuse to enumerate more than ENUM_CAP traces or states."""
+    if needed > ENUM_CAP:
+        raise EnumerationCapExceeded(needed, unit)
+
+
 class FuelExhausted(ContractError):
-    """The committed path did not halt within the fuel bound, so none of
-    its traces is complete."""
+    """The committed path did not halt within FUEL steps, so none of its
+    traces is complete."""
 
 
 class SelfContainmentViolation(UserWarning):
@@ -74,13 +84,10 @@ class LeakageModel:
 @dataclass(frozen=True)
 class ExecModel:
     kind: str
-    spec_depth: int = DEFAULT_SPEC_DEPTH
 
     def __post_init__(self):
         if self.kind not in EXEC_KINDS:
             raise ValueError(f"unknown execution model {self.kind!r}")
-        if self.spec_depth < 1:
-            raise ValueError("spec_depth must be positive")
 
 
 CT = LeakageModel("ct")
@@ -130,7 +137,7 @@ class CommittedRun:
     program: object
     layout: object
     steps: tuple               # (index, effect, burst flag) per committed step
-    resume: dict               # step -> committed state after a control step
+    resume: dict               # step -> committed state after a branch or jalr
     final_state: object
     windows: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -144,13 +151,13 @@ class CommittedRun:
                 points.append(DecisionPoint(pos, index, targets, burst_active))
         return points
 
-    def window(self, step, target, spec_depth):
+    def window(self, step, target):
         """Raw steps of the wrong-path window at `target` after committed
         step `step`, run on first use."""
-        key = (step, target, spec_depth)
+        key = (step, target)
         if key not in self.windows:
             self.windows[key] = wrong_path_events(
-                self.program, self.resume[step], target, self.layout, spec_depth)
+                self.program, self.resume[step], target, self.layout)
         return self.windows[key]
 
 
@@ -180,14 +187,15 @@ def _snapshot(pc, regs, mems, end):
                      halted=pc == end)
 
 
-def simulate_committed(program, state0, layout, fuel=DEFAULT_FUEL):
+def simulate_committed(program, state0, layout):
     """Run the non-speculative path once, recording each step's effect and
-    the dynamic burst-region flag, the state after each control
-    instruction, and the final state. Raises FuelExhausted when the path
-    does not halt within `fuel` steps.
+    the dynamic burst-region flag, the state after each branch and jalr,
+    and the final state. Raises FuelExhausted when the path does not halt
+    within FUEL steps.
 
-    The path runs on one mutable core; states are snapshotted only after
-    control instructions (where wrong-path windows resume) and at the end.
+    The path runs on one mutable core; states are snapshotted only where
+    a wrong-path window can start (after a branch or a jalr: a jal has no
+    wrong path) and at the end.
     """
     if state0.halted or len(program) == 0:
         return CommittedRun(program, layout, (), {}, state0)
@@ -198,27 +206,27 @@ def simulate_committed(program, state0, layout, fuel=DEFAULT_FUEL):
     regs = dict(state0.regs)
     mems = {PRIVATE: dict(state0.private_mem), SHARED: dict(state0.shared_mem)}
     burst_active = False
-    for _ in range(fuel):
+    for _ in range(FUEL):
         effect = execute(program, layout, pc, regs, mems)
         ins = program.instructions[pc]
         steps.append((pc, effect, burst_active))
         pc = effect.next_pc
-        if ins.is_control:
+        if ins.opcode in BRANCHES or ins.opcode == "jalr":
             resume[len(steps) - 1] = _snapshot(pc, regs, mems, end)
         elif ins.opcode == "csrwi":
             burst_active = ins.csr_value == BURST_ON
         if pc == end:
             break
     else:
-        raise FuelExhausted(f"committed path runs past {fuel} steps")
+        raise FuelExhausted(f"committed path runs past {FUEL} steps")
     return CommittedRun(program, layout, tuple(steps), resume,
                         _snapshot(pc, regs, mems, end))
 
 
-def wrong_path_events(program, resume_state, target, layout, spec_depth):
+def wrong_path_events(program, resume_state, target, layout):
     """Raw (index, effect) steps of one mispredicted control transfer.
 
-    Executes up to spec_depth instructions starting at `target` on a copy
+    Executes up to SPEC_DEPTH instructions starting at `target` on a copy
     of the committed post-instruction registers. Loads read the committed
     memories through a store overlay, and stores go into the overlay, so
     they are forwarded to younger loads and never committed. Faults and
@@ -230,7 +238,7 @@ def wrong_path_events(program, resume_state, target, layout, spec_depth):
     regs = dict(resume_state.regs)
     mems = {PRIVATE: resume_state.private_mem, SHARED: resume_state.shared_mem}
     pc = target
-    for _ in range(spec_depth):
+    for _ in range(SPEC_DEPTH):
         if not 0 <= pc < len(program) or program.instructions[pc].opcode == "csrwi":
             break
         try:
@@ -242,7 +250,7 @@ def wrong_path_events(program, resume_state, target, layout, spec_depth):
     return tuple(steps)
 
 
-def splice(run, leak, spec_depth, options, enum_cap=DEFAULT_ENUM_CAP):
+def splice(run, leak, options):
     """Set of traces of `run` over every combination of choices.
 
     `options` pairs each decision point's committed step, in execution
@@ -252,15 +260,14 @@ def splice(run, leak, spec_depth, options, enum_cap=DEFAULT_ENUM_CAP):
     total = 1
     for _, choices in options:
         total *= len(choices)
-        if total > enum_cap:
-            raise EnumerationCapExceeded(enum_cap, total, "traces")
+        enforce_enum_cap(total, "traces")
     kind = leak.kind
     segments, windows, start = [], [], 0
     for pos, choices in options:
         segments.append(_events(run.steps[start:pos + 1], kind))
         windows.append([
             () if target is None
-            else _events(run.window(pos, target, spec_depth), kind) + ROLLBACK
+            else _events(run.window(pos, target), kind) + ROLLBACK
             for target in choices])
         start = pos + 1
     tail = _events(run.steps[start:], kind)
@@ -274,22 +281,21 @@ def splice(run, leak, spec_depth, options, enum_cap=DEFAULT_ENUM_CAP):
     return frozenset(traces)
 
 
-def trace_set(run, leak, exec_model, enum_cap=DEFAULT_ENUM_CAP):
+def trace_set(run, leak, exec_model):
     """Traces of `run` under the contract (leak, exec_model)."""
     options = [(p.step, (None,) + p.targets)
                for p in run.decision_points(exec_model)]
-    return splice(run, leak, exec_model.spec_depth, options, enum_cap)
+    return splice(run, leak, options)
 
 
-def contract_trace(program, state0, layout, leak, exec_model, choice=(),
-                   fuel=DEFAULT_FUEL):
+def contract_trace(program, state0, layout, leak, exec_model, choice=()):
     """Trace for one concrete predictor choice.
 
     `choice` lists one decision per dynamic control-flow instruction with
     an admissible wrong path, in execution order: either "correct" or
     ("mispredict", target). Missing trailing entries default to correct.
     """
-    run = simulate_committed(program, state0, layout, fuel)
+    run = simulate_committed(program, state0, layout)
     points = run.decision_points(exec_model)
     choice = tuple(choice)
     if len(choice) > len(points):
@@ -309,15 +315,14 @@ def contract_trace(program, state0, layout, leak, exec_model, choice=(),
                 f"target {target} not admissible at instruction {point.index} "
                 f"under {exec_model.kind}")
         options.append((point.step, (target,)))
-    (trace,) = splice(run, leak, exec_model.spec_depth, options)
+    (trace,) = splice(run, leak, options)
     return trace
 
 
-def contract_trace_set(program, state0, layout, leak, exec_model,
-                       fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP):
+def contract_trace_set(program, state0, layout, leak, exec_model):
     """Set of traces over every admissible predictor choice."""
-    return trace_set(simulate_committed(program, state0, layout, fuel),
-                     leak, exec_model, enum_cap)
+    return trace_set(simulate_committed(program, state0, layout),
+                     leak, exec_model)
 
 
 def trace_to_json(trace):

@@ -83,10 +83,10 @@ def _parse_space(data):
     return StateSpace(
         base_state=ArchState.from_json(data["base_state"]),
         varying_registers=tuple(
-            (reg_num(r), tuple(values))
+            (reg_num(r), tuple(int(v) for v in values))
             for r, values in data.get("varying_registers", [])),
         varying_cells=tuple(
-            (int(a, 0), tuple(values))
+            (int(a, 0), tuple(int(v) for v in values))
             for a, values in data.get("varying_cells", [])))
 
 

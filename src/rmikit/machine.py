@@ -6,7 +6,9 @@ it in place, or reading and writing a store-buffer overlay in place of
 memory on a wrong path. `step` is its functional wrapper over frozen
 `ArchState`s (copy in, execute, freeze out), and `run_seq` iterates
 `step`. This is the non-speculative base semantics every other execution
-model is built on: one instruction at a time, in order.
+model is built on: one instruction at a time, in order. `FUEL` bounds
+every committed path: `run_seq` flags a path that has not halted after
+FUEL steps, and `contracts.simulate_committed` refuses it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ MASK64 = (1 << 64) - 1
 
 PRIVATE = "private"
 SHARED = "shared"
+
+# The most instructions a committed path may run.
+FUEL = 10_000
 
 
 class MachineError(Exception):
@@ -86,7 +91,6 @@ class MemEvent:
 class StepEffect:
     next_pc: int
     mem_event: MemEvent | None = None
-    reg_writes: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ class ArchState:
     @classmethod
     def from_json(cls, data):
         return cls(
-            pc=data.get("pc", 0),
+            pc=int(data.get("pc", 0)),
             regs={reg_num(k): int(v) & MASK64
                   for k, v in data.get("regs", {}).items()},
             private_mem={int(a, 0): int(b) & 0xFF
@@ -223,12 +227,9 @@ def execute(program, layout, pc, regs, mems, overlay=None):
         raise MachineError(f"unhandled opcode {op}")  # pragma: no cover
     if not 0 <= target <= len(instructions):
         raise InvalidPc(target)
-    if value is None:
-        return StepEffect(next_pc=target, mem_event=event)
-    if ins.rd:
+    if value is not None and ins.rd:
         regs[ins.rd] = value & MASK64
-    return StepEffect(next_pc=target, mem_event=event,
-                      reg_writes={ins.rd: value})
+    return StepEffect(next_pc=target, mem_event=event)
 
 
 def step(program, state, layout):
@@ -253,17 +254,14 @@ class RunResult:
     fuel_exhausted: bool = False
 
 
-DEFAULT_FUEL = 10_000
-
-
-def run_seq(program, state0, layout, fuel=DEFAULT_FUEL):
-    """Iterate `step` until halt or the fuel bound; fuel exhaustion is an
+def run_seq(program, state0, layout):
+    """Iterate `step` until halt or FUEL steps; fuel exhaustion is an
     explicit outcome flag, not an error."""
     state = state0
     if len(program) == 0:
         return RunResult(replace(state, halted=True), ())
     effects = []
-    for _ in range(fuel):
+    for _ in range(FUEL):
         if state.halted:
             return RunResult(state, tuple(effects))
         state, effect = step(program, state, layout)

@@ -20,10 +20,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .contracts import (DEFAULT_ENUM_CAP, SEQ, SHM, SPEC, STL,
-                        SelfContainmentViolation, simulate_committed, splice,
-                        trace_set)
-from .machine import DEFAULT_FUEL
+from .contracts import (SEQ, SHM, SPEC, STL, SelfContainmentViolation,
+                        simulate_committed, splice, trace_set)
 
 MODE_KINDS = ("insecure", "mi6", "safe", "burst", "burst_sta")
 
@@ -76,7 +74,7 @@ def sta_gate(program, report):
     return BURST if report.verdict == "pass" else None
 
 
-def hw_projection(program, mode, enum_cap=DEFAULT_ENUM_CAP, sta_report=None):
+def hw_projection(program, mode, sta_report=None):
     """The attacker's view under `mode` as a function of a committed run of
     `program`, or None when the mode lets the attacker observe nothing
     (mi6, or burst_sta refusing the program), which needs no run."""
@@ -86,22 +84,21 @@ def hw_projection(program, mode, enum_cap=DEFAULT_ENUM_CAP, sta_report=None):
     if kind == "mi6":
         return None
     if kind == "insecure":
-        return lambda run: trace_set(run, SHM, SPEC, enum_cap)
+        return lambda run: trace_set(run, SHM, SPEC)
     if kind == "safe":
-        return lambda run: trace_set(run, SHM, SEQ, enum_cap)
+        return lambda run: trace_set(run, SHM, SEQ)
 
     def burst(run):
         _check_runtime_containment(run)
         options = [(p.step, (None,) + p.targets)
                    for p in run.decision_points(STL) if p.burst_active]
-        return splice(run, SHM, STL.spec_depth, options, enum_cap)
+        return splice(run, SHM, options)
     return burst
 
 
-def hw_trace_set(program, state0, layout, mode, fuel=DEFAULT_FUEL,
-                 enum_cap=DEFAULT_ENUM_CAP, sta_report=None):
+def hw_trace_set(program, state0, layout, mode, sta_report=None):
     """Attacker-observable trace set of `program` from `state0` under `mode`."""
-    project = hw_projection(program, mode, enum_cap, sta_report)
+    project = hw_projection(program, mode, sta_report)
     if project is None:
         return EMPTY_TRACE_SET
-    return project(simulate_committed(program, state0, layout, fuel))
+    return project(simulate_committed(program, state0, layout))

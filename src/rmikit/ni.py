@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .contracts import (DEFAULT_ENUM_CAP, EnumerationCapExceeded,
-                        simulate_committed, trace_set, trace_set_to_json)
-from .machine import DEFAULT_FUEL, MASK64, PRIVATE, ArchState
+from .contracts import (enforce_enum_cap, simulate_committed, trace_set,
+                        trace_set_to_json)
+from .machine import MASK64, PRIVATE, ArchState
 from .modes import EMPTY_TRACE_SET, hw_projection
 
 
@@ -108,10 +108,9 @@ class NiVerdict:
         return out
 
 
-def _states(space, layout, enum_cap):
-    """The states of the space, refusing more than enum_cap of them."""
-    if space.size() > enum_cap:
-        raise EnumerationCapExceeded(enum_cap, space.size(), "states")
+def _states(space, layout):
+    """The states of the space, refusing more than the enumeration cap."""
+    enforce_enum_cap(space.size(), "states")
     return enumerate_states(space, layout)
 
 
@@ -174,47 +173,41 @@ def _check_grouped(states, observe, space, layout, detail_names):
     return NiVerdict(holds=True, pairs_checked=pairs)
 
 
-def check_direct_ni(program, contract, policy, space, layout,
-                    fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP):
+def check_direct_ni(program, contract, policy, space, layout):
     """Exhaustive direct non-interference for one (leak, exec) contract."""
-    leak, exec_model = contract
-    states = _states(space, layout, enum_cap)
+    states = _states(space, layout)
 
     def observe(state):
-        run = simulate_committed(program, state, layout, fuel)
-        return pi_key(state, policy), trace_set(run, leak, exec_model, enum_cap)
+        run = simulate_committed(program, state, layout)
+        return pi_key(state, policy), trace_set(run, *contract)
 
     return _check_grouped(states, observe, space, layout,
                           ("traces_a", "traces_b"))
 
 
-def check_relative_ni(program, contract_a, contract_b, space, layout,
-                      fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP):
+def check_relative_ni(program, contract_a, contract_b, space, layout):
     """Equal trace sets under contract A must imply equal sets under B,
     over every pair of states in the space (no public/secret split)."""
-    states = _states(space, layout, enum_cap)
+    states = _states(space, layout)
 
     def observe(state):
-        run = simulate_committed(program, state, layout, fuel)
-        return (trace_set(run, *contract_a, enum_cap),
-                trace_set(run, *contract_b, enum_cap))
+        run = simulate_committed(program, state, layout)
+        return trace_set(run, *contract_a), trace_set(run, *contract_b)
 
     return _check_grouped(states, observe, space, layout,
                           ("traces_b_a", "traces_b_b"))
 
 
 def check_hw_satisfies_one(program, mode, contract, space, layout,
-                           fuel=DEFAULT_FUEL, enum_cap=DEFAULT_ENUM_CAP,
                            sta_report=None):
     """One program: equal contract traces must imply equal attacker
     observations under the hardware mode."""
-    leak, exec_model = contract
-    states = _states(space, layout, enum_cap)
-    project = hw_projection(program, mode, enum_cap, sta_report)
+    states = _states(space, layout)
+    project = hw_projection(program, mode, sta_report)
 
     def observe(state):
-        run = simulate_committed(program, state, layout, fuel)
-        return (trace_set(run, leak, exec_model, enum_cap),
+        run = simulate_committed(program, state, layout)
+        return (trace_set(run, *contract),
                 EMPTY_TRACE_SET if project is None else project(run))
 
     return _check_grouped(states, observe, space, layout,
@@ -232,8 +225,7 @@ class SatisfactionVerdict:
                              for name, v in sorted(self.per_program.items())}}
 
 
-def check_hw_satisfies(mode, contract, entries, fuel=DEFAULT_FUEL,
-                       enum_cap=DEFAULT_ENUM_CAP):
+def check_hw_satisfies(mode, contract, entries):
     """Run the satisfaction check across a corpus of entries, each exposing
     name, program, space, layout, and (for the analyzer-gated mode) an
     sta_report attribute."""
@@ -242,7 +234,7 @@ def check_hw_satisfies(mode, contract, entries, fuel=DEFAULT_FUEL,
         report = getattr(entry, "sta_report", None)
         per_program[entry.name] = check_hw_satisfies_one(
             entry.program, mode, contract, entry.space, entry.layout,
-            fuel=fuel, enum_cap=enum_cap, sta_report=report)
+            sta_report=report)
     return SatisfactionVerdict(
         per_program=per_program,
         holds=all(v.holds for v in per_program.values()))

@@ -2,11 +2,12 @@
 
 import pytest
 
-from rmikit.analyzer import (PathExplosion, Violation, analyze,
+from rmikit.analyzer import (NODE_CAP, PathExplosion, Violation, analyze,
                              check_self_contained, explain)
 from rmikit.asm import parse_program, reg_num
-from rmikit.machine import MemoryLayout
-from rmikit.ni import Policy
+from rmikit.contracts import SEQ, SHM, SPEC_DEPTH, STL
+from rmikit.machine import ArchState, MemoryLayout
+from rmikit.ni import Policy, StateSpace, check_relative_ni
 
 LAYOUT = MemoryLayout()
 ALL_SECRET = Policy()
@@ -159,9 +160,12 @@ def test_architectural_only_paths_do_not_fail():
     assert report.verdict == "pass"
 
 
-def test_window_bound_prunes_far_transmitters():
-    filler = "\n".join(["add t1, t1, t0"] * 8)
-    program = parse_program(f"""\
+def _far_transmitter(fillers):
+    """A burst region whose always-taken branch is followed by `fillers`
+    additions and a load through a1: the load sits in window slot
+    fillers + 1."""
+    filler = "\n".join(["add t1, t1, t0"] * fillers)
+    return parse_program(f"""\
 csrwi MSPEC, BURST_ON
 beq a0, a0, done
 {filler}
@@ -169,11 +173,31 @@ lbu t2, 0(a1)
 done:
 csrwi MSPEC, BURST_OFF
 """)
-    report = analyze(program, ALL_SECRET, LAYOUT, spec_depth=8)
-    leaked = {reg for reg, _ in report.leaked_initial_registers}
-    assert A1 not in leaked     # nine window slots needed, only eight fit
-    deeper = analyze(program, ALL_SECRET, LAYOUT, spec_depth=16)
-    assert A1 in {reg for reg, _ in deeper.leaked_initial_registers}
+
+
+def _leaked(report):
+    return {reg for reg, _ in report.leaked_initial_registers}
+
+
+def test_window_bound_prunes_far_transmitters():
+    assert SPEC_DEPTH == 8
+    assert A1 in _leaked(analyze(_far_transmitter(7), ALL_SECRET, LAYOUT))
+    # nine window slots needed, only eight fit
+    assert A1 not in _leaked(analyze(_far_transmitter(8), ALL_SECRET, LAYOUT))
+
+
+def test_window_bound_matches_relative_ni_oracle():
+    """At the window boundary the analyzer and the seq -> stl oracle agree:
+    a load in the last slot fails the analysis and leaks, one past it
+    passes and does not."""
+    space = StateSpace(ArchState(), varying_registers=((A1, (0x8000, 0x8040)),))
+    verdicts = []
+    for fillers in (SPEC_DEPTH - 1, SPEC_DEPTH):
+        program = _far_transmitter(fillers)
+        oracle = check_relative_ni(program, (SHM, SEQ), (SHM, STL), space, LAYOUT)
+        verdicts.append((analyze(program, ALL_SECRET, LAYOUT).verdict,
+                         oracle.holds))
+    assert verdicts == [("fail", False), ("pass", True)]
 
 
 def test_x0_comparison_gets_value_reading():
@@ -191,13 +215,19 @@ csrwi MSPEC, BURST_OFF
 
 
 def test_path_explosion_cap():
+    # 14 diamonds, each arm adding its own register into t3: every one of
+    # the 2^14 paths to the load leaks a different register set, so no
+    # two walks merge and the walk passes NODE_CAP nodes
+    addends = [f"x{i}" for i in range(1, 32) if i not in (A0, A1, reg_num("t3"))]
     lines = ["csrwi MSPEC, BURST_ON"]
-    for i in range(10):
-        lines += [f"bne a0, a1, l{i}", f"add a0, a0, a1", f"l{i}:"]
-    lines += ["lbu t0, 0(a0)", "csrwi MSPEC, BURST_OFF"]
+    for i in range(14):
+        lines += [f"beq a0, a1, t{i}", f"add t3, t3, {addends[2 * i]}",
+                  f"jal x0, j{i}", f"t{i}:", f"add t3, t3, {addends[2 * i + 1]}",
+                  f"j{i}:"]
+    lines += ["lbu t0, 0(t3)", "csrwi MSPEC, BURST_OFF"]
     program = parse_program("\n".join(lines))
-    with pytest.raises(PathExplosion):
-        analyze(program, ALL_SECRET, LAYOUT, node_cap=50)
+    with pytest.raises(PathExplosion, match=f"exceeded {NODE_CAP} nodes"):
+        analyze(program, ALL_SECRET, LAYOUT)
 
 
 def test_explain_narratives():

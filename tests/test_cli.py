@@ -1,10 +1,17 @@
 """Command-line interface tests: exit codes, JSON output, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmikit.cli import main
 
@@ -180,3 +187,143 @@ def test_unusable_space_is_usage_error(space, message, capsys, tmp_path):
     assert not captured.out
     assert main(argv + ["--json"]) == 64
     assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+GOOD_SPACE = {"base_state": {"pc": 0}, "varying_registers": [["a2", [0, 1]]]}
+
+
+@pytest.mark.parametrize("option, document, message", [
+    ("space", {"base_state": {"regs": {"q9": 1}}}, "'q9'"),
+    ("space", {"base_state": {}, "varying_registers": [["q9", [0, 1]]]},
+     "'q9'"),
+    ("space", {"base_state": {}, "varying_registers": [["a0", ["x"]]]},
+     "'x'"),
+    ("policy", {"public_regs": ["q9"]}, "'q9'"),
+    ("state", {"regs": {"q9": 1}}, "'q9'"),
+    ("state", {"pc": [1]}, "list"),
+    ("layout", {"private": ["0x1000", "0x9000"],
+                "shared": ["0x8000", "0x9000"]}, "overlap"),
+    ("layout", {"private": ["0x2000", "0x1000"],
+                "shared": ["0x8000", "0x9000"]}, "non-empty"),
+    ("policy", '{"public_regs": ', "Expecting value")],
+    ids=["space-base-register", "space-varying-register", "space-value",
+         "policy-register", "state-register", "state-pc", "layout-overlap",
+         "layout-empty", "policy-not-json"])
+def test_malformed_input_is_usage_error(option, document, message, capsys,
+                                        tmp_path):
+    snippet = tmp_path / "s.s"
+    snippet.write_text("li a1, 0x8000\nlbu a2, 0(a1)\n")
+    paths = {}
+    for name, content in {"space": GOOD_SPACE, option: document}.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(
+            content if isinstance(content, str) else json.dumps(content))
+    if option == "state":
+        argv = ["trace", str(snippet), "--state", str(paths["state"])]
+    else:
+        argv = ["ni", str(snippet), "--direct", "shm:seq",
+                "--space", str(paths["space"])]
+        if option != "space":
+            argv += [f"--{option}", str(paths[option])]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --{option} ")
+    assert message in captured.err and not captured.out
+    assert main(argv + ["--json"]) == 64
+    assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+# Input documents for the no-traceback property: a near-valid document
+# (it may name an unknown register or an unmapped cell), or one with a
+# single node replaced by arbitrary JSON.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_REG = st.sampled_from(["a0", "a1", "a2", "t0", "x0", "zero", "q9"])
+_ADDR = st.sampled_from(["0x1000", "0x1008", "0x8000", "0x8008", "0x4000"])
+_MEM = st.dictionaries(_ADDR, st.integers(0, 255), max_size=2)
+_STATE = st.fixed_dictionaries({}, optional={
+    "pc": st.integers(-1, 8),
+    "regs": st.dictionaries(_REG, st.integers(0, 2**64), max_size=3),
+    "private_mem": _MEM, "shared_mem": _MEM})
+_DOMAIN = st.lists(st.integers(0, 0x8010), min_size=1, max_size=3)
+_SPACE = st.fixed_dictionaries({"base_state": _STATE}, optional={
+    "varying_registers": st.lists(st.tuples(_REG, _DOMAIN).map(list),
+                                  max_size=2),
+    "varying_cells": st.lists(st.tuples(_ADDR, _DOMAIN).map(list),
+                              max_size=2)})
+_POLICY = st.fixed_dictionaries({}, optional={
+    "public_regs": st.lists(_REG, max_size=3),
+    "public_private_cells": st.lists(_ADDR, max_size=2)})
+_RANGE = st.sampled_from([["0x1000", "0x2000"], ["0x8000", "0x9000"],
+                          ["0x0", "0x1000"], ["0x1800", "0x8800"],
+                          ["0x2000", "0x1000"]])
+_LAYOUT = st.fixed_dictionaries({"private": _RANGE, "shared": _RANGE})
+
+
+def _nodes(doc, path=()):
+    """The path (keys and indices) of every node of a JSON document."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    else:
+        children = enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def _malformed(draw, documents):
+    doc = draw(documents)
+    if draw(st.booleans()):
+        return doc
+    path = draw(st.sampled_from(list(_nodes(doc))))
+    junk = draw(_JSON)
+    if not path:
+        return junk
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = junk
+    return doc
+
+
+_PROBE = ("li a1, 0x8000\nadd a1, a1, a2\nbeq a0, a0, l\nlbu a3, 0(a1)\n"
+          "l:\nlbu a4, 0(a1)\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=_malformed(_SPACE), policy=_malformed(_POLICY),
+       layout=_malformed(_LAYOUT), state=_malformed(_STATE))
+def test_malformed_documents_never_end_in_traceback(space, policy, layout,
+                                                     state):
+    """Each document alone, the others well formed: the CLI ends in a
+    documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, document in (("good_space", GOOD_SPACE), ("space", space),
+                               ("policy", policy), ("layout", layout),
+                               ("state", state)):
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(document))
+        snippet = str(Path(tmp) / "s.s")
+        Path(snippet).write_text(_PROBE)
+        ni = ["ni", snippet, "--direct", "shm:stl", "--space"]
+        commands = [
+            ni + [paths["space"]],
+            ni + [paths["good_space"], "--policy", paths["policy"]],
+            ni + [paths["good_space"], "--layout", paths["layout"]],
+            ["trace", snippet, "--contract", "shm:stl", "--state",
+             paths["state"]]]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 3, 4, 64)
+            if code == 64:
+                assert err.getvalue().startswith("error: ")

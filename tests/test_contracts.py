@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmikit.asm import parse_program, reg_num
-from rmikit.contracts import (ARCH, CT, MEM, SEQ, SHM, SPEC, STL,
-                              EnumerationCapExceeded, ExecModel,
+from rmikit.contracts import (ARCH, CT, ENUM_CAP, MEM, SEQ, SHM, SPEC,
+                              SPEC_DEPTH, STL, EnumerationCapExceeded,
                               InconsistentChoice, contract_trace,
-                              contract_trace_set, mispredict)
+                              contract_trace_set, mispredict,
+                              simulate_committed)
 from rmikit.machine import ArchState, MemoryLayout, run_seq
 
 LAYOUT = MemoryLayout()
@@ -143,17 +144,15 @@ def test_wrong_path_fault_squashes_silently():
 
 
 def test_spec_depth_bounds_window():
-    body = "\n".join(["addi a2, a2, 1"] * 6) + "\nlbu a4, 0(a1)\nskip:"
-    program = parse_program("beq a0, a0, skip\n" + body)
-    state0 = state_with({A1: 0x8000})
-    shallow = contract_trace(program, state0, LAYOUT, SHM,
-                             ExecModel("stl", spec_depth=4),
-                             choice=[mispredict(1)])
-    deep = contract_trace(program, state0, LAYOUT, SHM,
-                          ExecModel("stl", spec_depth=8),
-                          choice=[mispredict(1)])
-    assert shallow == (("rollback",),)
-    assert ("addr", 0x8000, "shared") in deep
+    def window(fillers):
+        body = "\n".join(["addi a2, a2, 1"] * fillers)
+        program = parse_program(f"beq a0, a0, skip\n{body}\nlbu a4, 0(a1)\nskip:")
+        return contract_trace(program, state_with({A1: 0x8000}), LAYOUT, SHM,
+                              STL, choice=[mispredict(1)])
+    assert SPEC_DEPTH == 8
+    # the load in window slot 8 runs; in slot 9 it is past the window
+    assert window(7) == (("addr", 0x8000, "shared"), ("rollback",))
+    assert window(8) == (("rollback",),)
 
 
 def test_csrwi_is_wrong_path_barrier():
@@ -169,8 +168,13 @@ def test_csrwi_is_wrong_path_barrier():
 def test_enumeration_cap():
     source = "\n".join(f"beq a0, a0, l{i}\nli a1, {i}\nl{i}:" for i in range(20))
     program = parse_program(source)
-    with pytest.raises(EnumerationCapExceeded):
-        contract_trace_set(program, ArchState(), LAYOUT, SHM, STL, enum_cap=16)
+    # every branch is taken, so stl has 20 decision points of two choices
+    # each: 2^20 traces, past the cap of 2^16
+    run = simulate_committed(program, ArchState(), LAYOUT)
+    assert len(run.decision_points(STL)) == 20 and ENUM_CAP == 1 << 16
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        contract_trace_set(program, ArchState(), LAYOUT, SHM, STL)
+    assert exc.value.needed > ENUM_CAP
 
 
 _SMALL_STATES = st.fixed_dictionaries({
@@ -196,7 +200,6 @@ def test_wrong_path_isolation(regs):
     """Speculation never changes the committed architectural result."""
     state0 = ArchState(regs=regs)
     expected = run_seq(_BRANCHY, state0, LAYOUT).state
-    from rmikit.contracts import simulate_committed
     run = simulate_committed(_BRANCHY, state0, LAYOUT)
     assert run.final_state == expected
 

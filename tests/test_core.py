@@ -72,7 +72,7 @@ def test_committed_run_matches_functional_walk(seed, registers, cells):
 
         for point in run.decision_points(SPEC):
             for target in point.targets:
-                run.window(point.step, target, SPEC.spec_depth)
+                run.window(point.step, target)
         # overlay stores and later committed stores never reach a snapshot
         assert run.resume == {k: after[k] for k in run.resume}
         assert run.final_state == current

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmikit.asm import parse_program, reg_num
-from rmikit.machine import (ArchState, InvalidPc, MemoryLayout,
+from rmikit.machine import (FUEL, ArchState, InvalidPc, MemoryLayout,
                             OutOfRangeAccess, run_seq, step, to_signed)
 
 LAYOUT = MemoryLayout()
@@ -72,8 +72,8 @@ def test_empty_program_halts_immediately():
 
 def test_infinite_loop_fuel_exhausted():
     program = parse_program("j:\njal x0, j")
-    result = run_seq(program, ArchState(), LAYOUT, fuel=10)
-    assert result.fuel_exhausted and len(result.effects) == 10
+    result = run_seq(program, ArchState(), LAYOUT)
+    assert result.fuel_exhausted and len(result.effects) == FUEL
 
 
 def test_out_of_range_access():

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from rmikit import contracts, ni
 from rmikit.asm import parse_program, reg_num
-from rmikit.contracts import (SEQ, SHM, SPEC, STL, EnumerationCapExceeded,
-                              FuelExhausted, contract_trace_set)
+from rmikit.contracts import (ENUM_CAP, SEQ, SHM, SPEC, STL,
+                              EnumerationCapExceeded, FuelExhausted,
+                              contract_trace_set)
 from rmikit.machine import ArchState, MemoryLayout
 from rmikit.modes import INSECURE, MI6, SAFE
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
@@ -124,12 +125,19 @@ def test_hw_satisfies_safe_but_not_insecure():
     assert ok.holds and not bad.holds
 
 
-def test_pair_cap_enforced():
+def test_pair_cap_enforced(monkeypatch):
     space = StateSpace(base_state=ArchState(),
-                       varying_registers=((A0, tuple(range(40))),))
-    with pytest.raises(EnumerationCapExceeded):
+                       varying_registers=((A0, tuple(range(257))),
+                                          (A1, tuple(range(257)))))
+    assert space.size() == 257 * 257 > ENUM_CAP
+
+    def no_enumeration(*args):
+        raise AssertionError("states enumerated past the cap")
+    monkeypatch.setattr(ni, "enumerate_states", no_enumeration)
+    with pytest.raises(EnumerationCapExceeded) as exc:
         check_direct_ni(parse_program("li a0, 1"), (SHM, SEQ), Policy(),
-                        space, LAYOUT, enum_cap=16)
+                        space, LAYOUT)
+    assert exc.value.needed == space.size()
 
 
 def test_state_cap_counts_states_not_pairs():
