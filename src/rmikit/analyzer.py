@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .asm import BRANCHES, LOADS, R_OPS, STORES, reg_name
+from .asm import BRANCHES, LOADS, STORES, reg_name
 from .contracts import SPEC_DEPTH
 
 # The most worklist nodes one analysis may pop before it gives up.
@@ -159,18 +159,10 @@ def _backward_transfer(ins, leaked, speculative):
         if ins.rd in leaked:          # link value is pc-derived, public
             return leaked - {ins.rd}, False, False
         return leaked, False, False
-    # register-writing arithmetic
+    # register-writing arithmetic reads exactly its rs1 and rs2, where set
     if ins.rd not in leaked:
         return leaked, False, False
-    sources = {
-        "li": frozenset(),
-        "mv": frozenset({ins.rs1}),
-        "addi": frozenset({ins.rs1}),
-        "slli": frozenset({ins.rs1}),
-        "srli": frozenset({ins.rs1}),
-    }.get(op)
-    if sources is None and op in R_OPS:
-        sources = frozenset({ins.rs1, ins.rs2})
+    sources = {r for r in (ins.rs1, ins.rs2) if r is not None}
     return (leaked - {ins.rd}) | sources, False, False
 
 

@@ -28,13 +28,32 @@ I_OPS = frozenset({"addi", "slli", "srli"})
 LOADS = frozenset({"lw", "lbu", "ld"})
 STORES = frozenset({"sw", "sb", "sd"})
 BRANCHES = frozenset({"beq", "bne", "blt", "bgeu"})
-JUMPS = frozenset({"jal", "jalr"})
 
-# "label" is an internal marker opcode: a label-definition line occupies
-# one instruction slot so that instruction indices line up with source
-# line numbering; it executes as a fall-through no-op.
-OPCODES = R_OPS | I_OPS | LOADS | STORES | BRANCHES | JUMPS | {
-    "li", "mv", "csrwi", "label",
+# The dialect's one operand-syntax table: for each mnemonic, what each
+# operand fills, in operand order. "rd", "rs1", "rs2" and "imm" fill that
+# Instruction field; "mem" is `offset(base)` and fills imm and rs1;
+# "target" is a label or a numeric instruction index; "csr" is the CSR
+# name and "csr_value" the BURST_ON/BURST_OFF value of csrwi.
+SYNTAX = {
+    **dict.fromkeys(R_OPS, ("rd", "rs1", "rs2")),
+    **dict.fromkeys(I_OPS, ("rd", "rs1", "imm")),
+    **dict.fromkeys(LOADS, ("rd", "mem")),
+    **dict.fromkeys(STORES, ("rs2", "mem")),
+    **dict.fromkeys(BRANCHES, ("rs1", "rs2", "target")),
+    "li": ("rd", "imm"),
+    "mv": ("rd", "rs1"),
+    "jal": ("rd", "target"),
+    "jalr": ("rd", "mem"),
+    "csrwi": ("csr", "csr_value"),
+}
+_REG_SLOTS = frozenset({"rd", "rs1", "rs2"})
+_RA = _ABI_ALIASES["ra"]
+
+# The one-operand link forms, `jal label` and `jalr rs`, link through ra:
+# (slots, the fields they leave fixed).
+_LINK_FORMS = {
+    "jal": (("target",), {"rd": _RA}),
+    "jalr": (("rs1",), {"rd": _RA, "imm": 0}),
 }
 
 CSR_NAME = "MSPEC"
@@ -206,10 +225,8 @@ def parse_program(text):
                 raise AsmError(f"duplicate label '{name}'", line=lineno)
             labels[name] = index
 
-    instructions = [
-        _parse_statement(index, lineno, stmt, labels, symbols)
-        for index, (lineno, stmt) in enumerate(statements)
-    ]
+    instructions = [_parse_statement(lineno, stmt, labels, symbols)
+                    for lineno, stmt in statements]
 
     burst_regions = _extract_burst_regions(instructions)
     return Program(
@@ -220,8 +237,13 @@ def parse_program(text):
     )
 
 
-def _parse_statement(index, lineno, stmt, labels, symbols):
+def _parse_statement(lineno, stmt, labels, symbols):
+    """One statement as an Instruction. Operands are read in order, so
+    the first faulty operand is the one reported."""
     if stmt.endswith(":"):
+        # "label" is an internal marker opcode: a label-definition line
+        # occupies one instruction slot so that instruction indices line up
+        # with source line numbering; it executes as a fall-through no-op.
         return Instruction(opcode="label", label_name=stmt[:-1], source_line=lineno)
 
     parts = stmt.split(None, 1)
@@ -231,111 +253,54 @@ def _parse_statement(index, lineno, stmt, labels, symbols):
     if mnemonic == "ret":
         if ops:
             raise MalformedOperand(lineno, "ret takes no operands")
-        return Instruction(opcode="jalr", rd=0, rs1=reg_num("ra"), imm=0,
-                           source_line=lineno)
-
-    if mnemonic not in OPCODES or mnemonic == "label":
+        return Instruction(opcode="jalr", rd=0, rs1=_RA, imm=0, source_line=lineno)
+    if mnemonic not in SYNTAX:
         raise UnknownMnemonic(lineno, mnemonic)
 
-    def need(n):
-        if len(ops) != n:
-            raise MalformedOperand(lineno, f"{mnemonic} expects {n} operands, got {len(ops)}")
+    fields = {"opcode": mnemonic, "source_line": lineno}
+    slots = SYNTAX[mnemonic]
+    if len(ops) == 1 and mnemonic in _LINK_FORMS:
+        slots, linked = _LINK_FORMS[mnemonic]
+        fields.update(linked)
+    elif len(ops) != len(slots):
+        expected = "1 or 2" if mnemonic in _LINK_FORMS else len(slots)
+        raise MalformedOperand(
+            lineno, f"{mnemonic} expects {expected} operands, got {len(ops)}")
 
-    def resolve_target(name):
-        if name in labels:
-            return labels[name], name
-        try:
-            return int(name, 0), None
-        except ValueError:
-            raise UnresolvedLabel(name, line=lineno) from None
-
-    if mnemonic in R_OPS:
-        need(3)
-        rd = _parse_reg(ops[0], lineno)
-        rs1 = _parse_reg(ops[1], lineno)
-        # GNU as accepts `add rd, rs1, imm` as shorthand for addi
-        try:
-            rs2 = _parse_reg(ops[2], lineno)
-        except MalformedOperand:
-            if mnemonic != "add":
-                raise
-            imm = _parse_int(ops[2], symbols, lineno)
-            return Instruction(opcode="addi", rd=rd, rs1=rs1, imm=imm, source_line=lineno)
-        return Instruction(opcode=mnemonic, rd=rd, rs1=rs1, rs2=rs2, source_line=lineno)
-
-    if mnemonic in I_OPS:
-        need(3)
-        return Instruction(opcode=mnemonic, rd=_parse_reg(ops[0], lineno),
-                           rs1=_parse_reg(ops[1], lineno),
-                           imm=_parse_int(ops[2], symbols, lineno), source_line=lineno)
-
-    if mnemonic == "li":
-        need(2)
-        return Instruction(opcode="li", rd=_parse_reg(ops[0], lineno),
-                           imm=_parse_int(ops[1], symbols, lineno), source_line=lineno)
-
-    if mnemonic == "mv":
-        need(2)
-        return Instruction(opcode="mv", rd=_parse_reg(ops[0], lineno),
-                           rs1=_parse_reg(ops[1], lineno), source_line=lineno)
-
-    if mnemonic in LOADS or mnemonic in STORES:
-        need(2)
-        m = _MEM_OPERAND.match(ops[1])
-        if not m:
-            raise MalformedOperand(lineno, f"expected offset(base), got '{ops[1]}'")
-        offset = _parse_int(m.group(1), symbols, lineno) if m.group(1) else 0
-        base = _parse_reg(m.group(2), lineno)
-        data_reg = _parse_reg(ops[0], lineno)
-        if mnemonic in LOADS:
-            return Instruction(opcode=mnemonic, rd=data_reg, rs1=base, imm=offset,
-                               source_line=lineno)
-        return Instruction(opcode=mnemonic, rs2=data_reg, rs1=base, imm=offset,
-                           source_line=lineno)
-
-    if mnemonic in BRANCHES:
-        need(3)
-        target, label = resolve_target(ops[2])
-        return Instruction(opcode=mnemonic, rs1=_parse_reg(ops[0], lineno),
-                           rs2=_parse_reg(ops[1], lineno), target=target,
-                           target_label=label, source_line=lineno)
-
-    if mnemonic == "jal":
-        if len(ops) == 1:
-            rd = reg_num("ra")
-            target, label = resolve_target(ops[0])
-        elif len(ops) == 2:
-            rd = _parse_reg(ops[0], lineno)
-            target, label = resolve_target(ops[1])
+    for slot, text in zip(slots, ops):
+        if slot in _REG_SLOTS:
+            try:
+                fields[slot] = _parse_reg(text, lineno)
+            except MalformedOperand:
+                # GNU as accepts `add rd, rs1, imm` as shorthand for addi
+                if (mnemonic, slot) != ("add", "rs2"):
+                    raise
+                fields.update(opcode="addi", imm=_parse_int(text, symbols, lineno))
+        elif slot == "imm":
+            fields["imm"] = _parse_int(text, symbols, lineno)
+        elif slot == "mem":
+            m = _MEM_OPERAND.match(text)
+            if not m:
+                raise MalformedOperand(lineno, f"expected offset(base), got '{text}'")
+            fields["imm"] = _parse_int(m.group(1), symbols, lineno) if m.group(1) else 0
+            fields["rs1"] = _parse_reg(m.group(2), lineno)
+        elif slot == "target" and text in labels:
+            fields.update(target=labels[text], target_label=text)
+        elif slot == "target":
+            try:
+                fields["target"] = int(text, 0)
+            except ValueError:
+                raise UnresolvedLabel(text, line=lineno) from None
+        elif slot == "csr":
+            if text.upper() != CSR_NAME:
+                raise MalformedOperand(lineno, f"csrwi only supports the {CSR_NAME} CSR")
         else:
-            raise MalformedOperand(lineno, "jal expects 1 or 2 operands")
-        return Instruction(opcode="jal", rd=rd, target=target, target_label=label,
-                           source_line=lineno)
-
-    if mnemonic == "jalr":
-        if len(ops) == 1:
-            return Instruction(opcode="jalr", rd=reg_num("ra"),
-                               rs1=_parse_reg(ops[0], lineno), imm=0, source_line=lineno)
-        need(2)
-        m = _MEM_OPERAND.match(ops[1])
-        if not m:
-            raise MalformedOperand(lineno, f"expected offset(base), got '{ops[1]}'")
-        offset = _parse_int(m.group(1), symbols, lineno) if m.group(1) else 0
-        return Instruction(opcode="jalr", rd=_parse_reg(ops[0], lineno),
-                           rs1=_parse_reg(m.group(2), lineno), imm=offset,
-                           source_line=lineno)
-
-    if mnemonic == "csrwi":
-        need(2)
-        if ops[0].upper() != CSR_NAME:
-            raise MalformedOperand(lineno, f"csrwi only supports the {CSR_NAME} CSR")
-        value = ops[1].upper()
-        if value not in (BURST_ON, BURST_OFF):
-            raise MalformedOperand(
-                lineno, f"csrwi {CSR_NAME} immediate must be {BURST_ON} or {BURST_OFF}")
-        return Instruction(opcode="csrwi", csr_value=value, source_line=lineno)
-
-    raise UnknownMnemonic(lineno, mnemonic)  # pragma: no cover
+            value = text.upper()
+            if value not in (BURST_ON, BURST_OFF):
+                raise MalformedOperand(
+                    lineno, f"csrwi {CSR_NAME} immediate must be {BURST_ON} or {BURST_OFF}")
+            fields["csr_value"] = value
+    return Instruction(**fields)
 
 
 def _extract_burst_regions(instructions):
@@ -361,32 +326,21 @@ def _extract_burst_regions(instructions):
 
 def format_instruction(ins):
     """Single-statement text form; parse(format(...)) is stable."""
-    op = ins.opcode
-    if op == "label":
+    if ins.opcode == "label":
         return f"{ins.label_name}:"
-    if op in R_OPS:
-        return f"{op} {reg_name(ins.rd)}, {reg_name(ins.rs1)}, {reg_name(ins.rs2)}"
-    if op in I_OPS:
-        return f"{op} {reg_name(ins.rd)}, {reg_name(ins.rs1)}, {ins.imm}"
-    if op == "li":
-        return f"li {reg_name(ins.rd)}, {ins.imm}"
-    if op == "mv":
-        return f"mv {reg_name(ins.rd)}, {reg_name(ins.rs1)}"
-    if op in LOADS:
-        return f"{op} {reg_name(ins.rd)}, {ins.imm}({reg_name(ins.rs1)})"
-    if op in STORES:
-        return f"{op} {reg_name(ins.rs2)}, {ins.imm}({reg_name(ins.rs1)})"
-    if op in BRANCHES:
-        dest = ins.target_label or str(ins.target)
-        return f"{op} {reg_name(ins.rs1)}, {reg_name(ins.rs2)}, {dest}"
-    if op == "jal":
-        dest = ins.target_label or str(ins.target)
-        return f"jal {reg_name(ins.rd)}, {dest}"
-    if op == "jalr":
-        return f"jalr {reg_name(ins.rd)}, {ins.imm}({reg_name(ins.rs1)})"
-    if op == "csrwi":
-        return f"csrwi {CSR_NAME}, {ins.csr_value}"
-    raise ValueError(f"unknown opcode {op}")  # pragma: no cover
+    return f"{ins.opcode} " + ", ".join(_slot_text(ins, slot)
+                                        for slot in SYNTAX[ins.opcode])
+
+
+def _slot_text(ins, slot):
+    if slot == "mem":
+        return f"{ins.imm}({reg_name(ins.rs1)})"
+    if slot == "target":
+        return ins.target_label or str(ins.target)
+    if slot == "csr":
+        return CSR_NAME
+    value = getattr(ins, slot)
+    return reg_name(value) if slot in _REG_SLOTS else str(value)
 
 
 def format_program(program):

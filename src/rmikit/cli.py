@@ -9,13 +9,15 @@ Commands:
     cache          partition-table inspection and flush costs
     corpus-verify  re-run every golden corpus verdict
 
-Exit codes: 0 success / verdict reproduced, 1 check violated, 2 analysis
+Exit codes: 0 success / verdict reproduced, 1 check violated (or a
+parse error, or a well-formed --table the cache refuses), 2 analysis
 failed, 3 path explosion (the analyzer's path bound, the enumeration cap,
 or a committed path out of fuel), 4 the committed path faults, 64 usage
-error (a --layout, --policy, --space or --state file that is not JSON or
-not such a document, or a state space that cannot be enumerated). Codes
-3 and 4, and 64 for an input file or a state space, print {"error":
-message} with --json, and the message on stderr otherwise.
+error (a --layout, --policy, --space, --state or --table file that is not
+JSON or not such a document, or a state space that cannot be enumerated,
+such as one with an empty value domain). Codes 3 and 4, and 64 for an
+input file or a state space, print {"error": message} with --json, and
+the message on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ USAGE_EXIT = 64
 
 class InvalidInput(ValueError):
     """An input document that does not describe a layout, policy, state
-    space or state."""
+    space, state or partition table."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,8 +194,7 @@ def _cmd_sta(args):
 
 
 def _cmd_cache(args):
-    table = (PartitionTable.from_json(_load_json(args.table))
-             if args.table else load_reference_table())
+    table = _input(args, "table", PartitionTable.from_json, load_reference_table())
     cache = PartitionedCache(table)
     payload = {"regions": table.to_json()}
     lines = []

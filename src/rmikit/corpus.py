@@ -65,6 +65,8 @@ def _read_data(filename):
 
 def _parse_layout(data):
     def rng(pair):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"a range is a two-item list, got {pair!r}")
         return (int(pair[0], 0), int(pair[1], 0))
     return MemoryLayout(private_range=rng(data["private"]),
                         shared_range=rng(data["shared"]))

@@ -25,7 +25,7 @@ from .modes import EMPTY_TRACE_SET, hw_projection
 
 class InvalidSpace(ValueError):
     """A state space that cannot be enumerated: a required key is missing,
-    or a varying cell lies in no mapped range."""
+    a varying cell lies in no mapped range, or a value domain is empty."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ def enumerate_states(space, layout):
             raise InvalidSpace(f"varying cell {addr:#x} is in no mapped range")
         cells.append((addr, domain == PRIVATE, tuple(d)))
     domains = [d for _, d in regs] + [d for _, _, d in cells]
+    if not all(domains):
+        raise InvalidSpace("a varying register or cell has an empty value domain")
     states = []
     for combo in itertools.product(*domains):
         state_regs = dict(base.regs)

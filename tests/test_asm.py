@@ -1,12 +1,16 @@
 """Parser and pretty-printer tests."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmikit.asm import (AsmError, MalformedOperand, Program, UnknownMnemonic,
-                        UnmatchedBurstMarker, UnresolvedLabel, format_program,
-                        parse_program, reg_name, reg_num)
+from rmikit.asm import (BURST_OFF, BURST_ON, SYNTAX, AsmError, Instruction,
+                        MalformedOperand, Program, UnknownMnemonic,
+                        UnmatchedBurstMarker, UnresolvedLabel,
+                        format_instruction, format_program, parse_program,
+                        reg_name, reg_num)
 
 MEMCPY_LEFT = """\
 csrwi MSPEC, BURST_ON
@@ -137,6 +141,101 @@ def test_roundtrip_fixpoint_property(lines):
     program = parse_program(source)
     printed = format_program(program)
     assert format_program(parse_program(printed)) == printed
+
+
+# The fields each mnemonic's Instruction carries (csrwi carries csr_value).
+_FIELDS = {
+    ("add", "sub", "and", "or", "xor"): ("rd", "rs1", "rs2"),
+    ("addi", "slli", "srli"): ("rd", "rs1", "imm"),
+    ("lw", "lbu", "ld", "jalr"): ("rd", "rs1", "imm"),
+    ("sw", "sb", "sd"): ("rs1", "rs2", "imm"),
+    ("beq", "bne", "blt", "bgeu"): ("rs1", "rs2", "target"),
+    ("jal",): ("rd", "target"),
+    ("li",): ("rd", "imm"),
+    ("mv",): ("rd", "rs1"),
+}
+_MNEMONIC_FIELDS = {m: fields for ms, fields in _FIELDS.items() for m in ms}
+_LABELS = {"L0": 0, ".loop": 1, "end": 2}
+_PRELUDE = "".join(f"{name}:\n" for name in _LABELS)
+_REGS = st.integers(0, 31)
+_IMMS = st.integers(-2**63, 2**64)
+_TARGETS = st.sampled_from(sorted(_LABELS)) | st.integers(0, 40)
+_FORMS = sorted(SYNTAX) + ["ret", "jal label", "jalr rs", "add imm"]
+
+
+def _target(name):
+    if isinstance(name, str):
+        return {"target": _LABELS[name], "target_label": name}
+    return {"target": name}
+
+
+@st.composite
+def _statement(draw, form):
+    """[(source text, the Instruction it parses to)] for one form: a
+    SYNTAX row, printed by format_instruction, or a shorthand the printer
+    never emits. csrwi comes as a matched BURST_ON/BURST_OFF pair."""
+    if form == "csrwi":
+        return [(format_instruction(ins), ins)
+                for ins in (Instruction("csrwi", csr_value=BURST_ON),
+                            Instruction("csrwi", csr_value=BURST_OFF))]
+    if form == "ret":
+        return [("ret", Instruction("jalr", rd=0, rs1=1, imm=0))]
+    if form == "jal label":
+        target = draw(_TARGETS)
+        return [(f"jal {target}", Instruction("jal", rd=1, **_target(target)))]
+    if form == "jalr rs":
+        rs = draw(_REGS)
+        return [(f"jalr x{rs}", Instruction("jalr", rd=1, rs1=rs, imm=0))]
+    if form == "add imm":
+        rd, rs1, imm = draw(_REGS), draw(_REGS), draw(_IMMS)
+        return [(f"add {reg_name(rd)}, {reg_name(rs1)}, {imm}",
+                 Instruction("addi", rd=rd, rs1=rs1, imm=imm))]
+    fields = {}
+    for name in _MNEMONIC_FIELDS[form]:
+        if name == "target":
+            fields.update(_target(draw(_TARGETS)))
+        else:
+            fields[name] = draw(_IMMS if name == "imm" else _REGS)
+    ins = Instruction(form, **fields)
+    return [(format_instruction(ins), ins)]
+
+
+def test_round_trip_forms_cover_every_syntax_row():
+    assert set(_MNEMONIC_FIELDS) | {"csrwi"} == set(SYNTAX)
+
+
+@settings(max_examples=150)
+@given(st.tuples(*map(_statement, _FORMS)))
+def test_every_statement_form_round_trips(statements):
+    """parse(text) is the drawn Instruction, and so is
+    parse(format(parse(text))), in every field but source_line."""
+    pairs = [pair for statement in statements for pair in statement]
+
+    def parse(lines):
+        program = parse_program(_PRELUDE + "\n".join(lines))
+        return [dataclasses.replace(ins, source_line=0)
+                for ins in program.instructions[len(_LABELS):]]
+
+    expected = [ins for _, ins in pairs]
+    parsed = parse(text for text, _ in pairs)
+    assert parsed == expected
+    assert parse(map(format_instruction, parsed)) == expected
+
+
+@pytest.mark.parametrize("statement, error, fault", [
+    ("beq q1, a0, nowhere", MalformedOperand, "'q1'"),
+    ("beq a0, a1, nowhere", UnresolvedLabel, "'nowhere'"),
+    ("sw q1, 4(q2)", MalformedOperand, "'q1'"),
+    ("lw a0, x(q2)", MalformedOperand, "'x'"),
+    ("jalr q1, x(q2)", MalformedOperand, "'q1'"),
+    ("add q1, a0, q2", MalformedOperand, "'q1'"),
+    ("csrwi MCAUSE, 7", MalformedOperand, "CSR")])
+def test_first_faulty_operand_is_reported(statement, error, fault):
+    """Operands are read in order, so with several faulty operands the
+    first is the one reported."""
+    with pytest.raises(error) as err:
+        parse_program(statement)
+    assert fault in str(err.value)
 
 
 @settings(max_examples=300)

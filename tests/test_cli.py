@@ -173,8 +173,10 @@ def test_library_errors_exit_without_traceback(source, code, command, capsys,
 @pytest.mark.parametrize("space, message", [
     ({"base_state": {"pc": 0}, "varying_cells": [["0x4000", [0, 1]]]},
      "varying cell 0x4000 is in no mapped range"),
-    ({"varying_registers": [["a0", [0, 1]]]}, "'base_state'")],
-    ids=["unmapped-cell", "no-base-state"])
+    ({"varying_registers": [["a0", [0, 1]]]}, "'base_state'"),
+    ({"base_state": {"pc": 0}, "varying_registers": [["a2", []]]},
+     "empty value domain")],
+    ids=["unmapped-cell", "no-base-state", "empty-domain"])
 def test_unusable_space_is_usage_error(space, message, capsys, tmp_path):
     snippet = tmp_path / "s.s"
     snippet.write_text("li a1, 0x8000\nlbu a2, 0(a1)\n")
@@ -205,10 +207,18 @@ GOOD_SPACE = {"base_state": {"pc": 0}, "varying_registers": [["a2", [0, 1]]]}
                 "shared": ["0x8000", "0x9000"]}, "overlap"),
     ("layout", {"private": ["0x2000", "0x1000"],
                 "shared": ["0x8000", "0x9000"]}, "non-empty"),
-    ("policy", '{"public_regs": ', "Expecting value")],
+    ("layout", {"private": "19", "shared": ["0x8000", "0x9000"]},
+     "two-item list"),
+    ("layout", {"private": ["0x1000", "0x2000", "0x3000"],
+                "shared": ["0x8000", "0x9000"]}, "two-item list"),
+    ("policy", '{"public_regs": ', "Expecting value"),
+    ("table", {"0": {"base": 0}}, "'size'"),
+    ("table", {"0": {"base": "x", "size": 16}}, "'x'"),
+    ("table", [{"base": 0, "size": 16}], "items")],
     ids=["space-base-register", "space-varying-register", "space-value",
          "policy-register", "state-register", "state-pc", "layout-overlap",
-         "layout-empty", "policy-not-json"])
+         "layout-empty", "layout-string", "layout-three-items",
+         "policy-not-json", "table-no-size", "table-base", "table-list"])
 def test_malformed_input_is_usage_error(option, document, message, capsys,
                                         tmp_path):
     snippet = tmp_path / "s.s"
@@ -220,6 +230,8 @@ def test_malformed_input_is_usage_error(option, document, message, capsys,
             content if isinstance(content, str) else json.dumps(content))
     if option == "state":
         argv = ["trace", str(snippet), "--state", str(paths["state"])]
+    elif option == "table":
+        argv = ["cache", "--table", str(paths["table"])]
     else:
         argv = ["ni", str(snippet), "--direct", "shm:seq",
                 "--space", str(paths["space"])]
@@ -249,7 +261,7 @@ _STATE = st.fixed_dictionaries({}, optional={
     "pc": st.integers(-1, 8),
     "regs": st.dictionaries(_REG, st.integers(0, 2**64), max_size=3),
     "private_mem": _MEM, "shared_mem": _MEM})
-_DOMAIN = st.lists(st.integers(0, 0x8010), min_size=1, max_size=3)
+_DOMAIN = st.lists(st.integers(0, 0x8010), max_size=3)
 _SPACE = st.fixed_dictionaries({"base_state": _STATE}, optional={
     "varying_registers": st.lists(st.tuples(_REG, _DOMAIN).map(list),
                                   max_size=2),
@@ -262,6 +274,11 @@ _RANGE = st.sampled_from([["0x1000", "0x2000"], ["0x8000", "0x9000"],
                           ["0x0", "0x1000"], ["0x1800", "0x8800"],
                           ["0x2000", "0x1000"]])
 _LAYOUT = st.fixed_dictionaries({"private": _RANGE, "shared": _RANGE})
+_TABLE = st.dictionaries(
+    st.sampled_from(["0", "1", "5", "8"]),
+    st.fixed_dictionaries({"base": st.integers(-1, 1100),
+                           "size": st.integers(0, 300)}),
+    max_size=3)
 
 
 def _nodes(doc, path=()):
@@ -298,16 +315,17 @@ _PROBE = ("li a1, 0x8000\nadd a1, a1, a2\nbeq a0, a0, l\nlbu a3, 0(a1)\n"
 
 @settings(max_examples=150, deadline=None)
 @given(space=_malformed(_SPACE), policy=_malformed(_POLICY),
-       layout=_malformed(_LAYOUT), state=_malformed(_STATE))
+       layout=_malformed(_LAYOUT), state=_malformed(_STATE),
+       table=_malformed(_TABLE))
 def test_malformed_documents_never_end_in_traceback(space, policy, layout,
-                                                     state):
+                                                     state, table):
     """Each document alone, the others well formed: the CLI ends in a
     documented exit code, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, document in (("good_space", GOOD_SPACE), ("space", space),
                                ("policy", policy), ("layout", layout),
-                               ("state", state)):
+                               ("state", state), ("table", table)):
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(document))
         snippet = str(Path(tmp) / "s.s")
@@ -318,7 +336,8 @@ def test_malformed_documents_never_end_in_traceback(space, policy, layout,
             ni + [paths["good_space"], "--policy", paths["policy"]],
             ni + [paths["good_space"], "--layout", paths["layout"]],
             ["trace", snippet, "--contract", "shm:stl", "--state",
-             paths["state"]]]
+             paths["state"]],
+            ["cache", "--show-flush-cost", "--table", paths["table"]]]
         for argv in commands:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \

@@ -160,6 +160,18 @@ def test_fuel_exhausted_run_is_never_holds():
         check_direct_ni(program, (SHM, SEQ), Policy(), space, LAYOUT)
 
 
+@pytest.mark.parametrize("space", [
+    StateSpace(base_state=ArchState(), varying_registers=((A0, ()),)),
+    StateSpace(base_state=ArchState(), varying_registers=((A0, (2, 8)),),
+               varying_cells=((0x1008, ()),))],
+    ids=["register", "cell"])
+def test_empty_value_domain_raises(space):
+    """An empty domain leaves no states, over which every check would hold
+    vacuously; with (2, 8) alone the gadget is violated."""
+    with pytest.raises(ni.InvalidSpace, match="empty value domain"):
+        check_direct_ni(GADGET, (SHM, SPEC), Policy(), space, LAYOUT)
+
+
 def test_one_committed_run_per_state(monkeypatch):
     calls = []
     original = contracts.simulate_committed
