@@ -16,19 +16,27 @@ after mispredicted control transfers. `simulate_committed` explores a
 (program, state) once: the committed steps with their burst flag, the
 state after each control instruction, and each wrong-path window, run on
 first use. Contracts and hardware modes (modes.py) are projections of
-that run: a leakage model filters events (ct, arch, mem, shm), an
+that run: a leakage model filters events (ct, arch, mem, shm), and an
 execution model chooses decision points (seq: none, stl: taken branches,
-spec: every branch arm and jalr target), and `splice` enumerates the
-product of per-point choices.
+spec: every branch arm and jalr target).
+
+A trace set is the finite language seg0 W0 seg1 W1 ... tail, where each
+W is the set of choices at one decision point. `TraceDag.splice` builds
+it right to left as a node of a hash-consed minimal acyclic DFA, never
+listing the product of choices: two sets built in one table are equal
+exactly when their node ids are, so checks compare ids. The traces of a
+node are walked out only for output (`contract_trace_set`,
+`contract_trace`, `modes.hw_trace_set` and a violation's witness).
 
 Constants, not parameters, bound every verdict: `machine.FUEL` a committed
 path, `SPEC_DEPTH` a wrong-path window (the analyzer's too), and
-`ENUM_CAP` a trace set and a state space.
+`ENUM_CAP` the product of a trace set's per-point choice counts and the
+states of a state space.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 from .asm import BRANCHES, BURST_ON
@@ -36,7 +44,8 @@ from .machine import FUEL, PRIVATE, SHARED, ArchState, MachineError, execute
 
 # The most instructions a wrong-path window runs.
 SPEC_DEPTH = 8
-# The most traces in a trace set, and the most states in a state space.
+# The most combinations of window choices in a trace set, and the most
+# states in a state space.
 ENUM_CAP = 1 << 16
 
 LEAK_KINDS = ("ct", "arch", "mem", "shm")
@@ -250,42 +259,135 @@ def wrong_path_events(program, resume_state, target, layout):
     return tuple(steps)
 
 
-def splice(run, leak, options):
-    """Set of traces of `run` over every combination of choices.
+# The node of {()}, the set holding only the empty trace, in every TraceDag.
+EMPTY_TRACE = 0
 
-    `options` pairs each decision point's committed step, in execution
-    order, with its choices: None for a correct prediction, or a
-    mispredict target whose window is spliced in after that step.
+
+class TraceDag:
+    """One table of hash-consed trace-set nodes: the minimal acyclic DFA of
+    each trace set built in it.
+
+    A node is (final, transitions): whether the empty trace is in its set,
+    and its (event, child) pairs, sorted by event and at most one per
+    event. No node has an empty set, so two nodes of one table have equal
+    sets exactly when they are the same node (Revuz, "Minimisation of
+    acyclic deterministic automata in linear time", TCS 1992), and a node
+    id is a key for its trace set. A check builds every key in one table.
     """
-    total = 1
-    for _, choices in options:
-        total *= len(choices)
-        enforce_enum_cap(total, "traces")
-    kind = leak.kind
-    segments, windows, start = [], [], 0
-    for pos, choices in options:
-        segments.append(_events(run.steps[start:pos + 1], kind))
-        windows.append([
-            () if target is None
-            else _events(run.window(pos, target), kind) + ROLLBACK
-            for target in choices])
-        start = pos + 1
-    tail = _events(run.steps[start:], kind)
-    traces = set()
-    for combo in itertools.product(*windows):
-        trace = []
-        for segment, window in zip(segments, combo):
-            trace += segment
-            trace += window
-        traces.add(tuple(trace) + tail)
-    return frozenset(traces)
 
+    def __init__(self):
+        self.nodes = [(True, ())]          # node id -> (final, transitions)
+        self._ids = {(True, ()): EMPTY_TRACE}
+        self._chains = {}                  # (word, successor) -> node
+        self._unions = {}                  # (smaller, larger node) -> node
 
-def trace_set(run, leak, exec_model):
-    """Traces of `run` under the contract (leak, exec_model)."""
-    options = [(p.step, (None,) + p.targets)
-               for p in run.decision_points(exec_model)]
-    return splice(run, leak, options)
+    def _node(self, final, transitions):
+        key = (final, transitions)
+        node = self._ids.get(key)
+        if node is None:
+            node = self._ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return node
+
+    def chain(self, word, successor):
+        """The node of `word` followed by each trace of `successor`."""
+        if not word:
+            return successor
+        key = (word, successor)
+        node = self._chains.get(key)
+        if node is None:
+            node = successor
+            for event in reversed(word):
+                node = self._node(False, ((event, node),))
+            self._chains[key] = node
+        return node
+
+    def union(self, a, b):
+        """The node of the union of two nodes' sets. Pairs of children on
+        a shared event are merged first, from an explicit stack, because a
+        shared prefix can be as long as a committed path."""
+        if a == b:
+            return a
+        unions, nodes = self._unions, self.nodes
+        top = (a, b) if a < b else (b, a)
+        stack = [top]
+        while stack:
+            pair = stack[-1]
+            if pair in unions:
+                stack.pop()
+                continue
+            final_a, moves_a = nodes[pair[0]]
+            final_b, moves_b = nodes[pair[1]]
+            merged = dict(moves_a)
+            pending = []
+            for event, child in moves_b:
+                other = merged.get(event)
+                if other is None:
+                    merged[event] = child
+                elif other != child:
+                    sub = (other, child) if other < child else (child, other)
+                    if sub in unions:
+                        merged[event] = unions[sub]
+                    else:
+                        pending.append(sub)
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            unions[pair] = self._node(final_a or final_b,
+                                      tuple(sorted(merged.items())))
+        return unions[top]
+
+    def splice(self, run, leak, options):
+        """The node of the traces of `run` over every combination of choices.
+
+        `options` pairs each decision point's committed step, in execution
+        order, with its choices: None for a correct prediction, or a
+        mispredict target whose window is spliced in after that step. The
+        set is built right to left: the tail of the run, then for each
+        point the union over its choices of the choice's word followed by
+        the rest, then the committed segment before the point.
+        """
+        total = 1
+        for _, choices in options:
+            total *= len(choices)
+            enforce_enum_cap(total, "traces")
+        kind = leak.kind
+        node, end = EMPTY_TRACE, len(run.steps)
+        for pos, choices in reversed(options):
+            node = self.chain(_events(run.steps[pos + 1:end], kind), node)
+            alternatives = [
+                node if target is None else self.chain(
+                    _events(run.window(pos, target), kind) + ROLLBACK, node)
+                for target in choices]
+            node = functools.reduce(self.union, alternatives)
+            end = pos + 1
+        return self.chain(_events(run.steps[:end], kind), node)
+
+    def trace_key(self, run, leak, exec_model):
+        """The node of the traces of `run` under (leak, exec_model)."""
+        options = [(p.step, (None,) + p.targets)
+                   for p in run.decision_points(exec_model)]
+        return self.splice(run, leak, options)
+
+    def traces(self, node):
+        """The trace set of `node`, walked depth-first with one prefix
+        stack. Only output needs it: checks compare nodes."""
+        return frozenset(self._walk(node))
+
+    def _walk(self, root):
+        nodes, prefix = self.nodes, []
+        stack = [(0, None, root)]          # (prefix length, event, node)
+        while stack:
+            depth, event, node = stack.pop()
+            del prefix[depth:]
+            if event is not None:
+                prefix.append(event)
+            final, moves = nodes[node]
+            if final:
+                yield tuple(prefix)
+            depth = len(prefix)
+            stack += [(depth, e, child) for e, child in moves]
 
 
 def contract_trace(program, state0, layout, leak, exec_model, choice=()):
@@ -315,14 +417,16 @@ def contract_trace(program, state0, layout, leak, exec_model, choice=()):
                 f"target {target} not admissible at instruction {point.index} "
                 f"under {exec_model.kind}")
         options.append((point.step, (target,)))
-    (trace,) = splice(run, leak, options)
+    dag = TraceDag()
+    (trace,) = dag.traces(dag.splice(run, leak, options))
     return trace
 
 
 def contract_trace_set(program, state0, layout, leak, exec_model):
     """Set of traces over every admissible predictor choice."""
-    return trace_set(simulate_committed(program, state0, layout),
-                     leak, exec_model)
+    run = simulate_committed(program, state0, layout)
+    dag = TraceDag()
+    return dag.traces(dag.trace_key(run, leak, exec_model))
 
 
 def trace_to_json(trace):

@@ -15,7 +15,7 @@ from importlib import resources
 from .analyzer import analyze
 from .asm import AsmError, parse_program, reg_num
 from .contracts import SEQ, SHM, SPEC, STL
-from .machine import ArchState, MemoryLayout
+from .machine import ArchState, MemoryLayout, json_int
 from .modes import BURST, BURST_STA, MI6, SAFE
 from .ni import (InvalidSpace, Policy, StateSpace, check_direct_ni,
                  check_hw_satisfies_one, check_relative_ni)
@@ -85,10 +85,10 @@ def _parse_space(data):
     return StateSpace(
         base_state=ArchState.from_json(data["base_state"]),
         varying_registers=tuple(
-            (reg_num(r), tuple(int(v) for v in values))
+            (reg_num(r), tuple(json_int(v) for v in values))
             for r, values in data.get("varying_registers", [])),
         varying_cells=tuple(
-            (int(a, 0), tuple(int(v) for v in values))
+            (int(a, 0), tuple(json_int(v) for v in values))
             for a, values in data.get("varying_cells", [])))
 
 

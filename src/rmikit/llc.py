@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .machine import json_int
+
 NUM_REGIONS = 64
 REGION_SHIFT = 25            # 32MB region granularity
 TABLE_BITS = 1216            # 64 entries * (10-bit base + 9-bit size)
@@ -96,7 +98,7 @@ class PartitionTable:
     def from_json(cls, data, geometry=Geometry()):
         if isinstance(data, str):
             data = json.loads(data)
-        entries = {int(region): (int(spec["base"]), int(spec["size"]))
+        entries = {int(region): (json_int(spec["base"]), json_int(spec["size"]))
                    for region, spec in data.items()}
         return cls(entries=entries, geometry=geometry)
 

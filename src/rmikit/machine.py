@@ -13,6 +13,7 @@ FUEL steps, and `contracts.simulate_committed` refuses it.
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -139,14 +140,22 @@ class ArchState:
     @classmethod
     def from_json(cls, data):
         return cls(
-            pc=int(data.get("pc", 0)),
-            regs={reg_num(k): int(v) & MASK64
+            pc=json_int(data.get("pc", 0)),
+            regs={reg_num(k): json_int(v) & MASK64
                   for k, v in data.get("regs", {}).items()},
-            private_mem={int(a, 0): int(b) & 0xFF
+            private_mem={int(a, 0): json_int(b) & 0xFF
                          for a, b in data.get("private_mem", {}).items()},
-            shared_mem={int(a, 0): int(b) & 0xFF
+            shared_mem={int(a, 0): json_int(b) & 0xFF
                         for a, b in data.get("shared_mem", {}).items()},
         )
+
+
+def json_int(value):
+    """An integer read from a JSON document. A float or a boolean is
+    refused: int() would truncate 1.9 to 1 and read true as 1."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def _check_alignment(address, size):

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .contracts import (SEQ, SHM, SPEC, STL, SelfContainmentViolation,
-                        simulate_committed, splice, trace_set)
+                        TraceDag, simulate_committed)
 
 MODE_KINDS = ("insecure", "mi6", "safe", "burst", "burst_sta")
 
@@ -75,24 +75,26 @@ def sta_gate(program, report):
 
 
 def hw_projection(program, mode, sta_report=None):
-    """The attacker's view under `mode` as a function of a committed run of
-    `program`, or None when the mode lets the attacker observe nothing
-    (mi6, or burst_sta refusing the program), which needs no run."""
+    """The attacker's view under `mode` as a function of a TraceDag and a
+    committed run of `program`, which returns the node of the run's
+    observable trace set in that table; or None when the mode lets the
+    attacker observe nothing (mi6, or burst_sta refusing the program),
+    which needs no run."""
     kind = mode.kind
     if kind == "burst_sta":
         kind = "burst" if sta_gate(program, sta_report) else "mi6"
     if kind == "mi6":
         return None
     if kind == "insecure":
-        return lambda run: trace_set(run, SHM, SPEC)
+        return lambda dag, run: dag.trace_key(run, SHM, SPEC)
     if kind == "safe":
-        return lambda run: trace_set(run, SHM, SEQ)
+        return lambda dag, run: dag.trace_key(run, SHM, SEQ)
 
-    def burst(run):
+    def burst(dag, run):
         _check_runtime_containment(run)
         options = [(p.step, (None,) + p.targets)
                    for p in run.decision_points(STL) if p.burst_active]
-        return splice(run, SHM, options)
+        return dag.splice(run, SHM, options)
     return burst
 
 
@@ -101,4 +103,6 @@ def hw_trace_set(program, state0, layout, mode, sta_report=None):
     project = hw_projection(program, mode, sta_report)
     if project is None:
         return EMPTY_TRACE_SET
-    return project(simulate_committed(program, state0, layout))
+    dag = TraceDag()
+    run = simulate_committed(program, state0, layout)
+    return dag.traces(project(dag, run))

@@ -7,8 +7,10 @@ Three checks, all exhaustive over a finite state space:
     satisfaction  equal contract traces implies equal hardware traces
 
 Each state is explored once (contracts.simulate_committed); both sides
-of a check are projections of that one run. States are grouped by the
-left-hand-side key (public projection or A-trace set), so each state is
+of a check are projections of that one run. Trace sets are compared as
+node ids of one contracts.TraceDag per check, and listed only for a
+violation's witness detail. States are grouped by the left-hand-side key
+(public projection, or the node of the A-trace set), so each state is
 compared only with its group's first state.
 """
 
@@ -17,10 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .contracts import (enforce_enum_cap, simulate_committed, trace_set,
-                        trace_set_to_json)
+from .contracts import (EMPTY_TRACE, TraceDag, enforce_enum_cap,
+                        simulate_committed, trace_set_to_json)
 from .machine import MASK64, PRIVATE, ArchState
-from .modes import EMPTY_TRACE_SET, hw_projection
+from .modes import hw_projection
 
 
 class InvalidSpace(ValueError):
@@ -150,11 +152,12 @@ def _shrink(a, b, space, layout, observe):
     return a, b
 
 
-def _check_grouped(states, observe, space, layout, detail_names):
+def _check_grouped(states, observe, space, layout, dag, detail_names):
     """Shared engine: `observe(state)` explores the state once and returns
     its (key, value); within each group of states with equal keys, all
     values must be equal; the first mismatching pair is the witness, and
-    its two trace-set values are its detail under `detail_names`."""
+    the trace sets of its two values, nodes of `dag`, are its detail under
+    `detail_names`."""
     groups = {}
     pairs = 0
     for state in states:
@@ -169,8 +172,8 @@ def _check_grouped(states, observe, space, layout, detail_names):
             name_a, name_b = detail_names
             return NiVerdict(
                 holds=False, witness=(a, b),
-                witness_detail={name_a: trace_set_to_json(value_a),
-                                name_b: trace_set_to_json(value_b)},
+                witness_detail={name_a: trace_set_to_json(dag.traces(value_a)),
+                                name_b: trace_set_to_json(dag.traces(value_b))},
                 pairs_checked=pairs)
     return NiVerdict(holds=True, pairs_checked=pairs)
 
@@ -178,12 +181,13 @@ def _check_grouped(states, observe, space, layout, detail_names):
 def check_direct_ni(program, contract, policy, space, layout):
     """Exhaustive direct non-interference for one (leak, exec) contract."""
     states = _states(space, layout)
+    dag = TraceDag()
 
     def observe(state):
         run = simulate_committed(program, state, layout)
-        return pi_key(state, policy), trace_set(run, *contract)
+        return pi_key(state, policy), dag.trace_key(run, *contract)
 
-    return _check_grouped(states, observe, space, layout,
+    return _check_grouped(states, observe, space, layout, dag,
                           ("traces_a", "traces_b"))
 
 
@@ -191,12 +195,13 @@ def check_relative_ni(program, contract_a, contract_b, space, layout):
     """Equal trace sets under contract A must imply equal sets under B,
     over every pair of states in the space (no public/secret split)."""
     states = _states(space, layout)
+    dag = TraceDag()
 
     def observe(state):
         run = simulate_committed(program, state, layout)
-        return trace_set(run, *contract_a), trace_set(run, *contract_b)
+        return dag.trace_key(run, *contract_a), dag.trace_key(run, *contract_b)
 
-    return _check_grouped(states, observe, space, layout,
+    return _check_grouped(states, observe, space, layout, dag,
                           ("traces_b_a", "traces_b_b"))
 
 
@@ -206,13 +211,14 @@ def check_hw_satisfies_one(program, mode, contract, space, layout,
     observations under the hardware mode."""
     states = _states(space, layout)
     project = hw_projection(program, mode, sta_report)
+    dag = TraceDag()
 
     def observe(state):
         run = simulate_committed(program, state, layout)
-        return (trace_set(run, *contract),
-                EMPTY_TRACE_SET if project is None else project(run))
+        return (dag.trace_key(run, *contract),
+                EMPTY_TRACE if project is None else project(dag, run))
 
-    return _check_grouped(states, observe, space, layout,
+    return _check_grouped(states, observe, space, layout, dag,
                           ("hw_traces_a", "hw_traces_b"))
 
 

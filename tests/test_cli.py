@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmikit.asm import AsmError, parse_program
 from rmikit.cli import main
 
 CORPUS = "src/rmikit/corpus_data"
@@ -214,11 +215,22 @@ GOOD_SPACE = {"base_state": {"pc": 0}, "varying_registers": [["a2", [0, 1]]]}
     ("policy", '{"public_regs": ', "Expecting value"),
     ("table", {"0": {"base": 0}}, "'size'"),
     ("table", {"0": {"base": "x", "size": 16}}, "'x'"),
-    ("table", [{"base": 0, "size": 16}], "items")],
+    ("table", [{"base": 0, "size": 16}], "items"),
+    ("state", {"regs": {"a2": 1.9}}, "got 1.9"),
+    ("state", {"pc": True}, "got true"),
+    ("table", {"0": {"base": 1.9, "size": 16.7}}, "got 1.9"),
+    ("table", {"0": {"base": 0, "size": True}}, "got true"),
+    ("space", {"base_state": {}, "varying_registers": [["a2", [0.5, True]]]},
+     "got 0.5"),
+    ("space", {"base_state": {}, "varying_cells": [["0x1008", [0, True]]]},
+     "got true"),
+    ("space", {"base_state": {"private_mem": {"0x1008": 2.0}}}, "got 2.0")],
     ids=["space-base-register", "space-varying-register", "space-value",
          "policy-register", "state-register", "state-pc", "layout-overlap",
          "layout-empty", "layout-string", "layout-three-items",
-         "policy-not-json", "table-no-size", "table-base", "table-list"])
+         "policy-not-json", "table-no-size", "table-base", "table-list",
+         "state-float", "state-boolean", "table-float", "table-boolean",
+         "space-float", "space-boolean", "space-base-float"])
 def test_malformed_input_is_usage_error(option, document, message, capsys,
                                         tmp_path):
     snippet = tmp_path / "s.s"
@@ -246,14 +258,16 @@ def test_malformed_input_is_usage_error(option, document, message, capsys,
 
 
 # Input documents for the no-traceback property: a near-valid document
-# (it may name an unknown register or an unmapped cell), or one with a
-# single node replaced by arbitrary JSON.
+# (it may name an unknown register or an unmapped cell), the same with one
+# integer replaced by a float or a boolean, or with a single node replaced
+# by arbitrary JSON.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
     | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
+_NOT_INT = st.floats() | st.booleans()
 _REG = st.sampled_from(["a0", "a1", "a2", "t0", "x0", "zero", "q9"])
 _ADDR = st.sampled_from(["0x1000", "0x1008", "0x8000", "0x8008", "0x4000"])
 _MEM = st.dictionaries(_ADDR, st.integers(0, 255), max_size=2)
@@ -294,18 +308,28 @@ def _nodes(doc, path=()):
 
 @st.composite
 def _malformed(draw, documents):
+    """A document, and whether the CLI must refuse it as a usage error: it
+    must when a float or a boolean stands where an integer is expected."""
     doc = draw(documents)
-    if draw(st.booleans()):
-        return doc
-    path = draw(st.sampled_from(list(_nodes(doc))))
-    junk = draw(_JSON)
+    how = draw(st.sampled_from(["near-valid", "not-int", "junk"]))
+    paths = list(_nodes(doc))
+    if how == "not-int":
+        paths = [path for path in paths if type(_node_at(doc, path)) is int]
+    if how == "near-valid" or not paths:
+        return doc, False
+    path = draw(st.sampled_from(paths))
+    junk = draw(_NOT_INT if how == "not-int" else _JSON)
     if not path:
-        return junk
+        return junk, False
     doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _node_at(doc, path[:-1])
     parent[path[-1]] = junk
+    return doc, how == "not-int"
+
+
+def _node_at(doc, path):
+    for key in path:
+        doc = doc[key]
     return doc
 
 
@@ -320,25 +344,28 @@ _PROBE = ("li a1, 0x8000\nadd a1, a1, a2\nbeq a0, a0, l\nlbu a3, 0(a1)\n"
 def test_malformed_documents_never_end_in_traceback(space, policy, layout,
                                                      state, table):
     """Each document alone, the others well formed: the CLI ends in a
-    documented exit code, never a traceback."""
+    documented exit code, never a traceback, and in 64 when a float or a
+    boolean stands for an integer."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for name, document in (("good_space", GOOD_SPACE), ("space", space),
-                               ("policy", policy), ("layout", layout),
-                               ("state", state), ("table", table)):
+        paths, usage_error = {}, {}
+        for name, (document, refused) in (
+                ("good_space", (GOOD_SPACE, False)), ("space", space),
+                ("policy", policy), ("layout", layout), ("state", state),
+                ("table", table)):
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(document))
+            usage_error[name] = refused
         snippet = str(Path(tmp) / "s.s")
         Path(snippet).write_text(_PROBE)
         ni = ["ni", snippet, "--direct", "shm:stl", "--space"]
-        commands = [
-            ni + [paths["space"]],
-            ni + [paths["good_space"], "--policy", paths["policy"]],
-            ni + [paths["good_space"], "--layout", paths["layout"]],
-            ["trace", snippet, "--contract", "shm:stl", "--state",
-             paths["state"]],
-            ["cache", "--show-flush-cost", "--table", paths["table"]]]
-        for argv in commands:
+        commands = {
+            "space": ni + [paths["space"]],
+            "policy": ni + [paths["good_space"], "--policy", paths["policy"]],
+            "layout": ni + [paths["good_space"], "--layout", paths["layout"]],
+            "state": ["trace", snippet, "--contract", "shm:stl", "--state",
+                      paths["state"]],
+            "table": ["cache", "--show-flush-cost", "--table", paths["table"]]}
+        for name, argv in commands.items():
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
@@ -346,3 +373,65 @@ def test_malformed_documents_never_end_in_traceback(space, policy, layout,
             assert code in (0, 1, 3, 4, 64)
             if code == 64:
                 assert err.getvalue().startswith("error: ")
+            if usage_error[name]:
+                assert code == 64, argv
+
+
+_ASM_WORDS = st.sampled_from([
+    "li", "lbu", "sb", "ld", "beq", "bne", "bgeu", "jal", "jalr", "add",
+    "addi", "csrwi", "MSPEC,", "BURST_ON", "BURST_OFF", "a0", "a1,", "t0,",
+    "zero,", "0x8000", "0(a1)", "-1", "8", "l:", "l", ",", ".symbol", "=",
+    "#", "\n", "\n", "\n"])
+_ASM_LINES = st.sampled_from([
+    "li a1, 0x8000", "lbu a2, 0(a1)", "sb a2, 1(a1)", "beq a0, a2, l",
+    "bne a0, zero, l", "bgeu a2, a0, l", "jal zero, l",
+    "jalr zero, 0(a0)", "add a1, a1, a2", "addi a0, a0, -1",
+    "csrwi MSPEC, BURST_ON", "csrwi MSPEC, BURST_OFF"])
+_SNIPPETS = (st.text(max_size=40)
+             | st.lists(_ASM_WORDS, max_size=24).map(" ".join)
+             | st.lists(_ASM_LINES, max_size=8).map(
+                 lambda lines: "\n".join(lines + ["l:"]))
+             | st.lists(_ASM_LINES
+                        | st.lists(_ASM_WORDS, max_size=4).map(" ".join),
+                        max_size=8).map("\n".join))
+
+
+@pytest.mark.filterwarnings("ignore::rmikit.asm.DirectiveWarning")
+@pytest.mark.filterwarnings("ignore::rmikit.contracts.SelfContainmentViolation")
+@settings(max_examples=100, deadline=None)
+@given(text=_SNIPPETS)
+def test_arbitrary_snippet_never_ends_in_traceback(text):
+    """Any text as the snippet: a parse error exits 1 with `parse error:`
+    on stderr, or {"error": ...} with --json; a snippet that parses ends
+    in a documented exit code."""
+    source = text.encode("utf-8", "surrogatepass")
+    try:
+        parse_program(source)
+        parses = True
+    except AsmError:
+        parses = False
+    with tempfile.TemporaryDirectory() as tmp:
+        snippet = Path(tmp) / "s.s"
+        snippet.write_bytes(source)
+        space = Path(tmp) / "space.json"
+        space.write_text(json.dumps(GOOD_SPACE))
+        commands = [
+            ["sta", str(snippet)],
+            ["trace", str(snippet), "--contract", "shm:spec"],
+            ["ni", str(snippet), "--direct", "shm:spec", "--space", str(space)],
+            ["hw-check", str(snippet), "--mode", "burst_sta", "--space",
+             str(space)]]
+        for argv in commands:
+            for as_json in (False, True):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv + ["--json"] * as_json)
+                assert code in (0, 1, 2, 3, 4)
+                if parses:
+                    continue
+                assert code == 1
+                if as_json:
+                    assert set(json.loads(out.getvalue())) == {"error"}
+                else:
+                    assert err.getvalue().startswith("parse error:")
