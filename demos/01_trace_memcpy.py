@@ -10,7 +10,8 @@ the observer can force (execution model).
 """
 
 from rmikit import (ARCH, CT, SEQ, SHM, SPEC, STL, ArchState, MemoryLayout,
-                    contract_trace_set, parse_program, reg_num, run_seq)
+                    contract_trace_set, parse_program, reg_num,
+                    simulate_committed)
 
 # ---------------------------------------------------------------------
 # A copy loop: a0 = dst, a1 = src, a2 = len. The guard branch skips the
@@ -38,9 +39,9 @@ state = ArchState(regs={reg_num("a0"): 0x8000,
 state = state.with_store("private", 0x1000, 0x41, 1, pc=0)
 state = state.with_store("private", 0x1001, 0x42, 1, pc=0)
 
-result = run_seq(program, state, layout)
+final = simulate_committed(program, state, layout).final_state
 print("final shared memory:",
-      {hex(a): v for a, v in sorted(result.state.shared_mem.items())})
+      {hex(a): v for a, v in sorted(final.shared_mem.items())})
 
 # ---------------------------------------------------------------------
 # The sequential trace under each leakage model. Each model is a

@@ -13,11 +13,11 @@ Exit codes: 0 success / verdict reproduced, 1 check violated (or a
 parse error, or a well-formed --table the cache refuses), 2 analysis
 failed, 3 path explosion (the analyzer's path bound, the enumeration cap,
 or a committed path out of fuel), 4 the committed path faults, 64 usage
-error (a --layout, --policy, --space, --state or --table file that is not
-JSON or not such a document, or a state space that cannot be enumerated,
-such as one with an empty value domain). Codes 3 and 4, and 64 for an
-input file or a state space, print {"error": message} with --json, and
-the message on stderr otherwise.
+error (a missing or unreadable snippet or input file, a --layout,
+--policy, --space, --state or --table file that is not JSON or not such a
+document, or a state space that cannot be enumerated, such as one with an
+empty value domain). Every error prints {"error": ...} on stdout with
+--json, and its message on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -184,11 +184,7 @@ def _cmd_hw_check(args):
 
 def _cmd_sta(args):
     program, layout, policy, _ = _setup(args)
-    try:
-        report = analyze(program, policy, layout)
-    except PathExplosion as exc:
-        _emit({"error": str(exc)}, args.as_json, f"error: {exc}")
-        return 3
+    report = analyze(program, policy, layout)
     _emit(report.to_json(), args.as_json, explain(report).rstrip("\n"))
     return 0 if report.verdict == "pass" else 2
 
@@ -233,6 +229,24 @@ _DISPATCH = {
     "corpus-verify": _cmd_corpus_verify,
 }
 
+# The exit code of each library error, found by the error's class or its
+# nearest base class listed here.
+_EXIT_CODES = {
+    AsmError: 1, LlcError: 1,
+    PathExplosion: 3, EnumerationCapExceeded: 3, FuelExhausted: 3,
+    MachineError: 4,
+    InvalidInput: USAGE_EXIT, InvalidSpace: USAGE_EXIT, OSError: USAGE_EXIT,
+}
+
+
+def _report_error(exc, as_json):
+    parse = isinstance(exc, AsmError)
+    if as_json:
+        detail = exc.to_json() if parse else str(exc)
+        print(json.dumps({"error": detail}, sort_keys=True))
+    else:
+        print(f"{'parse error' if parse else 'error'}: {exc}", file=sys.stderr)
+
 
 def main(argv=None):
     parser = build_parser()
@@ -243,24 +257,12 @@ def main(argv=None):
     as_json = getattr(args, "as_json", False)
     try:
         return _DISPATCH[args.command](args)
-    except AsmError as exc:
-        if as_json:
-            print(json.dumps({"error": exc.to_json()}, sort_keys=True))
-        else:
-            print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except (LlcError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EnumerationCapExceeded, FuelExhausted, MachineError,
-            InvalidInput, InvalidSpace) as exc:
-        if as_json:
-            print(json.dumps({"error": str(exc)}, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (InvalidInput, InvalidSpace)):
-            return USAGE_EXIT
-        return 4 if isinstance(exc, MachineError) else 3
+    except BrokenPipeError:
+        return 1    # the reader closed stdout: no error can be printed there
+    except tuple(_EXIT_CODES) as exc:
+        _report_error(exc, as_json)
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
+                    if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -28,10 +28,15 @@ exactly when their node ids are, so checks compare ids. The traces of a
 node are walked out only for output (`contract_trace_set`,
 `contract_trace`, `modes.hw_trace_set` and a violation's witness).
 
-Constants, not parameters, bound every verdict: `machine.FUEL` a committed
-path, `SPEC_DEPTH` a wrong-path window (the analyzer's too), and
-`ENUM_CAP` the product of a trace set's per-point choice counts and the
-states of a state space.
+`simulate_committed` is the one loop that runs a program to its end,
+which its pc reaches at `len(program)` (a state already there gives the
+empty run). A path not at its end after FUEL steps raises
+`FuelExhausted`; no result rests on a truncated run.
+
+Constants, not parameters, bound every verdict: `FUEL` a committed path,
+`SPEC_DEPTH` a wrong-path window (the analyzer's too), and `ENUM_CAP` the
+product of a trace set's per-point choice counts and the states of a
+state space.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ import functools
 from dataclasses import dataclass, field
 
 from .asm import BRANCHES, BURST_ON
-from .machine import FUEL, PRIVATE, SHARED, ArchState, MachineError, execute
+from .machine import PRIVATE, SHARED, ArchState, MachineError, execute
 
+# The most instructions a committed path may run.
+FUEL = 10_000
 # The most instructions a wrong-path window runs.
 SPEC_DEPTH = 8
 # The most combinations of window choices in a trace set, and the most
@@ -190,10 +197,9 @@ def _mispredict_targets(program, index, actual, exec_model):
     return ()  # jal: direct target, known at decode
 
 
-def _snapshot(pc, regs, mems, end):
+def _snapshot(pc, regs, mems):
     """A frozen ArchState that owns copies of the core's dicts."""
-    return ArchState(pc, dict(regs), dict(mems[PRIVATE]), dict(mems[SHARED]),
-                     halted=pc == end)
+    return ArchState(pc, dict(regs), dict(mems[PRIVATE]), dict(mems[SHARED]))
 
 
 def simulate_committed(program, state0, layout):
@@ -206,11 +212,11 @@ def simulate_committed(program, state0, layout):
     a wrong-path window can start (after a branch or a jalr: a jal has no
     wrong path) and at the end.
     """
-    if state0.halted or len(program) == 0:
+    end = len(program)
+    if state0.pc == end:
         return CommittedRun(program, layout, (), {}, state0)
     steps = []
     resume = {}
-    end = len(program)
     pc = state0.pc
     regs = dict(state0.regs)
     mems = {PRIVATE: dict(state0.private_mem), SHARED: dict(state0.shared_mem)}
@@ -221,7 +227,7 @@ def simulate_committed(program, state0, layout):
         steps.append((pc, effect, burst_active))
         pc = effect.next_pc
         if ins.opcode in BRANCHES or ins.opcode == "jalr":
-            resume[len(steps) - 1] = _snapshot(pc, regs, mems, end)
+            resume[len(steps) - 1] = _snapshot(pc, regs, mems)
         elif ins.opcode == "csrwi":
             burst_active = ins.csr_value == BURST_ON
         if pc == end:
@@ -229,7 +235,7 @@ def simulate_committed(program, state0, layout):
     else:
         raise FuelExhausted(f"committed path runs past {FUEL} steps")
     return CommittedRun(program, layout, tuple(steps), resume,
-                        _snapshot(pc, regs, mems, end))
+                        _snapshot(pc, regs, mems))
 
 
 def wrong_path_events(program, resume_state, target, layout):

@@ -117,7 +117,7 @@ def load_corpus():
 def load_reference_table():
     """The reference partition layout used by the cache checks."""
     from .llc import PartitionTable
-    return PartitionTable.from_json(_read_data("reference_layout.json"))
+    return PartitionTable.from_json(json.loads(_read_data("reference_layout.json")))
 
 
 def _ni_word(verdict):

@@ -5,16 +5,17 @@ each region to a contiguous range of cache sets:
 
     set = base + (original_index mod size)
 
-Line tags keep the entire original set index, so arbitrarily small ranges
-stay unambiguous. Flushing a region is done the way the hardware would:
-by reading an eviction set in a zero-device address space that aliases
-the region's cache indexing but always returns zeros.
+Line tags (full line addresses) keep the entire original set index, so
+arbitrarily small ranges stay unambiguous. Each cache set is a dict from
+(tag, region) to whether the line came from the zero device, least
+recently used first. Flushing a region is done the way the hardware
+would: by reading an eviction set in a zero-device address space that
+aliases the region's cache indexing but always returns zeros.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .machine import json_int
 
@@ -24,6 +25,7 @@ TABLE_BITS = 1216            # 64 entries * (10-bit base + 9-bit size)
 BASE_BITS = 10
 SIZE_BITS = 9
 ZERO_DEVICE_BASE = 1 << 40   # alias bit outside the modeled DRAM range
+SM_REGIONS = frozenset({0})  # regions reserved for the security monitor
 
 
 class LlcError(Exception):
@@ -95,23 +97,13 @@ class PartitionTable:
         return self.entries[region]
 
     @classmethod
-    def from_json(cls, data, geometry=Geometry()):
-        if isinstance(data, str):
-            data = json.loads(data)
-        entries = {int(region): (json_int(spec["base"]), json_int(spec["size"]))
-                   for region, spec in data.items()}
-        return cls(entries=entries, geometry=geometry)
+    def from_json(cls, data):
+        return cls({int(region): (json_int(spec["base"]), json_int(spec["size"]))
+                    for region, spec in data.items()})
 
     def to_json(self):
         return {str(region): {"base": base, "size": size}
                 for region, (base, size) in sorted(self.entries.items())}
-
-
-@dataclass(frozen=True)
-class CacheLine:
-    tag: int        # full line address: upper bits plus the entire original index
-    region: int
-    zero: bool = False   # filled from the zero device
 
 
 def region_of(address):
@@ -136,37 +128,33 @@ def zero_device_address(region, set_offset, way_index, geometry=Geometry()):
             | (set_offset * geometry.line_bytes))
 
 
-@dataclass
 class PartitionedCache:
-    table: PartitionTable
-    sm_regions: frozenset = frozenset({0})
-    sets: list = field(default_factory=list)
-    accesses: int = 0
-
-    def __post_init__(self):
-        if not self.sets:
-            self.sets = [[] for _ in range(self.table.geometry.total_sets)]
+    def __init__(self, table):
+        self.table = table
+        self.sets = [{} for _ in range(table.geometry.total_sets)]
+        self.accesses = 0
 
     def access(self, address):
         """LRU lookup/fill; returns True on hit. Zero-device reads always
         miss architecturally but still allocate (that is their purpose)."""
         self.accesses += 1
         region, set_index = remap_set_index(address, self.table)
-        zero = bool(address & ZERO_DEVICE_BASE)
-        tag = address // self.table.geometry.line_bytes
+        key = (address // self.table.geometry.line_bytes, region)
         lines = self.sets[set_index]
-        for i, line in enumerate(lines):
-            if line.tag == tag and line.region == region:
-                lines.append(lines.pop(i))      # most recent last
-                return not line.zero
-        lines.append(CacheLine(tag=tag, region=region, zero=zero))
+        zero = lines.pop(key, None)
+        if zero is not None:
+            lines[key] = zero                   # most recent last
+            return not zero
+        lines[key] = bool(address & ZERO_DEVICE_BASE)
         if len(lines) > self.table.geometry.ways:
-            lines.pop(0)
+            del lines[next(iter(lines))]
         return False
 
-    def lines_of_region(self, region, include_zero=False):
-        return [line for lines in self.sets for line in lines
-                if line.region == region and (include_zero or not line.zero)]
+    def lines_of_region(self, region):
+        """Tags of the region's cached lines, zero-device lines excluded."""
+        return [tag for lines in self.sets
+                for (tag, owner), zero in lines.items()
+                if owner == region and not zero]
 
     def flush_region(self, region):
         """Evict every line of `region` by walking a zero-device eviction
@@ -190,7 +178,7 @@ class PartitionedCache:
                 f"{running_enclaves} enclave(s) still running")
         if new_table.geometry != self.table.geometry:
             raise ExceedsCapacity("geometry change is not supported")
-        for region in self.sm_regions:
+        for region in SM_REGIONS:
             if new_table.entries.get(region) != self.table.entries.get(region):
                 raise SmRegionModified(f"region {region} is reserved")
         affected = set()
@@ -201,7 +189,7 @@ class PartitionedCache:
                                                 new_table.entries.get(region))):
                     affected.update(range(base, base + size))
         for set_index in affected:
-            self.sets[set_index] = []
+            self.sets[set_index] = {}
         self.table = new_table
         return new_table
 

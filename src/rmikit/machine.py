@@ -4,11 +4,11 @@
 mutable core (a register dict and one memory dict per domain), updating
 it in place, or reading and writing a store-buffer overlay in place of
 memory on a wrong path. `step` is its functional wrapper over frozen
-`ArchState`s (copy in, execute, freeze out), and `run_seq` iterates
-`step`. This is the non-speculative base semantics every other execution
-model is built on: one instruction at a time, in order. `FUEL` bounds
-every committed path: `run_seq` flags a path that has not halted after
-FUEL steps, and `contracts.simulate_committed` refuses it.
+`ArchState`s (copy in, execute, freeze out). This is the non-speculative
+base semantics every other execution model is built on: one instruction
+at a time, in order. A program ends when its pc reaches
+`len(program)`; this module runs no loop, `contracts.simulate_committed`
+runs a committed path to its end.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ MASK64 = (1 << 64) - 1
 
 PRIVATE = "private"
 SHARED = "shared"
-
-# The most instructions a committed path may run.
-FUEL = 10_000
-
 
 class MachineError(Exception):
     pass
@@ -106,7 +102,6 @@ class ArchState:
     regs: dict = field(default_factory=dict)          # reg number -> 64-bit value
     private_mem: dict = field(default_factory=dict)   # address -> byte
     shared_mem: dict = field(default_factory=dict)
-    halted: bool = False
 
     def reg(self, num):
         return 0 if num == 0 else self.regs.get(num, 0)
@@ -247,32 +242,7 @@ def step(program, state, layout):
     The functional form of `execute`: copy the state in, execute, freeze
     the result out.
     """
-    if state.halted:
-        raise InvalidPc(state.pc)
     regs = dict(state.regs)
     mems = {PRIVATE: dict(state.private_mem), SHARED: dict(state.shared_mem)}
     effect = execute(program, layout, state.pc, regs, mems)
-    return ArchState(effect.next_pc, regs, mems[PRIVATE], mems[SHARED],
-                     halted=effect.next_pc == len(program)), effect
-
-
-@dataclass(frozen=True)
-class RunResult:
-    state: ArchState
-    effects: tuple[StepEffect, ...]
-    fuel_exhausted: bool = False
-
-
-def run_seq(program, state0, layout):
-    """Iterate `step` until halt or FUEL steps; fuel exhaustion is an
-    explicit outcome flag, not an error."""
-    state = state0
-    if len(program) == 0:
-        return RunResult(replace(state, halted=True), ())
-    effects = []
-    for _ in range(FUEL):
-        if state.halted:
-            return RunResult(state, tuple(effects))
-        state, effect = step(program, state, layout)
-        effects.append(effect)
-    return RunResult(state, tuple(effects), fuel_exhausted=not state.halted)
+    return ArchState(effect.next_pc, regs, mems[PRIVATE], mems[SHARED]), effect

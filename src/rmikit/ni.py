@@ -79,8 +79,7 @@ def enumerate_states(space, layout):
                 state_regs[r] = value & MASK64
         for (addr, is_private, _), value in zip(cells, combo[len(regs):]):
             (private if is_private else shared)[addr] = value & 0xFF
-        states.append(ArchState(base.pc, state_regs, private, shared,
-                                base.halted))
+        states.append(ArchState(base.pc, state_regs, private, shared))
     return states
 
 

@@ -14,7 +14,8 @@ comparison meaningful:
 import random
 
 from rmikit.asm import parse_program, reg_num
-from rmikit.machine import ArchState, MachineError, MemoryLayout, run_seq
+from rmikit.contracts import FuelExhausted, simulate_committed
+from rmikit.machine import ArchState, MachineError, MemoryLayout
 from rmikit.ni import StateSpace, enumerate_states
 
 LAYOUT = MemoryLayout()
@@ -83,10 +84,8 @@ def random_snippet_source(rng):
 def committed_paths_ok(program, space=SNIPPET_SPACE, layout=LAYOUT):
     for state in enumerate_states(space, layout):
         try:
-            result = run_seq(program, state, layout)
-        except MachineError:
-            return False
-        if result.fuel_exhausted:
+            simulate_committed(program, state, layout)
+        except (MachineError, FuelExhausted):
             return False
     return True
 

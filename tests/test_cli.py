@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmikit.asm import AsmError, parse_program
+from rmikit.asm import AsmError, parse_program, reg_num
 from rmikit.cli import main
 
 CORPUS = "src/rmikit/corpus_data"
@@ -53,6 +53,19 @@ def test_trace_command(capsys, tmp_path):
                          "--json"], capsys)
     assert code == 0
     assert json.loads(out) == [[["addr", 0x8000, "shared"]]]
+
+
+def test_trace_state_at_program_end(capsys, tmp_path):
+    """A state whose pc is len(program) gives the one empty trace; a pc
+    past it faults."""
+    snippet = tmp_path / "two.s"
+    snippet.write_text("li a0, 1\nli a0, 2\n")
+    state = tmp_path / "state.json"
+    argv = ["trace", str(snippet), "--state", str(state)]
+    state.write_text(json.dumps({"pc": 2}))
+    assert run_cli(argv, capsys) == (0, "(empty)\n")
+    state.write_text(json.dumps({"pc": 3}))
+    assert run_cli(argv, capsys) == (4, "")
 
 
 def test_ni_command_violated_exit(capsys, tmp_path):
@@ -104,6 +117,8 @@ def test_cache_rejects_overlap(capsys, tmp_path):
                                "1": {"base": 12, "size": 8}}))
     code, _ = run_cli(["cache", "--table", str(bad)], capsys)
     assert code == 1
+    code, out = run_cli(["cache", "--table", str(bad), "--json"], capsys)
+    assert code == 1 and "share sets" in json.loads(out)["error"]
 
 
 def test_corpus_verify_ok(capsys):
@@ -147,14 +162,32 @@ NON_HALTING = ("li t0, 20000\nloop:\naddi t0, t0, -1\nbne t0, x0, loop\n"
                "li a1, 0x8000\nadd a1, a1, a2\nlbu a3, 0(a1)\n")
 
 
-@pytest.mark.parametrize("source, code", [
-    (FAULTING, 4), (TWENTY_TAKEN_BRANCHES, 3), (NON_HALTING, 3)],
-    ids=["fault", "trace-cap", "fuel"])
-@pytest.mark.parametrize("command", [
-    ["trace", "--contract", "shm:stl"],
-    ["ni", "--direct", "shm:stl"],
-    ["hw-check", "--mode", "safe", "--contract", "shm:stl"]],
-    ids=["trace", "ni", "hw-check"])
+# 14 diamonds whose 2^14 paths each add a different register set into t3
+# (tests/test_analyzer.py::test_path_explosion_cap): the analysis passes
+# NODE_CAP nodes
+_ADDENDS = [f"x{i}" for i in range(1, 32)
+            if i not in {reg_num(r) for r in ("a0", "a1", "t3")}]
+DIAMONDS = "\n".join(
+    ["csrwi MSPEC, BURST_ON"]
+    + [f"beq a0, a1, t{i}\nadd t3, t3, {_ADDENDS[2 * i]}\njal x0, j{i}\n"
+       f"t{i}:\nadd t3, t3, {_ADDENDS[2 * i + 1]}\nj{i}:" for i in range(14)]
+    + ["lbu t0, 0(t3)", "csrwi MSPEC, BURST_OFF"]) + "\n"
+
+LIBRARY_ERRORS = {
+    f"{command[0]}-{name}": (source, code, command)
+    for command in (["trace", "--contract", "shm:stl"],
+                    ["ni", "--direct", "shm:stl"],
+                    ["hw-check", "--mode", "safe", "--contract", "shm:stl"])
+    for name, source, code in (("fault", FAULTING, 4),
+                               ("trace-cap", TWENTY_TAKEN_BRANCHES, 3),
+                               ("fuel", NON_HALTING, 3))}
+LIBRARY_ERRORS["sta-path-explosion"] = (DIAMONDS, 3, ["sta"])
+LIBRARY_ERRORS["hw-check-burst-sta-path-explosion"] = (
+    DIAMONDS, 3, ["hw-check", "--mode", "burst_sta"])
+
+
+@pytest.mark.parametrize("source, code, command", list(LIBRARY_ERRORS.values()),
+                         ids=list(LIBRARY_ERRORS))
 def test_library_errors_exit_without_traceback(source, code, command, capsys,
                                               tmp_path):
     snippet = tmp_path / "s.s"
@@ -162,13 +195,44 @@ def test_library_errors_exit_without_traceback(source, code, command, capsys,
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"base_state": {"pc": 0}}))
     argv = [command[0], str(snippet), *command[1:]]
-    if command[0] != "trace":
+    if command[0] in ("ni", "hw-check"):
         argv += ["--space", str(space)]
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
     assert main(argv + ["--json"]) == code
     assert set(json.loads(capsys.readouterr().out)) == {"error"}
+
+
+@pytest.mark.parametrize("missing", ["snippet", "space", "table"])
+def test_missing_file_is_usage_error(missing, capsys, tmp_path):
+    """A missing input file exits 64, not 1, which `ni` uses for
+    "violated"."""
+    snippet = tmp_path / "s.s"
+    snippet.write_text("li a1, 0x8000\nlbu a2, 0(a1)\n")
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(GOOD_SPACE))
+    paths = {"snippet": snippet, "space": space, missing: tmp_path / "gone"}
+    argv = (["cache", "--table", str(paths["table"])] if missing == "table"
+            else ["ni", str(paths["snippet"]), "--space", str(paths["space"]),
+                  "--direct", "shm:seq"])
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "gone" in captured.err
+    assert not captured.out
+    assert main(argv + ["--json"]) == 64
+    assert "gone" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_closed_stdout_exits_without_traceback():
+    """A broken pipe is an OSError but no usage error, and under --json
+    its error cannot be printed on stdout."""
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with contextlib.redirect_stdout(ClosedPipe()):
+        assert main(["cache", "--json"]) == 1
 
 
 @pytest.mark.parametrize("space, message", [

@@ -1,4 +1,4 @@
-"""Conformance of `step` against RV64I machine words.
+"""Conformance of the committed-path runner against RV64I machine words.
 
 `instructions_edge.txt` holds 31 big-endian RV64I words, one byte per
 line (addi, add, sub, and, or, xor, beq, sd, ld); `expected_edge.txt`
@@ -9,7 +9,8 @@ state, then the index of the last instruction executed.
 from pathlib import Path
 
 from rmikit.asm import Instruction, Program
-from rmikit.machine import ArchState, MemoryLayout, run_seq
+from rmikit.contracts import simulate_committed
+from rmikit.machine import ArchState, MemoryLayout
 
 HERE = Path(__file__).parent
 # the memory words use base register x20 = 0, so address 0 must be mapped
@@ -51,12 +52,12 @@ def test_edge_words_match_expected_registers():
     program = Program(tuple(decode(w, i) for i, w in enumerate(words)))
     *registers, last = (HERE / "expected_edge.txt").read_text().split()
 
-    result = run_seq(program, ArchState(), LAYOUT)
+    run = simulate_committed(program, ArchState(), LAYOUT)
 
-    assert len(words) == 31 and result.state.halted
-    assert [result.state.reg(n) for n in range(32)] == [int(r, 16) for r in registers]
+    assert len(words) == 31 and run.final_state.pc == len(program)
+    assert [run.final_state.reg(n) for n in range(32)] == [int(r, 16) for r in registers]
     # words 21 and 29 are branched over, so 29 of the 31 retire
-    assert len(result.effects) == 29
+    assert len(run.steps) == 29
     # the file's last line is the index of the last instruction executed
-    last_index = result.effects[-2].next_pc
+    last_index, _, _ = run.steps[-1]
     assert last_index == int(last) == 30

@@ -1,12 +1,15 @@
-"""Interpreter tests: single steps, runs, and machine-level properties."""
+"""Interpreter tests: single steps, committed runs, and machine-level
+properties. Runs go through `simulate_committed`, the one runner every
+verdict uses."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmikit.asm import parse_program, reg_num
-from rmikit.machine import (FUEL, ArchState, InvalidPc, MemoryLayout,
-                            OutOfRangeAccess, run_seq, step, to_signed)
+from rmikit.contracts import FUEL, FuelExhausted, simulate_committed
+from rmikit.machine import (ArchState, InvalidPc, MemoryLayout,
+                            OutOfRangeAccess, step, to_signed)
 
 LAYOUT = MemoryLayout()
 A0, A1, A4 = reg_num("a0"), reg_num("a1"), reg_num("a4")
@@ -53,27 +56,37 @@ def test_memcpy_three_bytes():
     src, dest = 0x8000, 0x1800
     state0 = state_with({A0: dest, A1: src, reg_num("a2"): 3},
                         shared={src: 7, src + 1: 8, src + 2: 9})
-    result = run_seq(program, state0, LAYOUT)
-    assert result.state.halted and not result.fuel_exhausted
-    assert [result.state.private_mem.get(dest + i) for i in range(3)] == [7, 8, 9]
-    loads = [e.mem_event for e in result.effects
-             if e.mem_event and e.mem_event.kind == "load"]
-    stores = [e.mem_event for e in result.effects
-              if e.mem_event and e.mem_event.kind == "store"]
+    run = simulate_committed(program, state0, LAYOUT)
+    final = run.final_state
+    assert final.pc == len(program)
+    assert [final.private_mem.get(dest + i) for i in range(3)] == [7, 8, 9]
+    events = [effect.mem_event for _, effect, _ in run.steps if effect.mem_event]
+    loads = [ev for ev in events if ev.kind == "load"]
+    stores = [ev for ev in events if ev.kind == "store"]
     assert len(loads) == 3 and len(stores) == 3
     assert all(ev.domain == "shared" for ev in loads)
     assert all(ev.domain == "private" for ev in stores)
 
 
 def test_empty_program_halts_immediately():
-    result = run_seq(parse_program(""), ArchState(), LAYOUT)
-    assert result.state.halted and result.effects == ()
+    state = ArchState(regs={A0: 5})
+    run = simulate_committed(parse_program(""), state, LAYOUT)
+    assert run.steps == () and run.final_state == state
+
+
+def test_state_at_program_end_gives_empty_run():
+    program = parse_program("li a0, 1\nli a0, 2")
+    state = ArchState(pc=2, regs={A0: 7})
+    run = simulate_committed(program, state, LAYOUT)
+    assert run.steps == () and run.resume == {} and run.final_state == state
+    with pytest.raises(InvalidPc):
+        simulate_committed(program, ArchState(pc=3), LAYOUT)
 
 
 def test_infinite_loop_fuel_exhausted():
     program = parse_program("j:\njal x0, j")
-    result = run_seq(program, ArchState(), LAYOUT)
-    assert result.fuel_exhausted and len(result.effects) == FUEL
+    with pytest.raises(FuelExhausted, match=f"past {FUEL} steps"):
+        simulate_committed(program, ArchState(), LAYOUT)
 
 
 def test_out_of_range_access():
@@ -116,9 +129,9 @@ def test_uninitialized_memory_reads_zero():
 
 def test_label_slots_fall_through():
     program = parse_program("x:\nli a0, 3")
-    result = run_seq(program, ArchState(), LAYOUT)
-    assert result.state.reg(A0) == 3
-    assert len(result.effects) == 2
+    run = simulate_committed(program, ArchState(), LAYOUT)
+    assert run.final_state.reg(A0) == 3
+    assert [index for index, _, _ in run.steps] == [0, 1]
 
 
 def test_store_masks_to_width():
@@ -130,9 +143,9 @@ def test_store_masks_to_width():
 
 def test_jal_link_and_jump():
     program = parse_program("jal ra, t\nli a0, 1\nt:\nli a0, 2")
-    result = run_seq(program, ArchState(), LAYOUT)
-    assert result.state.reg(reg_num("ra")) == 1
-    assert result.state.reg(A0) == 2
+    run = simulate_committed(program, ArchState(), LAYOUT)
+    assert run.final_state.reg(reg_num("ra")) == 1
+    assert run.final_state.reg(A0) == 2
 
 
 def test_state_json_roundtrip():
