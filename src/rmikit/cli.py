@@ -84,12 +84,15 @@ def _contract(text):
 
 def _input(args, option, parse, default=None):
     """The document named by --option, parsed, or `default` without one.
-    What a parser raises on a malformed document becomes InvalidInput."""
+    A file that cannot be read, and what a parser raises on a malformed
+    document, become InvalidInput naming the option."""
     path = getattr(args, option, None)
     if not path:
         return default
     try:
         return parse(_load_json(path))
+    except OSError as exc:
+        raise InvalidInput(f"--{option} {path}: {exc.strerror or exc}") from None
     except (AttributeError, LookupError, OverflowError, TypeError,
             ValueError) as exc:
         reason = (f"unknown or missing name {exc}" if isinstance(exc, KeyError)

@@ -15,7 +15,9 @@ the committed trace with self-contained wrong-path windows spliced in
 after mispredicted control transfers. `simulate_committed` explores a
 (program, state) once: the committed steps with their burst flag, the
 state after each control instruction, and each wrong-path window, run on
-first use. Contracts and hardware modes (modes.py) are projections of
+first use; `read_walk` lists which components of the initial state a
+run may have read, so that one run can serve every state that agrees on
+them (ni.py). Contracts and hardware modes (modes.py) are projections of
 that run: a leakage model filters events (ct, arch, mem, shm), and an
 execution model chooses decision points (seq: none, stl: taken branches,
 spec: every branch arm and jalr target).
@@ -44,7 +46,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .asm import BRANCHES, BURST_ON
+from .asm import BRANCHES, BURST_ON, LOAD_SIZES
 from .machine import PRIVATE, SHARED, ArchState, MachineError, execute
 
 # The most instructions a committed path may run.
@@ -175,6 +177,54 @@ class CommittedRun:
             self.windows[key] = wrong_path_events(
                 self.program, self.resume[step], target, self.layout)
         return self.windows[key]
+
+
+_MEM_FIELDS = {PRIVATE: "private_mem", SHARED: "shared_mem"}
+
+
+def read_walk(program, registers, cells):
+    """The function that lists, for a CommittedRun of `program`, the
+    components of its initial state among `registers` (numbers) and
+    `cells` (addresses) that the run may have read, in the order first
+    read, as (ArchState field, register or address) pairs.
+
+    Listed are the rs1 and rs2 of every committed step and of every window
+    run so far, every byte in the span of every load, and the rs1 and rs2
+    of the instruction at which a window stopped short: it faulted, and
+    its operands decided that the window ends there. A register counts
+    even where an earlier step wrote it, so no write is tracked: a state
+    that agrees with the run's initial state on every component listed,
+    and on every component outside `registers` and `cells`, runs the same
+    steps, and the same steps in each window the run ran.
+    """
+    instructions = program.instructions
+    sources = [tuple(("regs", r) for r in (ins.rs1, ins.rs2)
+                     if r and r in registers) for ins in instructions]
+    loads = {i: LOAD_SIZES[ins.opcode] for i, ins in enumerate(instructions)
+             if cells and ins.opcode in LOAD_SIZES}
+
+    def reads(run):
+        read = []
+
+        def walk(steps):
+            for step in steps:
+                index = step[0]
+                read.extend(sources[index])
+                if index in loads:
+                    ev = step[1].mem_event
+                    name = _MEM_FIELDS[ev.domain]
+                    read.extend((name, x) for x in range(
+                        ev.address, ev.address + loads[index]) if x in cells)
+
+        walk(run.steps)
+        for (_, target), steps in run.windows.items():
+            walk(steps)
+            stop = steps[-1][1].next_pc if steps else target
+            if len(steps) < SPEC_DEPTH and 0 <= stop < len(instructions):
+                read.extend(sources[stop])
+        return tuple(dict.fromkeys(read))
+
+    return reads
 
 
 def _mispredict_targets(program, index, actual, exec_model):

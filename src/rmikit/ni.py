@@ -6,12 +6,15 @@ Three checks, all exhaustive over a finite state space:
     relative NI   equal traces under contract A implies equal under B
     satisfaction  equal contract traces implies equal hardware traces
 
-Each state is explored once (contracts.simulate_committed); both sides
-of a check are projections of that one run. Trace sets are compared as
-node ids of one contracts.TraceDag per check, and listed only for a
-violation's witness detail. States are grouped by the left-hand-side key
-(public projection, or the node of the A-trace set), so each state is
-compared only with its group's first state.
+Both sides of a check are projections of one committed run
+(contracts.simulate_committed), and one run serves every state that
+agrees with its initial state on each varying component it may have
+read (`_shared_runs`): a state is explored only when no explored state
+matches it. Trace sets are compared as node ids of one contracts.TraceDag
+per check, and listed only for a violation's witness detail. States are
+grouped by the left-hand-side key (public projection, or the node of the
+A-trace set), so each state is compared only with its group's first
+state.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .contracts import (EMPTY_TRACE, TraceDag, enforce_enum_cap,
+from .contracts import (EMPTY_TRACE, TraceDag, enforce_enum_cap, read_walk,
                         simulate_committed, trace_set_to_json)
 from .machine import MASK64, PRIVATE, ArchState
 from .modes import hw_projection
@@ -177,14 +180,62 @@ def _check_grouped(states, observe, space, layout, dag, detail_names):
     return NiVerdict(holds=True, pairs_checked=pairs)
 
 
+def _shared_runs(program, space, layout, derive):
+    """`derive(run)` of each observed state's committed run, where one run
+    serves every state that agrees on what it read.
+
+    A deterministic run depends only on the components of the initial
+    state it reads, and `contracts.read_walk` lists them once `derive` has
+    forced the check's windows. Sound because all states observed in one
+    check differ only in the space's varying components: `enumerate_states`
+    sets only those, and `_shrink` resets only those. So a state that
+    agrees with an explored one on every varying component its run read
+    has the same run and the same result, and only the result is kept:
+    node ids of the check's TraceDag, never the run, whose snapshots hold
+    components it did not read.
+
+    The memo is a decision tree over components: an inner node tests one
+    component, (field, key, {value: child}), and a path ends in a leaf,
+    (result,). A run reads components in an order fixed by the values
+    read before, so every path tests its run's read set in that order,
+    and a lookup costs one test per component read, however many classes
+    there are. A new path skips only the components tested above it, so
+    it covers its run's read set whatever the order.
+    """
+    reads = read_walk(program,
+                      frozenset(r for r, _ in space.varying_registers),
+                      frozenset(a for a, _ in space.varying_cells))
+    root = {}                              # None -> the top node
+
+    def observe(state):
+        branches, value, node, tested = root, None, root.get(None), []
+        while node is not None:
+            if len(node) == 1:
+                return node[0]
+            name, key, branches = node
+            tested.append((name, key))
+            value = getattr(state, name).get(key, 0)
+            node = branches.get(value)
+        run = simulate_committed(program, state, layout)
+        result = derive(run)
+        node, tested = (result,), set(tested)
+        for name, key in reversed([c for c in reads(run) if c not in tested]):
+            node = (name, key, {getattr(state, name).get(key, 0): node})
+        branches[value] = node
+        return result
+
+    return observe
+
+
 def check_direct_ni(program, contract, policy, space, layout):
     """Exhaustive direct non-interference for one (leak, exec) contract."""
     states = _states(space, layout)
     dag = TraceDag()
+    trace_key = _shared_runs(program, space, layout,
+                             lambda run: dag.trace_key(run, *contract))
 
     def observe(state):
-        run = simulate_committed(program, state, layout)
-        return pi_key(state, policy), dag.trace_key(run, *contract)
+        return pi_key(state, policy), trace_key(state)
 
     return _check_grouped(states, observe, space, layout, dag,
                           ("traces_a", "traces_b"))
@@ -195,11 +246,8 @@ def check_relative_ni(program, contract_a, contract_b, space, layout):
     over every pair of states in the space (no public/secret split)."""
     states = _states(space, layout)
     dag = TraceDag()
-
-    def observe(state):
-        run = simulate_committed(program, state, layout)
-        return dag.trace_key(run, *contract_a), dag.trace_key(run, *contract_b)
-
+    observe = _shared_runs(program, space, layout, lambda run: (
+        dag.trace_key(run, *contract_a), dag.trace_key(run, *contract_b)))
     return _check_grouped(states, observe, space, layout, dag,
                           ("traces_b_a", "traces_b_b"))
 
@@ -211,12 +259,9 @@ def check_hw_satisfies_one(program, mode, contract, space, layout,
     states = _states(space, layout)
     project = hw_projection(program, mode, sta_report)
     dag = TraceDag()
-
-    def observe(state):
-        run = simulate_committed(program, state, layout)
-        return (dag.trace_key(run, *contract),
-                EMPTY_TRACE if project is None else project(dag, run))
-
+    observe = _shared_runs(program, space, layout, lambda run: (
+        dag.trace_key(run, *contract),
+        EMPTY_TRACE if project is None else project(dag, run)))
     return _check_grouped(states, observe, space, layout, dag,
                           ("hw_traces_a", "hw_traces_b"))
 

@@ -204,24 +204,32 @@ def test_library_errors_exit_without_traceback(source, code, command, capsys,
     assert set(json.loads(capsys.readouterr().out)) == {"error"}
 
 
-@pytest.mark.parametrize("missing", ["snippet", "space", "table"])
+@pytest.mark.parametrize("missing", ["snippet", "space", "table", "policy",
+                                     "layout", "state"])
 def test_missing_file_is_usage_error(missing, capsys, tmp_path):
     """A missing input file exits 64, not 1, which `ni` uses for
-    "violated"."""
+    "violated"; a missing input document's error names its option."""
     snippet = tmp_path / "s.s"
     snippet.write_text("li a1, 0x8000\nlbu a2, 0(a1)\n")
     space = tmp_path / "space.json"
     space.write_text(json.dumps(GOOD_SPACE))
     paths = {"snippet": snippet, "space": space, missing: tmp_path / "gone"}
-    argv = (["cache", "--table", str(paths["table"])] if missing == "table"
-            else ["ni", str(paths["snippet"]), "--space", str(paths["space"]),
-                  "--direct", "shm:seq"])
+    if missing == "table":
+        argv = ["cache", "--table", str(paths["table"])]
+    elif missing == "state":
+        argv = ["trace", str(snippet), "--state", str(paths["state"])]
+    else:
+        argv = ["ni", str(paths["snippet"]), "--space", str(paths["space"]),
+                "--direct", "shm:seq"]
+        if missing in ("policy", "layout"):
+            argv += [f"--{missing}", str(paths[missing])]
+    named = "gone" if missing == "snippet" else f"--{missing} {paths[missing]}"
     assert main(argv) == 64
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "gone" in captured.err
+    assert captured.err.startswith("error: ") and named in captured.err
     assert not captured.out
     assert main(argv + ["--json"]) == 64
-    assert "gone" in json.loads(capsys.readouterr().out)["error"]
+    assert named in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -9,8 +9,9 @@ from rmikit.asm import parse_program, reg_num
 from rmikit.contracts import (ENUM_CAP, SEQ, SHM, SPEC, STL,
                               EnumerationCapExceeded, FuelExhausted,
                               contract_trace_set)
+from rmikit.corpus import load_entry
 from rmikit.machine import ArchState, MemoryLayout
-from rmikit.modes import INSECURE, MI6, SAFE
+from rmikit.modes import BURST, INSECURE, MI6, SAFE
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
                        check_hw_satisfies_one, check_relative_ni,
                        enumerate_states, pi_key)
@@ -172,7 +173,8 @@ def test_empty_value_domain_raises(space):
         check_direct_ni(GADGET, (SHM, SPEC), Policy(), space, LAYOUT)
 
 
-def test_one_committed_run_per_state(monkeypatch):
+def _count_runs(monkeypatch):
+    """The states simulate_committed runs from, in call order."""
     calls = []
     original = contracts.simulate_committed
 
@@ -182,11 +184,49 @@ def test_one_committed_run_per_state(monkeypatch):
 
     for module in (contracts, ni):
         monkeypatch.setattr(module, "simulate_committed", counting)
+    return calls
+
+
+def test_one_committed_run_per_read_class(monkeypatch):
+    """No state runs twice, and a holding check runs once per class of
+    states that agree on what a run read. With a0 = 2 a run reads a0 and
+    the public cell 0x1002 (two classes); with a0 = 8 it reads a0 and,
+    in the spec window, the secret at 0x1008 (two classes)."""
+    calls = _count_runs(monkeypatch)
     states = enumerate_states(GADGET_SPACE, LAYOUT)
     verdict = check_relative_ni(GADGET, (SHM, SPEC), (SHM, SEQ),
                                 GADGET_SPACE, LAYOUT)
     assert verdict.holds
-    assert calls == states
+    assert all(calls.count(state) == 1 for state in calls)
+    assert all(state in states for state in calls)
+    classes = {(s.reg(A0), s.private_mem[0x1002 if s.reg(A0) == 2 else 0x1008])
+               for s in states}
+    assert len(calls) == len(classes) == 4
+
+
+SPECTRE_1024 = StateSpace(
+    base_state=ArchState(regs={A0: 8}),
+    varying_registers=((A0, (2, 8)),),
+    varying_cells=((0x1008, tuple(range(256))), (0x1002, (0, 1))))
+
+
+@pytest.mark.parametrize("check, runs", [
+    (lambda entry, layout: check_direct_ni(
+        entry.program, (SHM, SEQ), entry.policy, SPECTRE_1024, layout), 3),
+    (lambda entry, layout: check_hw_satisfies_one(
+        entry.program, BURST, (SHM, STL), SPECTRE_1024, layout), 258)],
+    ids=["direct_shm_seq", "burst_shm_stl"])
+def test_spectre_runs_per_read_class(monkeypatch, check, runs):
+    """spectre_v1 over 1 024 states. Under seq no run reads the secret:
+    a0 = 8 is one class and a0 = 2 two (the public cell 0x1002). Burst's
+    stl window reads the secret when a0 = 8: 256 classes, plus the two."""
+    entry = load_entry("spectre_v1")
+    layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    assert SPECTRE_1024.size() == 1024
+    calls = _count_runs(monkeypatch)
+    assert check(entry, layout).holds
+    assert len(calls) == runs
+    assert len({repr(state) for state in calls}) == runs
 
 
 def test_verdict_json_shape():
