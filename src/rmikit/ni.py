@@ -192,36 +192,26 @@ def _shared_runs(program, space, layout, derive):
     agrees with an explored one on every varying component its run read
     has the same run and the same result, and only the result is kept:
     node ids of the check's TraceDag, never the run, whose snapshots hold
-    components it did not read.
-
-    The memo is a decision tree over components: an inner node tests one
-    component, (field, key, {value: child}), and a path ends in a leaf,
-    (result,). A run reads components in an order fixed by the values
-    read before, so every path tests its run's read set in that order,
-    and a lookup costs one test per component read, however many classes
-    there are. A new path skips only the components tested above it, so
-    it covers its run's read set whatever the order.
+    components it did not read. The memo maps each distinct read set to a
+    dict from the values on it to the result.
     """
     reads = read_walk(program,
                       frozenset(r for r, _ in space.varying_registers),
                       frozenset(a for a, _ in space.varying_cells))
-    root = {}                              # None -> the top node
+    memo = {}
+
+    def values(state, read_set):
+        return tuple(getattr(state, name).get(key, 0) for name, key in read_set)
 
     def observe(state):
-        branches, value, node, tested = root, None, root.get(None), []
-        while node is not None:
-            if len(node) == 1:
-                return node[0]
-            name, key, branches = node
-            tested.append((name, key))
-            value = getattr(state, name).get(key, 0)
-            node = branches.get(value)
+        for read_set, results in memo.items():
+            result = results.get(values(state, read_set))
+            if result is not None:
+                return result
         run = simulate_committed(program, state, layout)
         result = derive(run)
-        node, tested = (result,), set(tested)
-        for name, key in reversed([c for c in reads(run) if c not in tested]):
-            node = (name, key, {getattr(state, name).get(key, 0): node})
-        branches[value] = node
+        read_set = reads(run)
+        memo.setdefault(read_set, {})[values(state, read_set)] = result
         return result
 
     return observe
