@@ -15,12 +15,13 @@ the committed trace with self-contained wrong-path windows spliced in
 after mispredicted control transfers. `simulate_committed` explores a
 (program, state) once: the committed steps with their burst flag, the
 state after each control instruction, and each wrong-path window, run on
-first use; `read_walk` lists which components of the initial state a
-run may have read, so that one run can serve every state that agrees on
-them (ni.py). Contracts and hardware modes (modes.py) are projections of
-that run: a leakage model filters events (ct, arch, mem, shm), and an
-execution model chooses decision points (seq: none, stl: taken branches,
-spec: every branch arm and jalr target).
+first use; `read_walk` lists, by their slots in a state's tuple of
+varying values, which components of the initial state a run may have
+read, so that one run can serve every state that agrees on them (ni.py).
+Contracts and hardware modes (modes.py) are projections of that run: a
+leakage model filters events (ct, arch, mem, shm), and an execution
+model chooses decision points (seq: none, stl: taken branches, spec:
+every branch arm and jalr target).
 
 A trace set is the finite language seg0 W0 seg1 W1 ... tail, where each
 W is the set of choices at one decision point. `TraceDag.splice` builds
@@ -179,14 +180,11 @@ class CommittedRun:
         return self.windows[key]
 
 
-_MEM_FIELDS = {PRIVATE: "private_mem", SHARED: "shared_mem"}
-
-
 def read_walk(program, registers, cells):
     """The function that lists, for a CommittedRun of `program`, the
-    components of its initial state among `registers` (numbers) and
-    `cells` (addresses) that the run may have read, in the order first
-    read, as (ArchState field, register or address) pairs.
+    components of its initial state among `registers` ({register number:
+    index}) and `cells` ({address: index}) that the run may have read, as
+    their indices, in the order first read.
 
     Listed are the rs1 and rs2 of every committed step and of every window
     run so far, every byte in the span of every load, and the rs1 and rs2
@@ -198,8 +196,8 @@ def read_walk(program, registers, cells):
     steps, and the same steps in each window the run ran.
     """
     instructions = program.instructions
-    sources = [tuple(("regs", r) for r in (ins.rs1, ins.rs2)
-                     if r and r in registers) for ins in instructions]
+    sources = [tuple(registers[r] for r in (ins.rs1, ins.rs2) if r in registers)
+               for ins in instructions]
     loads = {i: LOAD_SIZES[ins.opcode] for i, ins in enumerate(instructions)
              if cells and ins.opcode in LOAD_SIZES}
 
@@ -211,10 +209,9 @@ def read_walk(program, registers, cells):
                 index = step[0]
                 read.extend(sources[index])
                 if index in loads:
-                    ev = step[1].mem_event
-                    name = _MEM_FIELDS[ev.domain]
-                    read.extend((name, x) for x in range(
-                        ev.address, ev.address + loads[index]) if x in cells)
+                    address = step[1].mem_event.address
+                    read.extend(cells[x] for x in range(
+                        address, address + loads[index]) if x in cells)
 
         walk(run.steps)
         for (_, target), steps in run.windows.items():

@@ -6,15 +6,17 @@ Three checks, all exhaustive over a finite state space:
     relative NI   equal traces under contract A implies equal under B
     satisfaction  equal contract traces implies equal hardware traces
 
-Both sides of a check are projections of one committed run
-(contracts.simulate_committed), and one run serves every state that
-agrees with its initial state on each varying component it may have
-read (`_shared_runs`): a state is explored only when no explored state
-matches it. Trace sets are compared as node ids of one contracts.TraceDag
-per check, and listed only for a violation's witness detail. States are
-grouped by the left-hand-side key (public projection, or the node of the
-A-trace set), so each state is compared only with its group's first
-state.
+A state of a space is the tuple of its varying components' values, one
+slot per row of the space's component table (`_components`), and the
+checks walk the product of the domains lazily, keying everything by
+tuple. Both sides of a check are projections of one committed run
+(contracts.simulate_committed), and one run serves every tuple that
+agrees with an explored one on each slot the run may have read
+(`_shared_runs`); an ArchState is built only for a run or a witness.
+Trace sets are compared as node ids of one contracts.TraceDag per check,
+and listed only for a violation's witness detail. States are grouped by
+the left-hand-side key (public slots, or the node of the A-trace set),
+so each state is compared only with its group's first state.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .modes import hw_projection
 
 class InvalidSpace(ValueError):
     """A state space that cannot be enumerated: a required key is missing,
-    a varying cell lies in no mapped range, or a value domain is empty."""
+    x0 varies, a register or cell is listed twice, a varying cell lies in
+    no mapped range, or a value domain is empty."""
 
 
 @dataclass(frozen=True)
@@ -59,42 +62,59 @@ class StateSpace:
         return n
 
 
-def enumerate_states(space, layout):
-    """All states of the space, in a deterministic order. Each state is
-    built in one constructor call and owns copies of the base dicts."""
+def _components(space, layout):
+    """The space's component table, the one place a space is validated:
+    an (ArchState field, register or address, base value, masked domain)
+    row per varying register, then per varying cell."""
     base = space.base_state
-    regs = [(r, tuple(d)) for r, d in space.varying_registers]
-    cells = []
-    for addr, d in space.varying_cells:
-        domain = layout.classify(addr)
-        if domain is None:
+    table = []
+    for r, domain in space.varying_registers:
+        if r == 0:
+            raise InvalidSpace("x0 is hard-wired to 0 and cannot vary")
+        table.append(("regs", r, base.reg(r) & MASK64,
+                      tuple(v & MASK64 for v in domain)))
+    for addr, domain in space.varying_cells:
+        kind = layout.classify(addr)
+        if kind is None:
             raise InvalidSpace(f"varying cell {addr:#x} is in no mapped range")
-        cells.append((addr, domain == PRIVATE, tuple(d)))
-    domains = [d for _, d in regs] + [d for _, _, d in cells]
-    if not all(domains):
+        name = "private_mem" if kind == PRIVATE else "shared_mem"
+        table.append((name, addr, getattr(base, name).get(addr, 0) & 0xFF,
+                      tuple(v & 0xFF for v in domain)))
+    if not all(domain for *_, domain in table):
         raise InvalidSpace("a varying register or cell has an empty value domain")
-    states = []
-    for combo in itertools.product(*domains):
-        state_regs = dict(base.regs)
-        private, shared = dict(base.private_mem), dict(base.shared_mem)
-        for (r, _), value in zip(regs, combo):
-            if r != 0:
-                state_regs[r] = value & MASK64
-        for (addr, is_private, _), value in zip(cells, combo[len(regs):]):
-            (private if is_private else shared)[addr] = value & 0xFF
-        states.append(ArchState(base.pc, state_regs, private, shared))
-    return states
+    if len({row[:2] for row in table}) < len(table):
+        raise InvalidSpace("a varying register or cell is listed twice")
+    return table
 
 
-def pi_key(state, policy):
-    """Public projection of a state: equality of keys is pi-equivalence."""
-    return (
-        state.pc,
-        tuple((r, state.reg(r)) for r in sorted(policy.public_regs)),
-        tuple((a, state.private_mem.get(a, 0))
-              for a in sorted(policy.public_private_cells)),
-        tuple(sorted((a, b) for a, b in state.shared_mem.items() if b)),
-    )
+def _state(base, table, values):
+    """The ArchState of the tuple `values`: `base`, owning copies of its
+    dicts, with each component of `table` set to its slot's value."""
+    fields = {"regs": dict(base.regs), "private_mem": dict(base.private_mem),
+              "shared_mem": dict(base.shared_mem)}
+    for (name, key, _, _), value in zip(table, values):
+        fields[name][key] = value
+    return ArchState(base.pc, **fields)
+
+
+def enumerate_states(space, layout):
+    """All states of the space, in a deterministic order: the product of
+    the domains, the last component varying fastest."""
+    table = _components(space, layout)
+    return [_state(space.base_state, table, values)
+            for values in itertools.product(*(domain for *_, domain in table))]
+
+
+def _public(table, policy):
+    """The public projection of a tuple under `policy`: its shared cells
+    and the registers and private cells the policy lists. Every other
+    component, and the pc, is the base state's in every state of a space,
+    so equal projections are pi-equivalence."""
+    slots = [i for i, (name, key, _, _) in enumerate(table)
+             if name == "shared_mem"
+             or key in (policy.public_regs if name == "regs"
+                        else policy.public_private_cells)]
+    return lambda values: tuple([values[i] for i in slots])
 
 
 @dataclass
@@ -114,37 +134,15 @@ class NiVerdict:
         return out
 
 
-def _states(space, layout):
-    """The states of the space, refusing more than the enumeration cap."""
-    enforce_enum_cap(space.size(), "states")
-    return enumerate_states(space, layout)
-
-
-def _component_resets(space, layout):
-    """One state-transformer per varying component, restoring its base value."""
-    base = space.base_state
-    resets = []
-    for r, _ in space.varying_registers:
-        value = base.reg(r)
-        resets.append(lambda s, r=r, v=value: s.with_regs({r: v}, pc=s.pc))
-    for addr, _ in space.varying_cells:
-        domain = layout.classify(addr)
-        value = base.mem(domain).get(addr, 0) if domain else 0
-        resets.append(lambda s, a=addr, d=domain, v=value:
-                      s.with_store(d, a, v, 1, pc=s.pc))
-    return resets
-
-
-def _shrink(a, b, space, layout, observe):
-    """Greedy witness minimization: reset varying components to their base
-    values, one at a time in both states, while the violation persists.
-    `a` and `b` are (state, value) pairs, and so is the result."""
-    resets = _component_resets(space, layout)
+def _shrink(a, b, table, observe):
+    """Greedy witness minimization: reset slots to their base values, one
+    at a time in both tuples, while the violation persists. `a` and `b`
+    are (tuple, value) pairs, and so is the result."""
     changed = True
     while changed:
         changed = False
-        for reset in resets:
-            na, nb = reset(a[0]), reset(b[0])
+        for i, (_, _, base_value, _) in enumerate(table):
+            na, nb = (v[:i] + (base_value,) + v[i + 1:] for v in (a[0], b[0]))
             if (na, nb) == (a[0], b[0]):
                 continue
             (key_a, value_a), (key_b, value_b) = observe(na), observe(nb)
@@ -154,106 +152,104 @@ def _shrink(a, b, space, layout, observe):
     return a, b
 
 
-def _check_grouped(states, observe, space, layout, dag, detail_names):
-    """Shared engine: `observe(state)` explores the state once and returns
-    its (key, value); within each group of states with equal keys, all
-    values must be equal; the first mismatching pair is the witness, and
-    the trace sets of its two values, nodes of `dag`, are its detail under
-    `detail_names`."""
+def _shared_runs(program, base, table, layout, derive):
+    """`derive(run)` of the committed run of each observed tuple, where one
+    run serves every tuple that agrees on the slots it read.
+
+    A deterministic run depends only on the components of the initial
+    state it reads, and `contracts.read_walk` lists their slots once
+    `derive` has forced the check's windows. Every state of a check is
+    `base` with a tuple's values on the table's components, so two states
+    cannot differ outside the varying components: a tuple that agrees
+    with an explored one on every slot its run read has the same run and
+    the same result. Only the result is kept: node ids of the check's
+    TraceDag, never the run, whose snapshots hold components it did not
+    read. The memo maps each distinct read set to a dict from the values
+    on it to the result.
+    """
+    registers, cells = {}, {}
+    for i, (name, key, _, _) in enumerate(table):
+        (registers if name == "regs" else cells)[key] = i
+    reads = read_walk(program, registers, cells)
+    memo = {}
+
+    def observe(values):
+        for read_set, results in memo.items():
+            result = results.get(tuple([values[i] for i in read_set]))
+            if result is not None:
+                return result
+        run = simulate_committed(program, _state(base, table, values), layout)
+        result = derive(run)
+        read_set = reads(run)
+        memo.setdefault(read_set, {})[tuple([values[i] for i in read_set])] = result
+        return result
+
+    return observe
+
+
+def _check(program, space, layout, derive, detail_names, policy=None):
+    """Shared engine: `derive(dag, run)` gives a committed run's (key,
+    value) with trace sets as nodes of the check's `dag`, and a tuple's
+    group key is its run's key plus, for direct NI, its public projection
+    under `policy`. Within each group all values must be equal; the first
+    mismatching pair, shrunk, is the witness, and the trace sets of its
+    two values are its detail under `detail_names`."""
+    enforce_enum_cap(space.size(), "states")
+    table = _components(space, layout)
+    public = (lambda values: ()) if policy is None else _public(table, policy)
+    base, dag = space.base_state, TraceDag()
+    run_result = _shared_runs(program, base, table, layout,
+                              lambda run: derive(dag, run))
+
+    def observe(values):
+        key, value = run_result(values)
+        return (public(values), key), value
+
     groups = {}
     pairs = 0
-    for state in states:
-        key, value = observe(state)
+    for values in itertools.product(*(domain for *_, domain in table)):
+        key, value = observe(values)
         if key not in groups:
-            groups[key] = (state, value)
+            groups[key] = (values, value)
             continue
         pairs += 1
         if value != groups[key][1]:
             (a, value_a), (b, value_b) = _shrink(
-                groups[key], (state, value), space, layout, observe)
+                groups[key], (values, value), table, observe)
             name_a, name_b = detail_names
             return NiVerdict(
-                holds=False, witness=(a, b),
+                holds=False, witness=(_state(base, table, a),
+                                      _state(base, table, b)),
                 witness_detail={name_a: trace_set_to_json(dag.traces(value_a)),
                                 name_b: trace_set_to_json(dag.traces(value_b))},
                 pairs_checked=pairs)
     return NiVerdict(holds=True, pairs_checked=pairs)
 
 
-def _shared_runs(program, space, layout, derive):
-    """`derive(run)` of each observed state's committed run, where one run
-    serves every state that agrees on what it read.
-
-    A deterministic run depends only on the components of the initial
-    state it reads, and `contracts.read_walk` lists them once `derive` has
-    forced the check's windows. Sound because all states observed in one
-    check differ only in the space's varying components: `enumerate_states`
-    sets only those, and `_shrink` resets only those. So a state that
-    agrees with an explored one on every varying component its run read
-    has the same run and the same result, and only the result is kept:
-    node ids of the check's TraceDag, never the run, whose snapshots hold
-    components it did not read. The memo maps each distinct read set to a
-    dict from the values on it to the result.
-    """
-    reads = read_walk(program,
-                      frozenset(r for r, _ in space.varying_registers),
-                      frozenset(a for a, _ in space.varying_cells))
-    memo = {}
-
-    def values(state, read_set):
-        return tuple(getattr(state, name).get(key, 0) for name, key in read_set)
-
-    def observe(state):
-        for read_set, results in memo.items():
-            result = results.get(values(state, read_set))
-            if result is not None:
-                return result
-        run = simulate_committed(program, state, layout)
-        result = derive(run)
-        read_set = reads(run)
-        memo.setdefault(read_set, {})[values(state, read_set)] = result
-        return result
-
-    return observe
-
-
 def check_direct_ni(program, contract, policy, space, layout):
     """Exhaustive direct non-interference for one (leak, exec) contract."""
-    states = _states(space, layout)
-    dag = TraceDag()
-    trace_key = _shared_runs(program, space, layout,
-                             lambda run: dag.trace_key(run, *contract))
-
-    def observe(state):
-        return pi_key(state, policy), trace_key(state)
-
-    return _check_grouped(states, observe, space, layout, dag,
-                          ("traces_a", "traces_b"))
+    return _check(program, space, layout,
+                  lambda dag, run: (None, dag.trace_key(run, *contract)),
+                  ("traces_a", "traces_b"), policy)
 
 
 def check_relative_ni(program, contract_a, contract_b, space, layout):
     """Equal trace sets under contract A must imply equal sets under B,
     over every pair of states in the space (no public/secret split)."""
-    states = _states(space, layout)
-    dag = TraceDag()
-    observe = _shared_runs(program, space, layout, lambda run: (
-        dag.trace_key(run, *contract_a), dag.trace_key(run, *contract_b)))
-    return _check_grouped(states, observe, space, layout, dag,
-                          ("traces_b_a", "traces_b_b"))
+    return _check(program, space, layout, lambda dag, run: (
+        dag.trace_key(run, *contract_a), dag.trace_key(run, *contract_b)),
+        ("traces_b_a", "traces_b_b"))
 
 
 def check_hw_satisfies_one(program, mode, contract, space, layout,
                            sta_report=None):
     """One program: equal contract traces must imply equal attacker
     observations under the hardware mode."""
-    states = _states(space, layout)
     project = hw_projection(program, mode, sta_report)
-    dag = TraceDag()
-    observe = _shared_runs(program, space, layout, lambda run: (
+    return _check(program, space, layout, lambda dag, run: (
         dag.trace_key(run, *contract),
-        EMPTY_TRACE if project is None else project(dag, run)))
-    return _check_grouped(states, observe, space, layout, dag,
-                          ("hw_traces_a", "hw_traces_b"))
+        EMPTY_TRACE if project is None else project(dag, run)),
+        ("hw_traces_a", "hw_traces_b"))
 
 
 @dataclass

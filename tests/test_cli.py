@@ -248,8 +248,17 @@ def test_closed_stdout_exits_without_traceback():
      "varying cell 0x4000 is in no mapped range"),
     ({"varying_registers": [["a0", [0, 1]]]}, "'base_state'"),
     ({"base_state": {"pc": 0}, "varying_registers": [["a2", []]]},
-     "empty value domain")],
-    ids=["unmapped-cell", "no-base-state", "empty-domain"])
+     "empty value domain"),
+    ({"base_state": {"pc": 0},
+      "varying_registers": [["a2", [5, 6]], ["a2", [1]]]},
+     "listed twice"),
+    ({"base_state": {"pc": 0},
+      "varying_cells": [["0x8000", [0, 1]], ["0x8000", [2]]]},
+     "listed twice"),
+    ({"base_state": {"pc": 0}, "varying_registers": [["zero", [0, 1, 2]]]},
+     "x0 is hard-wired to 0")],
+    ids=["unmapped-cell", "no-base-state", "empty-domain", "register-twice",
+         "cell-twice", "x0"])
 def test_unusable_space_is_usage_error(space, message, capsys, tmp_path):
     snippet = tmp_path / "s.s"
     snippet.write_text("li a1, 0x8000\nlbu a2, 0(a1)\n")

@@ -1,5 +1,7 @@
 """Non-interference oracle tests."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from rmikit.machine import ArchState, MemoryLayout
 from rmikit.modes import BURST, INSECURE, MI6, SAFE
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
                        check_hw_satisfies_one, check_relative_ni,
-                       enumerate_states, pi_key)
+                       enumerate_states)
+
+from test_shared_runs import _programs
 
 LAYOUT = MemoryLayout()
 A0, A1 = reg_num("a0"), reg_num("a1")
@@ -49,11 +53,46 @@ def test_enumerate_states_is_deterministic_product():
     assert states == enumerate_states(GADGET_SPACE, LAYOUT)
 
 
+def pi_key(state, policy):
+    """The reference public projection of a state: equality of keys is
+    pi-equivalence. The pc and shared memory are public, and so are the
+    registers and private cells the policy lists."""
+    return (
+        state.pc,
+        tuple((r, state.reg(r)) for r in sorted(policy.public_regs)),
+        tuple((a, state.private_mem.get(a, 0))
+              for a in sorted(policy.public_private_cells)),
+        tuple(sorted((a, b) for a, b in state.shared_mem.items() if b)),
+    )
+
+
+def _assert_projection_is_pi_key(space, policy):
+    """The checkers' public projection of tuples splits every pair of
+    states of the space as `pi_key` does."""
+    table = ni._components(space, LAYOUT)
+    project = ni._public(table, policy)
+    keys = [(pi_key(state, policy), project(values)) for state, values in zip(
+        enumerate_states(space, LAYOUT),
+        itertools.product(*(domain for *_, domain in table)))]
+    assert len(keys) == space.size()
+    for (pi_a, public_a), (pi_b, public_b) in itertools.combinations(keys, 2):
+        assert (pi_a == pi_b) == (public_a == public_b)
+
+
 def test_pi_key_groups_by_public_projection():
     a, b, *_ = enumerate_states(GADGET_SPACE, LAYOUT)
     assert (pi_key(a, GADGET_POLICY) == pi_key(b, GADGET_POLICY)) == \
         (a.reg(A0) == b.reg(A0)
          and a.private_mem.get(0x1002, 0) == b.private_mem.get(0x1002, 0))
+    for policy in (GADGET_POLICY, Policy()):
+        _assert_projection_is_pi_key(GADGET_SPACE, policy)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_programs())
+def test_public_projection_matches_pi_key(case):
+    _, policy, space = case
+    _assert_projection_is_pi_key(space, policy)
 
 
 def test_no_memory_program_holds_trivially():
@@ -133,8 +172,8 @@ def test_pair_cap_enforced(monkeypatch):
     assert space.size() == 257 * 257 > ENUM_CAP
 
     def no_enumeration(*args):
-        raise AssertionError("states enumerated past the cap")
-    monkeypatch.setattr(ni, "enumerate_states", no_enumeration)
+        raise AssertionError("space read past the cap")
+    monkeypatch.setattr(ni, "_components", no_enumeration)
     with pytest.raises(EnumerationCapExceeded) as exc:
         check_direct_ni(parse_program("li a0, 1"), (SHM, SEQ), Policy(),
                         space, LAYOUT)
@@ -161,15 +200,30 @@ def test_fuel_exhausted_run_is_never_holds():
         check_direct_ni(program, (SHM, SEQ), Policy(), space, LAYOUT)
 
 
-@pytest.mark.parametrize("space", [
-    StateSpace(base_state=ArchState(), varying_registers=((A0, ()),)),
-    StateSpace(base_state=ArchState(), varying_registers=((A0, (2, 8)),),
-               varying_cells=((0x1008, ()),))],
-    ids=["register", "cell"])
-def test_empty_value_domain_raises(space):
-    """An empty domain leaves no states, over which every check would hold
-    vacuously; with (2, 8) alone the gadget is violated."""
-    with pytest.raises(ni.InvalidSpace, match="empty value domain"):
+@pytest.mark.parametrize("space, message", [
+    (StateSpace(base_state=ArchState(), varying_registers=((A0, ()),)),
+     "empty value domain"),
+    (StateSpace(base_state=ArchState(), varying_registers=((A0, (2, 8)),),
+                varying_cells=((0x1008, ()),)),
+     "empty value domain"),
+    (StateSpace(base_state=ArchState(),
+                varying_registers=((A0, (5, 6)), (A0, (1,)))),
+     "listed twice"),
+    (StateSpace(base_state=ArchState(), varying_registers=((A0, (2, 8)),),
+                varying_cells=((0x1008, (0, 1)), (0x1008, (0,)))),
+     "listed twice"),
+    (StateSpace(base_state=ArchState(),
+                varying_registers=((0, (0, 1, 2)), (A0, (2, 8)))),
+     "x0")],
+    ids=["register", "cell", "register-twice", "cell-twice", "x0"])
+def test_empty_value_domain_raises(space, message):
+    """A space whose states are not the product of its listed domains is
+    refused. An empty domain leaves no states, over which every check
+    would hold vacuously; with (2, 8) alone the gadget is violated. A
+    register or cell listed twice would take only its last domain, so
+    a0 = 5 and 6 would never be tried; a varying x0 would multiply the
+    states by values no instruction can see."""
+    with pytest.raises(ni.InvalidSpace, match=message):
         check_direct_ni(GADGET, (SHM, SPEC), Policy(), space, LAYOUT)
 
 
@@ -227,6 +281,25 @@ def test_spectre_runs_per_read_class(monkeypatch, check, runs):
     assert check(entry, layout).holds
     assert len(calls) == runs
     assert len({repr(state) for state in calls}) == runs
+
+
+def test_holding_check_builds_only_the_states_it_runs(monkeypatch):
+    """Over spectre_v1's 1 024 states, a holding direct (shm, seq) check
+    builds an ArchState only for each of its 3 committed runs: every
+    other state stays a tuple of values."""
+    entry = load_entry("spectre_v1")
+    layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(ArchState(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(ni, "ArchState", counting)
+    calls = _count_runs(monkeypatch)
+    assert check_direct_ni(entry.program, (SHM, SEQ), entry.policy,
+                           SPECTRE_1024, layout).holds
+    assert len(built) == 3
+    assert [id(state) for state in built] == [id(state) for state in calls]
 
 
 def test_verdict_json_shape():

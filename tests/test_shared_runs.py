@@ -49,8 +49,20 @@ FAULTING = ((0x40, 0x8000), (0x8001, 0x8008), (0x8000, 0x40))
 CELLS = (0x1000, 0x1001, 0x1004, 0x8000, 0x8001, 0x8004)
 
 
-def _pass_through(program, space, layout, derive):
-    return lambda state: derive(simulate_committed(program, state, layout))
+def _pass_through(program, base, table, layout, derive):
+    """The per-state path: every observed tuple runs, from a state built
+    as a chain of with_regs and with_store calls on the base state rather
+    than by ni's own builder."""
+    def observe(values):
+        state = base
+        for (name, key, _, _), value in zip(table, values):
+            if name == "regs":
+                state = state.with_regs({key: value}, pc=state.pc)
+            else:
+                state = state.with_store(layout.classify(key), key, value, 1,
+                                         pc=state.pc)
+        return derive(simulate_committed(program, state, layout))
+    return observe
 
 
 def _outcome(check):

@@ -53,8 +53,9 @@ def test_tracer_layers_resolve_install_and_uninstall():
     counted = tracer.snapshot()
     assert not verdict.holds
     assert counted["ni.check.calls"] == 1
-    assert counted["ni.enumerate_states.calls"] == 1
-    assert counted["ni.states"] == entry.space.size()
+    # the checkers walk tuples of values and never list the states
+    assert counted["ni.enumerate_states.calls"] == 0
+    assert counted["ni.states"] == 0
     # one run per class of states that agree on what a run read: a0 = 2
     # reads the public cell 0x1002, a0 = 8 the secret 0x1008 in the stl
     # window; the witness is shrunk through the same classes
