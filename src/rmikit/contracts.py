@@ -47,8 +47,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .asm import BRANCHES, BURST_ON, LOAD_SIZES
-from .machine import PRIVATE, SHARED, ArchState, MachineError, execute
+from .asm import BRANCHES, LOAD_SIZES
+from .machine import (CONTROL, OTHER, PRIVATE, SETS_BURST_OFF, SETS_BURST_ON,
+                      SHARED, ArchState, InvalidPc, MachineError, decode)
 
 # The most instructions a committed path may run.
 FUEL = 10_000
@@ -57,6 +58,9 @@ SPEC_DEPTH = 8
 # The most combinations of window choices in a trace set, and the most
 # states in a state space.
 ENUM_CAP = 1 << 16
+
+# Writing the speculation CSR ends every wrong-path window.
+_BARRIERS = (SETS_BURST_ON, SETS_BURST_OFF)
 
 LEAK_KINDS = ("ct", "arch", "mem", "shm")
 EXEC_KINDS = ("seq", "stl", "spec")
@@ -255,28 +259,35 @@ def simulate_committed(program, state0, layout):
     and the final state. Raises FuelExhausted when the path does not halt
     within FUEL steps.
 
-    The path runs on one mutable core; states are snapshotted only where
-    a wrong-path window can start (after a branch or a jalr: a jal has no
-    wrong path) and at the end.
+    The path runs on one mutable core, through the program's decoded step
+    table (`machine.decode`, fetched once per run), and the kind of each
+    instruction decides what a step records beyond its effect: states are
+    snapshotted only where a wrong-path window can start (after a branch
+    or a jalr: a jal has no wrong path) and at the end, and a csrwi sets
+    the burst flag of the steps after it.
     """
     end = len(program)
-    if state0.pc == end:
+    pc = state0.pc
+    if pc == end:
         return CommittedRun(program, layout, (), {}, state0)
+    if not 0 <= pc < end:
+        raise InvalidPc(pc)
+    table, kinds = decode(program)
     steps = []
     resume = {}
-    pc = state0.pc
     regs = dict(state0.regs)
     mems = {PRIVATE: dict(state0.private_mem), SHARED: dict(state0.shared_mem)}
     burst_active = False
+    append = steps.append
     for _ in range(FUEL):
-        effect = execute(program, layout, pc, regs, mems)
-        ins = program.instructions[pc]
-        steps.append((pc, effect, burst_active))
+        effect = table[pc](layout, regs, mems)
+        append((pc, effect, burst_active))
+        kind = kinds[pc]
         pc = effect.next_pc
-        if ins.opcode in BRANCHES or ins.opcode == "jalr":
+        if kind == CONTROL:
             resume[len(steps) - 1] = _snapshot(pc, regs, mems)
-        elif ins.opcode == "csrwi":
-            burst_active = ins.csr_value == BURST_ON
+        elif kind != OTHER:
+            burst_active = kind == SETS_BURST_ON
         if pc == end:
             break
     else:
@@ -295,16 +306,18 @@ def wrong_path_events(program, resume_state, target, layout):
     out-of-range fetches squash silently. Writing the speculation CSR acts
     as a barrier in every execution model, so a window never crosses it.
     """
+    table, kinds = decode(program)
+    end = len(table)
     steps = []
     overlay = {}
     regs = dict(resume_state.regs)
     mems = {PRIVATE: resume_state.private_mem, SHARED: resume_state.shared_mem}
     pc = target
     for _ in range(SPEC_DEPTH):
-        if not 0 <= pc < len(program) or program.instructions[pc].opcode == "csrwi":
+        if not 0 <= pc < end or kinds[pc] in _BARRIERS:
             break
         try:
-            effect = execute(program, layout, pc, regs, mems, overlay)
+            effect = table[pc](layout, regs, mems, overlay)
         except MachineError:
             break
         steps.append((pc, effect))

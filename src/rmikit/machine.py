@@ -1,14 +1,23 @@
 """Architectural state and the one interpreter core.
 
-`execute` holds the opcode semantics: it runs one instruction on a
-mutable core (a register dict and one memory dict per domain), updating
-it in place, or reading and writing a store-buffer overlay in place of
-memory on a wrong path. `step` is its functional wrapper over frozen
-`ArchState`s (copy in, execute, freeze out). This is the non-speculative
-base semantics every other execution model is built on: one instruction
-at a time, in order. A program ends when its pc reaches
-`len(program)`; this module runs no loop, `contracts.simulate_committed`
-runs a committed path to its end.
+`decode` turns a program into a table of step functions, one per
+instruction, each closed over that instruction's operands: it runs the
+instruction on a mutable core (a register dict and one memory dict per
+domain), updating it in place, or reading and writing a store-buffer
+overlay in place of memory on a wrong path. The table is the one copy of
+the opcode semantics, decoded once per program and dispatched once per
+step. `execute` runs one instruction of a program through its table, and
+`step` is the functional wrapper over frozen `ArchState`s (copy in,
+execute, freeze out). This is the non-speculative base semantics every
+other execution model is built on: one instruction at a time, in order.
+A program ends when its pc reaches `len(program)`; this module runs no
+loop, `contracts.simulate_committed` runs a committed path to its end.
+
+`decode` keeps only the most recently decoded program, compared by
+identity: a check runs one program many times, and a cache entry per
+program would keep the decoded code of every program ever checked alive
+(a corpus sweep checks hundreds), while hashing a `Program` would hash
+every instruction on each lookup.
 """
 
 from __future__ import annotations
@@ -16,9 +25,10 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-from .asm import (BRANCHES, LOAD_SIZES, LOADS, R_OPS, STORE_SIZES, STORES,
-                  reg_name, reg_num)
+from .asm import (BRANCHES, BURST_ON, LOAD_SIZES, STORE_SIZES, reg_name,
+                  reg_num)
 
 MASK64 = (1 << 64) - 1
 
@@ -76,16 +86,14 @@ class MemoryLayout:
         return domain
 
 
-@dataclass(frozen=True)
-class MemEvent:
+class MemEvent(NamedTuple):
     kind: str           # "load" | "store"
     address: int
     domain: str         # "private" | "shared"
     value: int
 
 
-@dataclass(frozen=True)
-class StepEffect:
+class StepEffect(NamedTuple):
     next_pc: int
     mem_event: MemEvent | None = None
 
@@ -153,87 +161,194 @@ def json_int(value):
     return int(value)
 
 
-def _check_alignment(address, size):
-    if size > 1 and address % size != 0:
-        raise OutOfRangeAccess(address)
-
-
 _ALU = {"add": operator.add, "sub": operator.sub, "and": operator.and_,
         "or": operator.or_, "xor": operator.xor}
 _TAKEN = {"beq": operator.eq, "bne": operator.ne, "bgeu": operator.ge,
           "blt": lambda a, b: to_signed(a) < to_signed(b)}
+# the instructions that only write rd: with rd = x0 they do nothing
+_REGISTER_OPS = frozenset(_ALU) | {"addi", "li", "mv", "slli", "srli"}
+
+# The kind of each instruction in a decoded table, for the runners in
+# contracts: a branch or a jalr (a control transfer whose target is
+# predicted, so a wrong path can follow it), a csrwi that turns burst
+# mode on or off (a speculation barrier), or any other instruction.
+OTHER, CONTROL, SETS_BURST_ON, SETS_BURST_OFF = range(4)
 
 
-def execute(program, layout, pc, regs, mems, overlay=None):
-    """Execute the instruction at `pc` on a mutable core; returns its StepEffect.
+class Decoded(NamedTuple):
+    steps: tuple    # pc -> step function (layout, regs, mems, overlay=None)
+    kinds: tuple    # pc -> OTHER, CONTROL, SETS_BURST_ON or SETS_BURST_OFF
 
-    `regs` ({reg number: value}) and `mems` ({PRIVATE: {address: byte},
-    SHARED: {...}}) are updated in place. With an `overlay`
-    ({(domain, address): byte}, a speculative store buffer), loads read
-    through it and stores go into it, never into `mems`. Every check
-    (pc, alignment, mapping, target range) comes before the first write,
-    so an instruction that raises leaves the core unchanged.
+
+_last = (None, None)    # (program, Decoded) of the most recent decode
+
+
+def decode(program):
+    """The Decoded table of `program`.
+
+    A step function runs its instruction on a mutable core and returns
+    its StepEffect. `regs` ({reg number: value}) and `mems` ({PRIVATE:
+    {address: byte}, SHARED: {...}}) are updated in place. With an
+    `overlay` ({(domain, address): byte}, a speculative store buffer),
+    loads read through it and stores go into it, never into `mems`. Every
+    check (alignment, mapping, target range) comes before the first
+    write, so an instruction that raises leaves the core unchanged. The
+    caller checks the pc's range before it indexes the table.
+
+    Only the most recent program is kept, with its table as one tuple,
+    so a concurrent reader never pairs a program with another's table.
     """
+    global _last
+    cached, decoded = _last
+    if cached is program:
+        return decoded
     instructions = program.instructions
-    if not 0 <= pc < len(instructions):
-        raise InvalidPc(pc)
-    ins = instructions[pc]
-    op = ins.opcode
-    a = regs.get(ins.rs1, 0) if ins.rs1 else 0
-    b = regs.get(ins.rs2, 0) if ins.rs2 else 0
-    target = pc + 1
-    value = None                # the value written to rd, if any
-    event = None
-    if op in R_OPS:
-        value = _ALU[op](a, b) & MASK64
-    elif op == "addi":
-        value = (a + ins.imm) & MASK64
-    elif op == "li":
-        value = ins.imm & MASK64
-    elif op == "mv":
-        value = a
-    elif op == "slli":
-        value = (a << (ins.imm & 63)) & MASK64
-    elif op == "srli":
-        value = (a & MASK64) >> (ins.imm & 63)
-    elif op in LOADS or op in STORES:
-        size = LOAD_SIZES.get(op) or STORE_SIZES[op]
-        address = (a + ins.imm) & MASK64
-        _check_alignment(address, size)
-        domain = layout.classify_span(address, size)
-        span = range(address, address + size)
-        mem = mems[domain]
-        if op in STORES:
-            data = (b & MASK64).to_bytes(8, "little")[:size]
-            event = MemEvent("store", address, domain,
-                             int.from_bytes(data, "little"))
-            if overlay is None:
-                mem.update(zip(span, data))
-            else:
-                overlay.update(((domain, x), byte) for x, byte in zip(span, data))
-        else:
+    end = len(instructions)
+    decoded = Decoded(
+        tuple(_step_function(ins, pc, end) for pc, ins in enumerate(instructions)),
+        tuple(_kind(ins) for ins in instructions))
+    _last = (program, decoded)
+    return decoded
+
+
+def _kind(ins):
+    if ins.opcode in BRANCHES or ins.opcode == "jalr":
+        return CONTROL
+    if ins.opcode == "csrwi":
+        return SETS_BURST_ON if ins.csr_value == BURST_ON else SETS_BURST_OFF
+    return OTHER
+
+
+def _step_function(ins, pc, end):
+    """The step function of `ins` at index `pc` of a program of `end`
+    instructions. A register read of x0 looks up None, which no register
+    dict holds, and a write to x0 is dropped. The effects of a step
+    without a memory event are built here, once."""
+    op, rd, imm, target = ins.opcode, ins.rd, ins.imm, ins.target
+    rs1, rs2 = ins.rs1 or None, ins.rs2 or None
+    proceed = StepEffect(pc + 1)
+
+    if op in ("label", "csrwi") or (op in _REGISTER_OPS and not rd):
+        def nop(layout, regs, mems, overlay=None):
+            return proceed
+        return nop
+    if op in _ALU:
+        alu = _ALU[op]
+
+        def r_op(layout, regs, mems, overlay=None):
+            regs[rd] = alu(regs.get(rs1, 0), regs.get(rs2, 0)) & MASK64
+            return proceed
+        return r_op
+    if op == "addi":
+        def addi(layout, regs, mems, overlay=None):
+            regs[rd] = (regs.get(rs1, 0) + imm) & MASK64
+            return proceed
+        return addi
+    if op == "li":
+        def li(layout, regs, mems, overlay=None):
+            regs[rd] = imm & MASK64
+            return proceed
+        return li
+    if op == "mv":
+        def mv(layout, regs, mems, overlay=None):
+            regs[rd] = regs.get(rs1, 0) & MASK64
+            return proceed
+        return mv
+    if op == "slli":
+        def slli(layout, regs, mems, overlay=None):
+            regs[rd] = (regs.get(rs1, 0) << (imm & 63)) & MASK64
+            return proceed
+        return slli
+    if op == "srli":
+        def srli(layout, regs, mems, overlay=None):
+            regs[rd] = (regs.get(rs1, 0) & MASK64) >> (imm & 63)
+            return proceed
+        return srli
+    if op in LOAD_SIZES:
+        size = LOAD_SIZES[op]
+        aligned = size - 1          # the low address bits that must be 0
+        signed = op == "lw"
+
+        def load(layout, regs, mems, overlay=None):
+            address = (regs.get(rs1, 0) + imm) & MASK64
+            if address & aligned:
+                raise OutOfRangeAccess(address)
+            domain = layout.classify_span(address, size)
+            mem = mems[domain]
+            span = range(address, address + size)
             if overlay:
                 raw = bytes(overlay.get((domain, x), mem.get(x, 0)) for x in span)
             else:
                 raw = bytes(mem.get(x, 0) for x in span)
             value = int.from_bytes(raw, "little")
-            if op == "lw" and value >> 31:
+            if signed and value >> 31:
                 value = (value - (1 << 32)) & MASK64
-            event = MemEvent("load", address, domain, value)
-    elif op in BRANCHES:
-        if _TAKEN[op](a, b):
-            target = ins.target
-    elif op == "jal":
-        value, target = pc + 1, ins.target
-    elif op == "jalr":
-        value, target = pc + 1, (a + ins.imm) & MASK64
-    elif op not in ("label", "csrwi"):
-        raise MachineError(f"unhandled opcode {op}")  # pragma: no cover
-    if not 0 <= target <= len(instructions):
-        raise InvalidPc(target)
-    if value is not None and ins.rd:
-        regs[ins.rd] = value & MASK64
-    return StepEffect(next_pc=target, mem_event=event)
+            if rd:
+                regs[rd] = value
+            return StepEffect(pc + 1, MemEvent("load", address, domain, value))
+        return load
+    if op in STORE_SIZES:
+        size = STORE_SIZES[op]
+        aligned = size - 1
+        width = (1 << 8 * size) - 1
+
+        def store(layout, regs, mems, overlay=None):
+            address = (regs.get(rs1, 0) + imm) & MASK64
+            if address & aligned:
+                raise OutOfRangeAccess(address)
+            domain = layout.classify_span(address, size)
+            value = regs.get(rs2, 0) & width
+            data = zip(range(address, address + size),
+                       value.to_bytes(size, "little"))
+            if overlay is None:
+                mems[domain].update(data)
+            else:
+                overlay.update(((domain, x), byte) for x, byte in data)
+            return StepEffect(pc + 1, MemEvent("store", address, domain, value))
+        return store
+    if op in BRANCHES:
+        taken = _TAKEN[op]
+        jump = StepEffect(target)
+
+        def branch(layout, regs, mems, overlay=None):
+            if not taken(regs.get(rs1, 0), regs.get(rs2, 0)):
+                return proceed
+            if not 0 <= target <= end:
+                raise InvalidPc(target)
+            return jump
+        return branch
+    if op == "jal":
+        jump = StepEffect(target)
+
+        def jal(layout, regs, mems, overlay=None):
+            if not 0 <= target <= end:
+                raise InvalidPc(target)
+            if rd:
+                regs[rd] = pc + 1
+            return jump
+        return jal
+    if op == "jalr":
+        def jalr(layout, regs, mems, overlay=None):
+            to = (regs.get(rs1, 0) + imm) & MASK64
+            if to > end:
+                raise InvalidPc(to)
+            if rd:
+                regs[rd] = pc + 1
+            return StepEffect(to)
+        return jalr
+
+    def unhandled(layout, regs, mems, overlay=None):  # pragma: no cover
+        raise MachineError(f"unhandled opcode {op}")
+    return unhandled
+
+
+def execute(program, layout, pc, regs, mems, overlay=None):
+    """Execute the instruction at `pc` on a mutable core through the
+    program's decoded table (see `decode`); returns its StepEffect."""
+    steps = decode(program).steps
+    if not 0 <= pc < len(steps):
+        raise InvalidPc(pc)
+    return steps[pc](layout, regs, mems, overlay)
 
 
 def step(program, state, layout):

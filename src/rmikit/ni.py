@@ -33,7 +33,8 @@ from .modes import hw_projection
 class InvalidSpace(ValueError):
     """A state space that cannot be enumerated: a required key is missing,
     x0 varies, a register or cell is listed twice, a varying cell lies in
-    no mapped range, or a value domain is empty."""
+    no mapped range, or a value domain is empty or lists one value twice
+    (after masking to the component's width)."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,9 @@ def _components(space, layout):
                       tuple(v & 0xFF for v in domain)))
     if not all(domain for *_, domain in table):
         raise InvalidSpace("a varying register or cell has an empty value domain")
+    if any(len(set(domain)) < len(domain) for *_, domain in table):
+        raise InvalidSpace("a value domain lists one value twice, after masking "
+                           "to 64 bits for a register or 8 for a cell")
     if len({row[:2] for row in table}) < len(table):
         raise InvalidSpace("a varying register or cell is listed twice")
     return table
@@ -166,11 +170,16 @@ def _shared_runs(program, base, table, layout, derive):
     TraceDag, never the run, whose snapshots hold components it did not
     read. The memo maps each distinct read set to a dict from the values
     on it to the result.
+
+    The last tuple of a check's walk (the product of the domains, so each
+    domain's last value) is never entered: no later tuple of the walk can
+    probe it, and a shrink that would have hit it runs it again.
     """
     registers, cells = {}, {}
     for i, (name, key, _, _) in enumerate(table):
         (registers if name == "regs" else cells)[key] = i
     reads = read_walk(program, registers, cells)
+    last = tuple(domain[-1] for *_, domain in table)
     memo = {}
 
     def observe(values):
@@ -180,8 +189,10 @@ def _shared_runs(program, base, table, layout, derive):
                 return result
         run = simulate_committed(program, _state(base, table, values), layout)
         result = derive(run)
-        read_set = reads(run)
-        memo.setdefault(read_set, {})[tuple([values[i] for i in read_set])] = result
+        if values != last:
+            read_set = reads(run)
+            memo.setdefault(read_set, {})[
+                tuple([values[i] for i in read_set])] = result
         return result
 
     return observe

@@ -256,9 +256,11 @@ def test_closed_stdout_exits_without_traceback():
       "varying_cells": [["0x8000", [0, 1]], ["0x8000", [2]]]},
      "listed twice"),
     ({"base_state": {"pc": 0}, "varying_registers": [["zero", [0, 1, 2]]]},
-     "x0 is hard-wired to 0")],
+     "x0 is hard-wired to 0"),
+    ({"base_state": {"pc": 0}, "varying_cells": [["0x8000", [0, 256]]]},
+     "lists one value twice")],
     ids=["unmapped-cell", "no-base-state", "empty-domain", "register-twice",
-         "cell-twice", "x0"])
+         "cell-twice", "x0", "value-collides-after-masking"])
 def test_unusable_space_is_usage_error(space, message, capsys, tmp_path):
     snippet = tmp_path / "s.s"
     snippet.write_text("li a1, 0x8000\nlbu a2, 0(a1)\n")

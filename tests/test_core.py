@@ -1,7 +1,8 @@
 """The mutable interpreter core against the functional `step`.
 
-`simulate_committed` and `wrong_path_events` run `machine.execute` on one
-mutable core and snapshot it only after control instructions; `step`
+`simulate_committed` and `wrong_path_events` run the decoded step table
+(`machine.decode`) on one mutable core and snapshot it only after control
+instructions; `step`
 copies a frozen state in and freezes the result out. These tests check
 that both walks agree, that a faulting instruction changes nothing, that
 no snapshot is written after it is taken, and that `enumerate_states`

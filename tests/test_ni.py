@@ -214,15 +214,23 @@ def test_fuel_exhausted_run_is_never_holds():
      "listed twice"),
     (StateSpace(base_state=ArchState(),
                 varying_registers=((0, (0, 1, 2)), (A0, (2, 8)))),
-     "x0")],
-    ids=["register", "cell", "register-twice", "cell-twice", "x0"])
+     "x0"),
+    (StateSpace(base_state=ArchState(), varying_registers=((A0, (2, 8, 2)),)),
+     "lists one value twice"),
+    (StateSpace(base_state=ArchState(), varying_registers=((A0, (2, 8)),),
+                varying_cells=((0x1008, (0, 0x100, 0x200)),)),
+     "lists one value twice")],
+    ids=["register", "cell", "register-twice", "cell-twice", "x0",
+         "value-twice", "value-collides-after-masking"])
 def test_empty_value_domain_raises(space, message):
     """A space whose states are not the product of its listed domains is
     refused. An empty domain leaves no states, over which every check
     would hold vacuously; with (2, 8) alone the gadget is violated. A
     register or cell listed twice would take only its last domain, so
     a0 = 5 and 6 would never be tried; a varying x0 would multiply the
-    states by values no instruction can see."""
+    states by values no instruction can see. A value listed twice, or
+    two values equal once masked to a byte, would enumerate one state
+    several times."""
     with pytest.raises(ni.InvalidSpace, match=message):
         check_direct_ni(GADGET, (SHM, SPEC), Policy(), space, LAYOUT)
 

@@ -84,14 +84,16 @@ def test_corpus_keys_match_oracle(name, projection):
 
 
 def _copy_space(n, dests=COPY_DESTS, lengths=None):
-    """Copy-loop states of length n: source bytes at COPY_SRC, one of them
-    secret, copied to a shared destination."""
+    """Copy-loop states of length n (and of length 0, which for n = 0 is
+    the same length): source bytes at COPY_SRC, one of them secret,
+    copied to a shared destination."""
     A0, A1, A2 = (reg_num(r) for r in ("a0", "a1", "a2"))
     base = ArchState(regs={A0: dests[0], A1: COPY_SRC, A2: n},
                      private_mem={COPY_SRC + i: i for i in range(n)})
+    lengths = lengths or ((0, n) if n else (0,))
     return StateSpace(
         base_state=base,
-        varying_registers=((A0, dests), (A2, lengths or (0, n))),
+        varying_registers=((A0, dests), (A2, lengths)),
         varying_cells=((COPY_SRC + n // 2, SECRETS),))
 
 
