@@ -5,22 +5,32 @@ each region to a contiguous range of cache sets:
 
     set = base + (original_index mod size)
 
+A table is immutable and validated once, on construction, which also
+resolves it into a 64-slot tuple indexed by region, holding (base, size)
+or None for a region with no range; every set lookup reads that tuple.
+
 Line tags (full line addresses) keep the entire original set index, so
 arbitrarily small ranges stay unambiguous. Each cache set is a dict from
 (tag, region) to whether the line came from the zero device, least
 recently used first. Flushing a region is done the way the hardware
 would: by reading an eviction set in a zero-device address space that
-aliases the region's cache indexing but always returns zeros.
+aliases the region's cache indexing but always returns zeros. The
+eviction set puts the set offset below bit 16 and the way in bits 16 to
+24, so a table is accepted only on a geometry where that set covers
+every (set, way) of a range: power-of-two line size and set count, a
+line size times set count of at most 1 << 16, and at most 1 << 9 ways.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .machine import json_int
 
 NUM_REGIONS = 64
 REGION_SHIFT = 25            # 32MB region granularity
+WAY_SHIFT = 16               # the way's bits in a zero-device address
 TABLE_BITS = 1216            # 64 entries * (10-bit base + 9-bit size)
 BASE_BITS = 10
 SIZE_BITS = 9
@@ -58,19 +68,37 @@ class Geometry:
     ways: int = 16
     line_bytes: int = 64
 
-    @property
+    @cached_property
     def total_sets(self):
         return self.total_bytes // (self.ways * self.line_bytes)
 
 
+def _power_of_two(n):
+    return n > 0 and n & (n - 1) == 0
+
+
 @dataclass(frozen=True)
 class PartitionTable:
-    """Per-region (base, size) set-index ranges."""
+    """Per-region (base, size) set-index ranges. A table is immutable:
+    `ranges` is resolved from `entries` once, on construction, so the
+    entries must not change afterwards (build a new table instead)."""
     entries: dict          # region id -> (base_set, size_sets)
     geometry: Geometry = Geometry()
 
     def __post_init__(self):
-        total = self.geometry.total_sets
+        geometry = self.geometry
+        if not 1 <= geometry.ways <= 1 << (REGION_SHIFT - WAY_SHIFT):
+            raise ExceedsCapacity(
+                f"{geometry.ways} ways do not fit the zero-device eviction "
+                f"set's {REGION_SHIFT - WAY_SHIFT} way bits")
+        line_bytes = geometry.line_bytes
+        if not (_power_of_two(line_bytes) and _power_of_two(geometry.total_sets)
+                and line_bytes * geometry.total_sets <= 1 << WAY_SHIFT):
+            raise ExceedsCapacity(
+                f"{geometry}: the line size and the set count must be powers "
+                f"of two spanning at most {1 << WAY_SHIFT} bytes, or a "
+                f"zero-device flush misses lines")
+        total = geometry.total_sets
         ranges = []
         for region, (base, size) in sorted(self.entries.items()):
             if not 0 <= region < NUM_REGIONS:
@@ -90,10 +118,13 @@ class PartitionTable:
                 raise OverlappingRanges(f"regions {r1} and {r2} share sets")
         if sum(size for _, size in self.entries.values()) > total:
             raise ExceedsCapacity("total partition size exceeds the cache")
+        # region id -> (base, size), or None for a region with no range
+        object.__setattr__(self, "ranges", tuple(
+            self.entries.get(region) for region in range(NUM_REGIONS)))
 
     def range_of(self, region):
         if region not in self.entries:
-            raise RegionOutOfRange(f"region {region} has no configured range")
+            raise _no_range(region)
         return self.entries[region]
 
     @classmethod
@@ -106,17 +137,24 @@ class PartitionTable:
                 for region, (base, size) in sorted(self.entries.items())}
 
 
+def _no_range(region):
+    return RegionOutOfRange(f"region {region} has no configured range")
+
+
 def region_of(address):
     return (address >> REGION_SHIFT) % NUM_REGIONS
 
 
 def remap_set_index(address, table):
-    """(region id, cache set) for a physical or zero-device address."""
+    """(region id, cache set) for a physical or zero-device address.
+    PartitionedCache.access computes the same formula inline."""
+    region = (address >> REGION_SHIFT) % NUM_REGIONS
+    span = table.ranges[region]
+    if span is None:
+        raise _no_range(region)
+    base, size = span
     geometry = table.geometry
-    region = region_of(address)
-    base, size = table.range_of(region)
-    original = (address // geometry.line_bytes) % geometry.total_sets
-    return region, base + (original % size)
+    return region, base + address // geometry.line_bytes % geometry.total_sets % size
 
 
 def zero_device_address(region, set_offset, way_index, geometry=Geometry()):
@@ -124,29 +162,43 @@ def zero_device_address(region, set_offset, way_index, geometry=Geometry()):
     index equals set_offset; way_index varies the tag only."""
     return (ZERO_DEVICE_BASE
             | (region << REGION_SHIFT)
-            | (way_index << 16)
+            | (way_index << WAY_SHIFT)
             | (set_offset * geometry.line_bytes))
 
 
 class PartitionedCache:
     def __init__(self, table):
-        self.table = table
         self.sets = [{} for _ in range(table.geometry.total_sets)]
         self.accesses = 0
+        self._bind(table)
+
+    def _bind(self, table):
+        """Make `table` current, with what access reads of it as attributes."""
+        self.table = table
+        self._ranges = table.ranges
+        self._line_bytes = table.geometry.line_bytes
+        self._total_sets = table.geometry.total_sets
+        self._ways = table.geometry.ways
 
     def access(self, address):
         """LRU lookup/fill; returns True on hit. Zero-device reads always
-        miss architecturally but still allocate (that is their purpose)."""
+        miss architecturally but still allocate (that is their purpose).
+        The set is remap_set_index's, computed inline."""
         self.accesses += 1
-        region, set_index = remap_set_index(address, self.table)
-        key = (address // self.table.geometry.line_bytes, region)
-        lines = self.sets[set_index]
+        region = (address >> REGION_SHIFT) % NUM_REGIONS
+        span = self._ranges[region]
+        if span is None:
+            raise _no_range(region)
+        line = address // self._line_bytes
+        base, size = span
+        lines = self.sets[base + line % self._total_sets % size]
+        key = (line, region)
         zero = lines.pop(key, None)
         if zero is not None:
             lines[key] = zero                   # most recent last
             return not zero
         lines[key] = bool(address & ZERO_DEVICE_BASE)
-        if len(lines) > self.table.geometry.ways:
+        if len(lines) > self._ways:
             del lines[next(iter(lines))]
         return False
 
@@ -190,7 +242,7 @@ class PartitionedCache:
                     affected.update(range(base, base + size))
         for set_index in affected:
             self.sets[set_index] = {}
-        self.table = new_table
+        self._bind(new_table)
         return new_table
 
     def flush_costs(self):

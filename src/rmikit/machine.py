@@ -142,10 +142,17 @@ class ArchState:
 
     @classmethod
     def from_json(cls, data):
+        """The state a JSON document describes. An x0 that is 0 once masked
+        to 64 bits is dropped, as every write to x0 is; any other value for
+        x0 raises ValueError."""
+        pc = json_int(data.get("pc", 0))
+        regs = {reg_num(k): json_int(v) & MASK64
+                for k, v in data.get("regs", {}).items()}
+        if regs.pop(0, 0):
+            raise ValueError("x0 is hard-wired to 0 and cannot hold another value")
         return cls(
-            pc=json_int(data.get("pc", 0)),
-            regs={reg_num(k): json_int(v) & MASK64
-                  for k, v in data.get("regs", {}).items()},
+            pc=pc,
+            regs=regs,
             private_mem={int(a, 0): json_int(b) & 0xFF
                          for a, b in data.get("private_mem", {}).items()},
             shared_mem={int(a, 0): json_int(b) & 0xFF

@@ -86,6 +86,26 @@ def test_ni_command_violated_exit(capsys, tmp_path):
     assert code == 0 and "holds" in out
 
 
+def test_zero_x0_in_documents_is_dropped(capsys, tmp_path):
+    """An x0 of 0 in a --state or a base_state is accepted and changes
+    nothing; a nonzero one is a usage error (see the malformed inputs)."""
+    snippet = tmp_path / "s.s"
+    snippet.write_text("li a1, 0x8000\nlbu a2, 0(a1)\n")
+    outputs = []
+    for regs in ({"a0": 8}, {"a0": 8, "zero": 0}):
+        state, space = tmp_path / "state.json", tmp_path / "space.json"
+        state.write_text(json.dumps({"regs": regs}))
+        space.write_text(json.dumps({"base_state": {"regs": regs},
+                                     "varying_registers": [["a2", [0, 1]]]}))
+        outputs.append([
+            run_cli(["trace", str(snippet), "--state", str(state), "--json"],
+                    capsys),
+            run_cli(["ni", str(snippet), "--space", str(space),
+                     "--direct", "shm:seq", "--json"], capsys)])
+    assert outputs[0] == outputs[1]
+    assert [code for code, _ in outputs[1]] == [0, 0]
+
+
 def test_hw_check_command(capsys, tmp_path):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({
@@ -307,13 +327,16 @@ GOOD_SPACE = {"base_state": {"pc": 0}, "varying_registers": [["a2", [0, 1]]]}
      "got 0.5"),
     ("space", {"base_state": {}, "varying_cells": [["0x1008", [0, True]]]},
      "got true"),
-    ("space", {"base_state": {"private_mem": {"0x1008": 2.0}}}, "got 2.0")],
+    ("space", {"base_state": {"private_mem": {"0x1008": 2.0}}}, "got 2.0"),
+    ("state", {"regs": {"zero": 5}}, "x0 is hard-wired to 0"),
+    ("space", {"base_state": {"regs": {"x0": 1}}}, "x0 is hard-wired to 0")],
     ids=["space-base-register", "space-varying-register", "space-value",
          "policy-register", "state-register", "state-pc", "layout-overlap",
          "layout-empty", "layout-string", "layout-three-items",
          "policy-not-json", "table-no-size", "table-base", "table-list",
          "state-float", "state-boolean", "table-float", "table-boolean",
-         "space-float", "space-boolean", "space-base-float"])
+         "space-float", "space-boolean", "space-base-float", "state-x0",
+         "space-base-x0"])
 def test_malformed_input_is_usage_error(option, document, message, capsys,
                                         tmp_path):
     snippet = tmp_path / "s.s"

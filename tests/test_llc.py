@@ -1,6 +1,9 @@
-"""Partitioned-cache model tests: remapping, configuration, flushing."""
+"""Partitioned-cache model tests: remapping, configuration, flushing,
+the geometries a table accepts, and a differential property against the
+list-based LRU model of llc_oracle.py."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,9 @@ from rmikit.corpus import load_reference_table
 from rmikit.llc import (EnclavesRunning, ExceedsCapacity, Geometry,
                         OverlappingRanges, PartitionTable, PartitionedCache,
                         RegionOutOfRange, SmRegionModified, region_of,
-                        remap_set_index)
+                        remap_set_index, zero_device_address)
+
+from llc_oracle import LruModel, Refused, Unconfigured
 
 GEOMETRY = Geometry()
 
@@ -125,7 +130,7 @@ def test_flush_cost_monotone_in_size():
     assert costs == sorted(costs) and len(set(costs)) == len(costs)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_partition_isolation_random_sequences(seed):
     """Accesses from one region never evict lines of another."""
@@ -141,7 +146,6 @@ def test_partition_isolation_random_sequences(seed):
     assert cache.access(victim) is True
 
 
-@settings(max_examples=100)
 @given(address=st.integers(min_value=0, max_value=(1 << 31) - 1))
 def test_remap_total_and_deterministic(address):
     table = small_table({region: (region * 16, 16) for region in range(64)})
@@ -151,3 +155,162 @@ def test_remap_total_and_deterministic(address):
     assert region == region_of(address)
     base, size = table.entries[region]
     assert base <= set_index < base + size
+
+
+def test_table_is_resolved_into_a_range_per_region():
+    table = small_table({0: (0, 16), 5: (16, 4)})
+    assert len(table.ranges) == 64
+    assert table.ranges[0] == (0, 16) and table.ranges[5] == (16, 4)
+    assert [r for r, span in enumerate(table.ranges) if span is None] == [
+        r for r in range(64) if r not in (0, 5)]
+
+
+# ------------------------------------------------------------ geometry
+
+def _eviction_counts(geometry, size):
+    """Zero-device lines that a flush of a `size`-set range puts in each
+    of the range's sets (by set offset), computed without a table."""
+    return Counter(
+        zero_device_address(1, offset, way, geometry) // geometry.line_bytes
+        % geometry.total_sets % size
+        for offset in range(size) for way in range(geometry.ways))
+
+
+@pytest.mark.parametrize("geometry", [
+    Geometry(total_bytes=256 * 16 * 1024, ways=16, line_bytes=256),
+    Geometry(total_bytes=64 * 16 * 1000, ways=16, line_bytes=64)],
+    ids=["lines-past-bit-16", "1000-sets"])
+def test_geometry_whose_flush_leaves_lines_refused(geometry):
+    counts = _eviction_counts(geometry, 300)
+    # some set of a 300-set range would get fewer zero lines than ways,
+    # so a flush would leave real lines in it
+    assert min(counts[offset] for offset in range(300)) < geometry.ways
+    with pytest.raises(ExceedsCapacity):
+        PartitionTable({0: (0, 16), 1: (16, 300)}, geometry)
+
+
+@pytest.mark.parametrize("geometry", [
+    Geometry(total_bytes=128 * 16 * 1024, ways=16, line_bytes=128),
+    Geometry(total_bytes=48 * 16 * 64, ways=16, line_bytes=48),
+    Geometry(total_bytes=64 * 513 * 16, ways=513, line_bytes=64),
+    Geometry(total_bytes=64 * 16 * 1024, ways=0, line_bytes=64),
+    Geometry(total_bytes=64 * 16 * 1024, ways=16, line_bytes=0)],
+    ids=["span-past-bit-16", "48-byte-lines", "513-ways", "no-ways",
+         "no-line-size"])
+def test_geometry_past_the_eviction_set_encoding_refused(geometry):
+    with pytest.raises(ExceedsCapacity):
+        PartitionTable({0: (0, 1)}, geometry)
+
+
+@pytest.mark.parametrize("geometry", [
+    Geometry(),
+    Geometry(total_bytes=4096 * 2 * 16, ways=2, line_bytes=4096),
+    Geometry(total_bytes=64 * 512 * 4, ways=512, line_bytes=64),
+    Geometry(total_bytes=1, ways=1, line_bytes=1)],
+    ids=["default", "4096-byte-lines", "512-ways", "one-set"])
+def test_accepted_geometry_flushes_every_line(geometry):
+    size = min(geometry.total_sets, 256)     # a size field holds 9 bits
+    assert set(_eviction_counts(geometry, size).values()) == {geometry.ways}
+    cache = PartitionedCache(PartitionTable({1: (0, size)}, geometry))
+    for original in range(size * geometry.ways):
+        cache.access((1 << 25) | (original * geometry.line_bytes))
+    assert len(cache.lines_of_region(1)) == size * geometry.ways
+    assert cache.flush_region(1) == size * geometry.ways
+    assert cache.lines_of_region(1) == []
+
+
+# ---------------------------------------------- differential against a model
+
+REGIONS = (0, 1, 2, 63)      # region 5 never gets a range
+
+
+@st.composite
+def geometries(draw):
+    """Small geometries the table accepts."""
+    line_shift = draw(st.integers(0, 12))
+    total_sets = 1 << draw(st.integers(0, min(4, 16 - line_shift)))
+    ways = draw(st.integers(1, 4))
+    line_bytes = 1 << line_shift
+    return Geometry(total_bytes=total_sets * ways * line_bytes, ways=ways,
+                    line_bytes=line_bytes)
+
+
+def _draw_entries(data, total_sets, fixed, regions):
+    """`fixed` plus disjoint ranges, in the sets it leaves free, for a
+    random subset of `regions`."""
+    entries = dict(fixed)
+    taken = {s for base, size in fixed.values() for s in range(base, base + size)}
+    free = [s for s in range(total_sets) if s not in taken]
+    for region in data.draw(st.permutations(regions)):
+        if not free or not data.draw(st.booleans()):
+            continue
+        base = data.draw(st.sampled_from(free))
+        run = 1
+        while base + run in free:
+            run += 1
+        size = data.draw(st.integers(1, run))
+        entries[region] = (base, size)
+        free = [s for s in free if not base <= s < base + size]
+    return entries
+
+
+def _draw_address(data, geometry):
+    region = data.draw(st.sampled_from(REGIONS + (5,)))
+    line = data.draw(st.integers(0, 2 * geometry.total_sets * geometry.ways))
+    low = data.draw(st.integers(0, geometry.line_bytes - 1))
+    high = data.draw(st.sampled_from((0, 0, 1 << 31, 1 << 40)))
+    return high | (region << 25) | (line * geometry.line_bytes + low)
+
+
+def _outcome(call, *args):
+    """What a call returned, or the kind of refusal it raised (the cache's
+    errors and the model's paired by meaning)."""
+    try:
+        return call(*args)
+    except (RegionOutOfRange, Unconfigured):
+        return "no range"
+    except (EnclavesRunning, SmRegionModified, Refused):
+        return "refused"
+
+
+@settings(deadline=None)
+@given(geometry=geometries(), data=st.data())
+def test_cache_matches_list_model(geometry, data):
+    """Every hit and miss, every change of `accesses`, the lines of every
+    region, and the set each accessed line lands in agree with the
+    list-based LRU model, over access, flush and configure sequences."""
+    entries = _draw_entries(data, geometry.total_sets, {}, REGIONS)
+    cache = PartitionedCache(PartitionTable(entries, geometry))
+    model = LruModel(entries, geometry.total_sets, geometry.ways,
+                     geometry.line_bytes)
+    for _ in range(data.draw(st.integers(1, 40))):
+        op = data.draw(st.sampled_from(("access",) * 4 + ("flush", "configure")))
+        if op == "access":
+            address = _draw_address(data, geometry)
+            hit = _outcome(cache.access, address)
+            assert hit == _outcome(model.access, address)
+            if hit != "no range":
+                region, set_index = remap_set_index(address, cache.table)
+                assert set_index == model.set_of(address)
+                assert next(reversed(cache.sets[set_index])) == (
+                    address // geometry.line_bytes, region)
+        elif op == "flush":
+            region = data.draw(st.sampled_from(REGIONS + (5,)))
+            assert _outcome(cache.flush_region, region) == _outcome(
+                model.flush, region)
+        else:
+            current = cache.table.entries
+            if data.draw(st.booleans()):    # keep the security monitor's range
+                fixed = {0: current[0]} if 0 in current else {}
+                new = _draw_entries(data, geometry.total_sets, fixed, REGIONS[1:])
+            else:
+                new = _draw_entries(data, geometry.total_sets, {}, REGIONS)
+            running = data.draw(st.sampled_from((0, 0, 0, 2)))
+            before, table = cache.table, PartitionTable(new, geometry)
+            refused = _outcome(model.configure, new, running) == "refused"
+            result = _outcome(cache.configure, table, running)
+            assert result == "refused" if refused else result is table
+            assert cache.table is (before if refused else table)
+        assert cache.accesses == model.accesses
+        for region in range(64):
+            assert cache.lines_of_region(region) == model.lines_of_region(region)

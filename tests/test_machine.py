@@ -153,6 +153,18 @@ def test_state_json_roundtrip():
     assert ArchState.from_json(state.to_json()) == state
 
 
+def test_state_json_drops_a_zero_x0():
+    assert ArchState.from_json({"regs": {"zero": 0, "a0": 5}}).regs == {A0: 5}
+    assert ArchState.from_json({"regs": {"x0": 1 << 64}}).regs == {}  # 0 once masked
+
+
+@pytest.mark.parametrize("name, value", [("zero", 5), ("x0", -1),
+                                         ("zero", (1 << 64) + 1)])
+def test_state_json_refuses_a_nonzero_x0(name, value):
+    with pytest.raises(ValueError, match="x0 is hard-wired to 0"):
+        ArchState.from_json({"regs": {name: value}})
+
+
 _REG_VALUES = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
