@@ -9,9 +9,18 @@ exactly one divergence edge into the architectural prefix, propagating
 the set of registers whose initial values could reach the transmitter's
 observable operands.
 
+One predecessor table per program serves every region and every walk. A
+`jalr` (and `ret`) may jump to any index, so it precedes every position;
+a branch or jump target outside the program precedes nothing (inside a
+region it is a NotSelfContained violation). Each region adds its own
+divergence edges, one per branch or jump in it. The prefix is unwound to
+instruction 0, the program's entry, so a verdict covers the runs that
+start there; `modes` refuses burst_sta from any other start pc.
+
 A program fails when a secret initial register can be leaked on a
 speculative-only path, or conservatively whenever a leaked value depends
-on another memory value.
+on another memory value. A report keeps only its violations: its verdict
+and its leaked initial registers are derived from them.
 
 The speculative walk spans at most `contracts.SPEC_DEPTH` window slots,
 the window the contracts and hardware modes run, so a "pass" covers
@@ -21,13 +30,21 @@ every window the relative-NI oracle checks. One analysis pops at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .asm import BRANCHES, LOADS, STORES, reg_name
 from .contracts import SPEC_DEPTH
 
 # The most worklist nodes one analysis may pop before it gives up.
 NODE_CAP = 10_000
+
+# Instructions that transmit: a load or a store its address base (a store's
+# data is not observable), a branch both operands.
+_TRANSMITTERS = LOADS | STORES | BRANCHES
+# Branches and jumps to a static target: in a region, each is a divergence.
+_DIRECT = BRANCHES | {"jal"}
+# How a taken branch that compares rs1 with x0 reads.
+_X0_READING = {"beq": "==", "bne": "!=", "blt": "<", "bgeu": ">="}
 
 
 class PathExplosion(Exception):
@@ -60,11 +77,19 @@ class Violation:
 
 @dataclass
 class AnalysisReport:
-    verdict: str                   # "pass" | "fail"
     violations: list
-    leaked_initial_registers: set  # of (register, condition)
     explored_paths: int
     program: object
+
+    @property
+    def verdict(self):
+        return "fail" if self.violations else "pass"
+
+    @property
+    def leaked_initial_registers(self):
+        """(register, condition) of every SecretLeak violation."""
+        return {(v.register, v.condition) for v in self.violations
+                if v.kind == "SecretLeak"}
 
     def to_json(self):
         return {
@@ -74,15 +99,6 @@ class AnalysisReport:
                 [reg_name(r), cond] for r, cond in self.leaked_initial_registers),
             "explored_paths": self.explored_paths,
         }
-
-
-def _transmitter_sources(ins):
-    """Registers whose values become observable when `ins` transmits."""
-    if ins.opcode in LOADS or ins.opcode in STORES:
-        return frozenset({ins.rs1})       # the address base; stored data is not observable
-    if ins.opcode in BRANCHES:
-        return frozenset({ins.rs1, ins.rs2})
-    return None
 
 
 def check_self_contained(program, region):
@@ -96,39 +112,32 @@ def check_self_contained(program, region):
         if ins.opcode == "jalr":
             violations.append(Violation(
                 "NotSelfContained", reason="indirect branch", transmitter=index))
-        elif ins.opcode in BRANCHES or ins.opcode == "jal":
-            if not on < ins.target < off:
-                violations.append(Violation(
-                    "NotSelfContained", reason="target outside snippet",
-                    transmitter=index))
+        elif ins.opcode in _DIRECT and not on < ins.target < off:
+            violations.append(Violation(
+                "NotSelfContained", reason="target outside snippet",
+                transmitter=index))
     return violations
 
 
-def _predecessor_edges(program, region):
-    """Backward edges: arch_preds[i] lists indices whose architectural
-    execution can be immediately followed by i (over the whole program, so
-    the prefix walk can unwind past the region entry); divergences[i]
-    lists in-region branch/jump indices whose straight-line fall-through
-    continuation is i even though their architectural successor may be
-    elsewhere."""
-    on, off = region
-    n = len(program)
-    arch_preds = {i: [] for i in range(n + 1)}
-    divergences = {i: [] for i in range(n + 1)}
-    for k in range(n):
-        ins = program.instructions[k]
-        if ins.opcode in BRANCHES:
-            arch_preds[k + 1].append(k)           # not-taken arm
-            arch_preds[ins.target].append(k)      # taken arm
-            if on < k < off:
-                divergences[k + 1].append(k)      # speculated past a taken branch
-        elif ins.opcode == "jal":
-            arch_preds[ins.target].append(k)
-            if on < k < off:
-                divergences[k + 1].append(k)      # speculated past the jump
-        else:
-            arch_preds[k + 1].append(k)
-    return arch_preds, divergences
+def _predecessors(program):
+    """preds[i] lists, in program order, the indices whose architectural
+    execution can be immediately followed by position i, for every i in
+    0..len(program): the next index after a fall-through or a branch's
+    not-taken arm, the target of a branch or jal, and every position
+    after a jalr, which may jump to any index. A branch whose target is
+    its next index is listed there twice, once per arm. A target outside
+    the program precedes nothing."""
+    preds = {i: [] for i in range(len(program) + 1)}
+    for k, ins in enumerate(program.instructions):
+        if ins.opcode == "jalr":
+            for before in preds.values():
+                before.append(k)
+            continue
+        if ins.opcode != "jal":
+            preds[k + 1].append(k)
+        if ins.target in preds:
+            preds[ins.target].append(k)
+    return preds
 
 
 def _backward_transfer(ins, leaked, speculative):
@@ -137,31 +146,22 @@ def _backward_transfer(ins, leaked, speculative):
     Returns (new leaked set, memory_dependent flag, dead flag).
     """
     op = ins.opcode
-    if op == "label":
-        return leaked, False, False
     if op == "csrwi":
         # a speculative window can never cross the mode switch
         return leaked, False, speculative
-    if op in LOADS:
-        if ins.rd in leaked:
-            return leaked, True, False
+    if op in LOADS and ins.rd in leaked:
+        return leaked, True, False
+    if op in LOADS or op in STORES:
         if not speculative and ins.rs1 in leaked:
             # address already observable non-speculatively: declassified
             return leaked - {ins.rs1}, False, False
         return leaked, False, False
-    if op in STORES:
-        if not speculative and ins.rs1 in leaked:
-            return leaked - {ins.rs1}, False, False
-        return leaked, False, False
-    if op in BRANCHES:
-        return leaked, False, False   # no declassification through branches
-    if op in ("jal", "jalr"):
-        if ins.rd in leaked:          # link value is pc-derived, public
-            return leaked - {ins.rd}, False, False
-        return leaked, False, False
-    # register-writing arithmetic reads exactly its rs1 and rs2, where set
+    # labels and branches write no register: no declassification there
     if ins.rd not in leaked:
         return leaked, False, False
+    if op in ("jal", "jalr"):          # link value is pc-derived, public
+        return leaked - {ins.rd}, False, False
+    # register-writing arithmetic reads exactly its rs1 and rs2, where set
     sources = {r for r in (ins.rs1, ins.rs2) if r is not None}
     return (leaked - {ins.rd}) | sources, False, False
 
@@ -173,12 +173,8 @@ def _divergence_condition(program, branch_index):
         return f"jump at line {line} executed"
     cond = f"branch at line {line} taken"
     if ins.rs2 == 0:
-        cond += f" ({reg_name(ins.rs1)} {_x0_reading(ins.opcode)} 0)"
+        cond += f" ({reg_name(ins.rs1)} {_X0_READING[ins.opcode]} 0)"
     return cond
-
-
-def _x0_reading(opcode):
-    return {"beq": "==", "bne": "!=", "blt": "<", "bgeu": ">="}[opcode]
 
 
 def analyze(program, policy, layout=None):
@@ -187,103 +183,93 @@ def analyze(program, policy, layout=None):
     `layout` is unused by the register-level analysis and accepted for
     interface symmetry with the dynamic checkers.
     """
+    preds = _predecessors(program)
     violations = []
-    leaked_initial = set()
     explored = 0
-
     for region in program.burst_regions:
-        contained = check_self_contained(program, region)
-        violations.extend(contained)
+        violations.extend(check_self_contained(program, region))
         on, off = region
-        arch_preds, divergences = _predecessor_edges(program, region)
-
+        # position -> (branch or jump, condition) whose straight-line
+        # fall-through is that position, though it may go elsewhere
+        divergences = {k + 1: (k, _divergence_condition(program, k))
+                       for k in range(on + 1, off)
+                       if program.instructions[k].opcode in _DIRECT}
         for t_index in range(on + 1, off):
-            sources = _transmitter_sources(program.instructions[t_index])
-            if sources is None:
+            if program.instructions[t_index].opcode not in _TRANSMITTERS:
                 continue
-            explored = _explore_transmitter(
-                program, policy, region, t_index, sources - {0},
-                arch_preds, divergences, violations, leaked_initial, explored)
-
-    verdict = "pass" if not violations else "fail"
-    return AnalysisReport(verdict=verdict, violations=violations,
-                          leaked_initial_registers=leaked_initial,
-                          explored_paths=explored, program=program)
+            found, popped = _walk(program, policy.public_regs, preds,
+                                  divergences, t_index, NODE_CAP - explored)
+            violations.extend(found)
+            explored += popped
+    return AnalysisReport(violations=violations, explored_paths=explored,
+                          program=program)
 
 
-def _explore_transmitter(program, policy, region, t_index, sources,
-                         arch_preds, divergences, violations, leaked_initial,
-                         explored):
-    """Backward walk from one transmitter; mutates the result accumulators."""
-    mdl_reported = False
-    leak_keys = set()
+def _walk(program, public, preds, divergences, t_index, budget):
+    """Backward walk from the transmitter at `t_index`: its violations,
+    and the number of worklist nodes popped, at most `budget`.
 
-    # worklist entries: (position, leaked frozenset, window steps used,
-    #                    divergence condition or None, path indices)
-    # position means "the leaked set holds just before instruction
-    # `position` executes"; steps counts speculative window slots used,
-    # including the transmitter; condition None means still speculative.
-    stack = [(t_index, frozenset(sources), 1, None, (t_index,))]
+    A node is (position, leaked, steps, condition, path): `leaked` holds
+    just before instruction `position` executes; `steps` counts the
+    speculative window slots used, the transmitter's included, and is 0
+    once the walk has crossed a divergence, whose `condition` the node
+    then carries; `path` lists the indices walked, divergence first.
+    """
+    instructions = program.instructions
+    ins = instructions[t_index]
+    sources = frozenset(
+        {ins.rs1, ins.rs2} if ins.opcode in BRANCHES else {ins.rs1}) - {0}
+    stack = [(t_index, sources, 1, None, (t_index,))]
     seen = set()
-
+    violations = []
+    leaks = set()                  # (register, condition) already reported
+    memory_dependent = False       # reported once per transmitter
+    popped = 0
     while stack:
         position, leaked, steps, condition, path = stack.pop()
-        explored += 1
-        if explored > NODE_CAP:
+        popped += 1
+        if popped > budget:
             raise PathExplosion(
                 f"backward exploration exceeded {NODE_CAP} nodes")
-        speculative = condition is None
-
         if not leaked:
             continue   # everything declassified or overwritten: no leak here
-
-        key = (position, leaked, speculative, steps if speculative else 0)
+        key = (position, leaked, steps)   # steps > 0 exactly when speculative
         if key in seen:
             continue
         seen.add(key)
 
-        if not speculative and position == 0:
-            # architectural prefix fully unwound: what is still in the
-            # leaked set is an initial-register leak on a speculative path
-            for reg in sorted(leaked):
-                if reg in policy.public_regs:
-                    continue
-                leaked_initial.add((reg, condition))
-                if (reg, condition) not in leak_keys:
-                    leak_keys.add((reg, condition))
-                    violations.append(Violation(
-                        "SecretLeak", register=reg, transmitter=t_index,
-                        condition=condition, path=path))
-            continue
-
-        def expand(pred, new_condition, new_steps):
-            nonlocal mdl_reported
-            ins = program.instructions[pred]
-            spec_edge = new_condition is None
-            new_leaked, mdl, dead = _backward_transfer(ins, leaked, spec_edge)
-            if mdl and not mdl_reported:
-                violations.append(Violation(
-                    "MemoryDependentLeak", transmitter=t_index,
-                    condition=new_condition or "", path=(pred,) + path))
-                mdl_reported = True
-            if mdl or dead:
-                return
-            stack.append((pred, new_leaked, new_steps, new_condition,
-                          (pred,) + path))
-
-        if speculative:
-            if steps < SPEC_DEPTH:
-                for pred in arch_preds.get(position, ()):
-                    expand(pred, None, steps + 1)
+        if not steps:
+            if position == 0:
+                # architectural prefix fully unwound: what is still in the
+                # leaked set is an initial-register leak on a speculative path
+                for reg in sorted(leaked - public):
+                    if (reg, condition) not in leaks:
+                        leaks.add((reg, condition))
+                        violations.append(Violation(
+                            "SecretLeak", register=reg, transmitter=t_index,
+                            condition=condition, path=path))
+                continue
+            arms = [(pred, condition, 0) for pred in preds[position]]
+        else:
+            arms = ([(pred, None, steps + 1) for pred in preds[position]]
+                    if steps < SPEC_DEPTH else [])
             # crossing the divergence is allowed even at the window limit:
             # the window counts instructions after the divergence target
-            for branch in divergences.get(position, ()):
-                cond = _divergence_condition(program, branch)
-                expand(branch, cond, 0)
-        else:
-            for pred in arch_preds.get(position, ()):
-                expand(pred, condition, 0)
-    return explored
+            if position in divergences:
+                arms.append((*divergences[position], 0))
+
+        for pred, arm_condition, arm_steps in arms:
+            new_leaked, mdl, dead = _backward_transfer(
+                instructions[pred], leaked, arm_steps > 0)
+            if mdl and not memory_dependent:
+                memory_dependent = True
+                violations.append(Violation(
+                    "MemoryDependentLeak", transmitter=t_index,
+                    condition=arm_condition or "", path=(pred,) + path))
+            if not (mdl or dead):
+                stack.append((pred, new_leaked, arm_steps, arm_condition,
+                              (pred,) + path))
+    return violations, popped
 
 
 def explain(report):

@@ -15,8 +15,10 @@ failed, 3 path explosion (the analyzer's path bound, the enumeration cap,
 or a committed path out of fuel), 4 the committed path faults, 64 usage
 error (a missing or unreadable snippet or input file, a --layout,
 --policy, --space, --state or --table file that is not JSON or not such a
-document, or a state space that cannot be enumerated, such as one with an
-empty value domain). Every error prints {"error": ...} on stdout with
+document, such as a --table naming one region twice, a state space that
+cannot be enumerated, such as one with an empty value domain, or a
+hw-check --mode burst_sta whose space starts at a pc other than 0, where
+the analysis does not start). Every error prints {"error": ...} on stdout with
 --json, and its message on stderr otherwise.
 """
 
@@ -35,7 +37,7 @@ from .corpus import (_parse_layout, _parse_policy, _parse_space, load_corpus,
                      load_reference_table, verify_corpus)
 from .llc import LlcError, PartitionTable, PartitionedCache
 from .machine import ArchState, MachineError, MemoryLayout
-from .modes import HwMode, MODE_KINDS
+from .modes import HwMode, MODE_KINDS, UnanalyzedStart
 from .ni import (InvalidSpace, Policy, check_direct_ni, check_hw_satisfies_one,
                  check_relative_ni)
 
@@ -239,6 +241,7 @@ _EXIT_CODES = {
     PathExplosion: 3, EnumerationCapExceeded: 3, FuelExhausted: 3,
     MachineError: 4,
     InvalidInput: USAGE_EXIT, InvalidSpace: USAGE_EXIT, OSError: USAGE_EXIT,
+    UnanalyzedStart: USAGE_EXIT,
 }
 
 

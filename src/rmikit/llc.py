@@ -129,8 +129,16 @@ class PartitionTable:
 
     @classmethod
     def from_json(cls, data):
-        return cls({int(region): (json_int(spec["base"]), json_int(spec["size"]))
-                    for region, spec in data.items()})
+        """A table from {region: {"base": ..., "size": ...}}; a region
+        named twice, under two spellings such as "1" and "01", raises
+        ValueError."""
+        entries = {}
+        for name, spec in data.items():
+            region = int(name)
+            if region in entries:
+                raise ValueError(f"region {region} is listed twice")
+            entries[region] = (json_int(spec["base"]), json_int(spec["size"]))
+        return cls(entries)
 
     def to_json(self):
         return {str(region): {"base": base, "size": size}

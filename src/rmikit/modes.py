@@ -8,7 +8,9 @@ traces an attacker can obtain:
     safe       the non-speculative shared-memory trace, exactly
     burst      straight-line speculation, but only inside burst regions
     burst_sta  burst if the static analyzer accepted the program,
-               otherwise the program is refused and nothing is observed
+               otherwise the program is refused and nothing is observed;
+               a run must start at instruction 0, where the analysis
+               starts (UnanalyzedStart otherwise)
 
 Each mode that observes anything projects one committed run: insecure is
 the (shm, spec) contract, safe (shm, seq), and burst (shm, stl) with only
@@ -32,6 +34,12 @@ class ModeError(Exception):
 
 class ReportProgramMismatch(ModeError):
     pass
+
+
+class UnanalyzedStart(ModeError):
+    """burst_sta from a start pc other than 0: the analyzer unwinds each
+    burst region's prefix to instruction 0, so its verdict covers only
+    the runs that start there."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,15 @@ def sta_gate(program, report):
     return BURST if report.verdict == "pass" else None
 
 
+def check_start(mode, state):
+    """Refuse a state that `mode` cannot judge from: under burst_sta, one
+    whose pc is not 0. Every other mode takes any start pc."""
+    if mode.kind == "burst_sta" and state.pc != 0:
+        raise UnanalyzedStart(
+            f"burst_sta covers only runs that start at instruction 0, "
+            f"not at {state.pc}")
+
+
 def hw_projection(program, mode, sta_report=None):
     """The attacker's view under `mode` as a function of a TraceDag and a
     committed run of `program`, which returns the node of the run's
@@ -100,6 +117,7 @@ def hw_projection(program, mode, sta_report=None):
 
 def hw_trace_set(program, state0, layout, mode, sta_report=None):
     """Attacker-observable trace set of `program` from `state0` under `mode`."""
+    check_start(mode, state0)
     project = hw_projection(program, mode, sta_report)
     if project is None:
         return EMPTY_TRACE_SET

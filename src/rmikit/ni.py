@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .contracts import (EMPTY_TRACE, TraceDag, enforce_enum_cap, read_walk,
                         simulate_committed, trace_set_to_json)
 from .machine import MASK64, PRIVATE, ArchState
-from .modes import hw_projection
+from .modes import check_start, hw_projection
 
 
 class InvalidSpace(ValueError):
@@ -256,6 +256,7 @@ def check_hw_satisfies_one(program, mode, contract, space, layout,
                            sta_report=None):
     """One program: equal contract traces must imply equal attacker
     observations under the hardware mode."""
+    check_start(mode, space.base_state)
     project = hw_projection(program, mode, sta_report)
     return _check(program, space, layout, lambda dag, run: (
         dag.trace_key(run, *contract),

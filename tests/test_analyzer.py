@@ -1,13 +1,22 @@
-"""Static analyzer tests: containment, backward leakage pass, narratives."""
+"""Static analyzer tests: containment, backward leakage pass, narratives,
+and the comparison with the analyzer it replaced (analyzer_oracle.py)."""
+
+import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import analyzer_oracle
+from rmikit import analyzer
 from rmikit.analyzer import (NODE_CAP, PathExplosion, Violation, analyze,
                              check_self_contained, explain)
 from rmikit.asm import parse_program, reg_num
 from rmikit.contracts import SEQ, SHM, SPEC_DEPTH, STL
 from rmikit.machine import ArchState, MemoryLayout
 from rmikit.ni import Policy, StateSpace, check_relative_ni
+from snippetgen import FLOW_REGS, generate_jalr_batch, random_flow_source
 
 LAYOUT = MemoryLayout()
 ALL_SECRET = Policy()
@@ -243,7 +252,97 @@ def test_explain_narratives():
 
 
 def test_report_json_is_serializable():
-    import json
     report = analyze(MEMCPY_LEFT, ALL_SECRET, LAYOUT)
     payload = json.dumps(report.to_json(), sort_keys=True)
     assert '"fail"' in payload
+
+
+# The jalr repro: a3 = 2 jumps over `li a1, 0x8000`, so the speculative
+# load reads the initial a1.
+JALR_PREFIX = parse_program("""\
+jalr x0, 0(a3)
+li a1, 0x8000
+csrwi MSPEC, BURST_ON
+beq a0, a0, done
+lbu t1, 0(a1)
+done:
+csrwi MSPEC, BURST_OFF
+""")
+A3 = reg_num("a3")
+JALR_SPACE = StateSpace(ArchState(regs={A3: 2}),
+                        varying_registers=((A1, (0x8000, 0x8040)),))
+
+
+def test_jalr_in_prefix_precedes_every_position():
+    report = analyze(JALR_PREFIX, Policy(public_regs=frozenset({A3})), LAYOUT)
+    assert report.verdict == "fail"
+    assert _leaked(report) == {A1}
+    assert not check_relative_ni(JALR_PREFIX, (SHM, SEQ), (SHM, STL),
+                                 JALR_SPACE, LAYOUT).holds
+
+
+@pytest.mark.parametrize("target", [100, 5, -3])
+def test_target_outside_program_in_region_is_not_self_contained(target):
+    program = parse_program(f"csrwi MSPEC, BURST_ON\nbeq a0, a1, {target}\n"
+                            f"lbu t0, 0(a1)\ncsrwi MSPEC, BURST_OFF\n")
+    report = analyze(program, ALL_SECRET, LAYOUT)
+    assert report.violations[0] == Violation(
+        "NotSelfContained", reason="target outside snippet", transmitter=1)
+
+
+@pytest.mark.parametrize("target", [100, -3])
+def test_target_outside_program_before_region_precedes_nothing(target):
+    program = parse_program(f"beq a0, a1, {target}\ncsrwi MSPEC, BURST_ON\n"
+                            f"beq a0, a0, done\nlbu t0, 0(a2)\ndone:\n"
+                            f"csrwi MSPEC, BURST_OFF\n")
+    report = analyze(program, ALL_SECRET, LAYOUT)
+    assert report.leaked_initial_registers == {
+        (A2, "branch at line 3 taken")}
+
+
+def test_report_verdict_and_leaks_follow_violations():
+    report = analyze(MEMCPY_LEFT, ALL_SECRET, LAYOUT)
+    assert report.leaked_initial_registers == {
+        (v.register, v.condition) for v in report.violations
+        if v.kind == "SecretLeak"}
+    report.violations.clear()
+    assert report.verdict == "pass" and report.leaked_initial_registers == set()
+
+
+def _outcome(module, program, policy):
+    try:
+        report = module.analyze(program, policy, LAYOUT)
+    except module.PathExplosion as exc:
+        return "PathExplosion", str(exc)
+    return (json.dumps(report.to_json(), sort_keys=True),
+            report.leaked_initial_registers, module.explain(report))
+
+
+@settings(deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_analyzer_matches_oracle_on_jalr_free_programs(rng):
+    """On jalr-free programs whose targets lie in the program, the report
+    (paths and explored_paths included), its leaks, its narrative and a
+    PathExplosion are those of the analyzer it replaced."""
+    program = parse_program(random_flow_source(rng))
+    policy = Policy(public_regs=frozenset(
+        reg_num(r) for r in FLOW_REGS[1:] if rng.random() < 0.3))
+    assert (_outcome(analyzer, program, policy)
+            == _outcome(analyzer_oracle, program, policy))
+
+
+def test_no_pass_is_unsound_on_jalr_prefixed_snippets():
+    """Each snippet's prefix opens with a jalr that skips some of its
+    overwrites: no analyzer pass may meet a violated (shm,seq) -> (shm,stl)
+    check, which the analyzer that let jalr fall through met."""
+    unsound = {"new": 0, "oracle": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for program, space in generate_jalr_batch(20261019, 100):
+            if check_relative_ni(program, (SHM, SEQ), (SHM, STL), space,
+                                 LAYOUT).holds:
+                continue
+            for name, module in (("new", analyzer), ("oracle", analyzer_oracle)):
+                if module.analyze(program, ALL_SECRET, LAYOUT).verdict == "pass":
+                    unsound[name] += 1
+    assert unsound["new"] == 0 and unsound["oracle"] > 0

@@ -141,6 +141,84 @@ def test_cache_rejects_overlap(capsys, tmp_path):
     assert code == 1 and "share sets" in json.loads(out)["error"]
 
 
+def test_cache_rejects_region_named_twice(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"1": {"base": 16, "size": 8},
+                                 "01": {"base": 100, "size": 4},
+                                 "0": {"base": 0, "size": 16}}))
+    code, _ = run_cli(["cache", "--table", str(table)], capsys)
+    assert code == 64
+    code, out = run_cli(["cache", "--table", str(table), "--json"], capsys)
+    assert code == 64
+    assert json.loads(out)["error"] == \
+        f"--table {table}: region 1 is listed twice"
+
+
+JALR_PREFIX = """\
+jalr x0, 0(a3)
+li a1, 0x8000
+csrwi MSPEC, BURST_ON
+beq a0, a0, done
+lbu t1, 0(a1)
+done:
+csrwi MSPEC, BURST_OFF
+"""
+
+
+def test_jalr_in_prefix_fails_sta_and_burst_sta_holds(capsys, tmp_path):
+    """a3 = 2 jumps over the li: sta reports the leak of a1, so burst_sta
+    refuses the program and holds."""
+    paths = {"s": JALR_PREFIX,
+             "policy.json": json.dumps({"public_regs": ["a3"]}),
+             "space.json": json.dumps({
+                 "base_state": {"regs": {"a3": 2}},
+                 "varying_registers": [["a1", [32768, 32832]]]})}
+    for name, text in paths.items():
+        (tmp_path / name).write_text(text)
+    snippet, policy = str(tmp_path / "s"), str(tmp_path / "policy.json")
+    code, out = run_cli(["sta", snippet, "--policy", policy, "--json"], capsys)
+    assert code == 2
+    assert json.loads(out)["leaked_initial_registers"] == [
+        ["a1", "branch at line 4 taken"]]
+    code, out = run_cli(["hw-check", snippet, "--mode", "burst_sta",
+                         "--policy", policy, "--space",
+                         str(tmp_path / "space.json")], capsys)
+    assert code == 0 and out == "holds\n"
+
+
+@pytest.mark.parametrize("target", ["100", "-3"])
+def test_sta_branch_outside_program(target, capsys, tmp_path):
+    """In a region the branch leaves it (exit 2); before the region it
+    precedes nothing and the analysis runs as without it."""
+    snippet = tmp_path / "s.s"
+    region = "csrwi MSPEC, BURST_ON\nlbu t0, 0(a1)\ncsrwi MSPEC, BURST_OFF\n"
+    snippet.write_text(region.replace(
+        "\n", f"\nbeq a0, a1, {target}\n", 1))
+    code, out = run_cli(["sta", str(snippet)], capsys)
+    assert code == 2
+    assert "not self-contained (target outside snippet) at instruction 1" in out
+    snippet.write_text(f"beq a0, a1, {target}\n" + region)
+    code, out = run_cli(["sta", str(snippet)], capsys)
+    assert code == 0 and out == "no violations\n"
+
+
+def test_burst_sta_from_another_start_pc_is_usage_error(capsys, tmp_path):
+    """The analysis starts at instruction 0; a start pc of 1 skips the li
+    it relies on, so burst_sta refuses it, while burst takes it."""
+    snippet = tmp_path / "s.s"
+    snippet.write_text(JALR_PREFIX.split("\n", 1)[1])
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "base_state": {"pc": 1},
+        "varying_registers": [["a1", [32768, 32832]]]}))
+    argv = ["hw-check", str(snippet), "--space", str(space), "--mode"]
+    assert run_cli(["sta", str(snippet)], capsys)[0] == 0
+    code, out = run_cli(argv + ["burst_sta", "--json"], capsys)
+    assert code == 64
+    assert "start at instruction 0" in json.loads(out)["error"]
+    assert run_cli(argv + ["burst"], capsys) == (1, "violated\n")
+
+
 def test_corpus_verify_ok(capsys):
     import warnings
     with warnings.catch_warnings():

@@ -59,6 +59,15 @@ def test_overlap_rejected():
         small_table({0: (0, 16), 1: (12, 8)})
 
 
+def test_region_named_twice_in_json_rejected():
+    document = {"1": {"base": 16, "size": 8}, "01": {"base": 100, "size": 4},
+                "0": {"base": 0, "size": 16}}
+    with pytest.raises(ValueError, match="region 1 is listed twice"):
+        PartitionTable.from_json(document)
+    del document["01"]
+    assert PartitionTable.from_json(document).entries == {1: (16, 8), 0: (0, 16)}
+
+
 def test_oversize_entry_rejected():
     with pytest.raises(ExceedsCapacity):
         small_table({0: (0, 512)})       # size does not fit a 9-bit field

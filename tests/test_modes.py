@@ -10,7 +10,8 @@ from rmikit.contracts import (SEQ, SHM, STL, SelfContainmentViolation,
                               contract_trace, contract_trace_set)
 from rmikit.machine import ArchState, MemoryLayout
 from rmikit.modes import (BURST, BURST_STA, INSECURE, MI6, SAFE,
-                          ReportProgramMismatch, hw_trace_set, sta_gate)
+                          ReportProgramMismatch, UnanalyzedStart,
+                          hw_trace_set, sta_gate)
 from rmikit.ni import Policy
 
 LAYOUT = MemoryLayout()
@@ -131,3 +132,20 @@ def test_sta_gate_program_mismatch():
         sta_gate(program, report)
     with pytest.raises(ReportProgramMismatch):
         hw_trace_set(program, ArchState(), LAYOUT, BURST_STA, sta_report=None)
+
+
+def test_burst_sta_refuses_a_start_pc_other_than_zero():
+    """The analysis unwinds to instruction 0: starting at 1 skips the li
+    it relied on, so burst_sta refuses the state; other modes take it."""
+    program = parse_program("li a1, 0x8000\ncsrwi MSPEC, BURST_ON\n"
+                            "beq a0, a0, done\nlbu t1, 0(a1)\ndone:\n"
+                            "csrwi MSPEC, BURST_OFF\n")
+    report = analyze(program, Policy(), LAYOUT)
+    assert report.verdict == "pass"
+    state = ArchState(pc=1, regs={A1: 0x8040})
+    with pytest.raises(UnanalyzedStart, match="not at 1"):
+        hw_trace_set(program, state, LAYOUT, BURST_STA, sta_report=report)
+    assert hw_trace_set(program, ArchState(), LAYOUT, BURST_STA,
+                        sta_report=report)
+    for mode in (INSECURE, MI6, SAFE, BURST):
+        assert hw_trace_set(program, state, LAYOUT, mode)
