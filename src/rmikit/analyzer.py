@@ -15,7 +15,9 @@ a branch or jump target outside the program precedes nothing (inside a
 region it is a NotSelfContained violation). Each region adds its own
 divergence edges, one per branch or jump in it. The prefix is unwound to
 instruction 0, the program's entry, so a verdict covers the runs that
-start there; `modes` refuses burst_sta from any other start pc.
+start there; `modes` refuses burst_sta from any other start pc. Leaks are
+reported on reaching instruction 0, and the walk goes on through the
+edges into it, so a loop back to the entry is unwound like any other.
 
 A program fails when a secret initial register can be leaked on a
 speculative-only path, or conservatively whenever a leaked value depends
@@ -161,8 +163,9 @@ def _backward_transfer(ins, leaked, speculative):
         return leaked, False, False
     if op in ("jal", "jalr"):          # link value is pc-derived, public
         return leaked - {ins.rd}, False, False
-    # register-writing arithmetic reads exactly its rs1 and rs2, where set
-    sources = {r for r in (ins.rs1, ins.rs2) if r is not None}
+    # register-writing arithmetic reads exactly its rs1 and rs2, where set;
+    # x0 reads as 0 and carries nothing
+    sources = {r for r in (ins.rs1, ins.rs2) if r}
     return (leaked - {ins.rd}) | sources, False, False
 
 
@@ -240,15 +243,15 @@ def _walk(program, public, preds, divergences, t_index, budget):
 
         if not steps:
             if position == 0:
-                # architectural prefix fully unwound: what is still in the
-                # leaked set is an initial-register leak on a speculative path
+                # architectural prefix unwound to the entry: what is still in
+                # the leaked set is an initial-register leak on a speculative
+                # path; a loop back to instruction 0 goes on through preds[0]
                 for reg in sorted(leaked - public):
                     if (reg, condition) not in leaks:
                         leaks.add((reg, condition))
                         violations.append(Violation(
                             "SecretLeak", register=reg, transmitter=t_index,
                             condition=condition, path=path))
-                continue
             arms = [(pred, condition, 0) for pred in preds[position]]
         else:
             arms = ([(pred, None, steps + 1) for pred in preds[position]]

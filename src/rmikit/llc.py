@@ -12,13 +12,17 @@ or None for a region with no range; every set lookup reads that tuple.
 Line tags (full line addresses) keep the entire original set index, so
 arbitrarily small ranges stay unambiguous. Each cache set is a dict from
 (tag, region) to whether the line came from the zero device, least
-recently used first. Flushing a region is done the way the hardware
-would: by reading an eviction set in a zero-device address space that
-aliases the region's cache indexing but always returns zeros. The
-eviction set puts the set offset below bit 16 and the way in bits 16 to
-24, so a table is accepted only on a geometry where that set covers
-every (set, way) of a range: power-of-two line size and set count, a
-line size times set count of at most 1 << 16, and at most 1 << 9 ways.
+recently used first. The hardware flushes a region by reading an
+eviction set in a zero-device address space that aliases the region's
+cache indexing but always returns zeros. The eviction set puts the set
+offset below bit 16 and the way in bits 16 to 24, so a table is accepted
+only on a geometry where that set covers every (set, way) of a range:
+power-of-two line size and set count, a line size times set count of at
+most 1 << 16, and at most 1 << 9 ways. On such a geometry the walk's
+outcome is fixed: each set of the range ends up holding exactly its
+offset's `ways` zero-device lines, in way order. The model writes that
+outcome directly; the flush still costs size x ways accesses, counted
+in `accesses`.
 """
 
 from __future__ import annotations
@@ -217,17 +221,26 @@ class PartitionedCache:
                 if owner == region and not zero]
 
     def flush_region(self, region):
-        """Evict every line of `region` by walking a zero-device eviction
-        set covering each way of each set in the region's range; returns
-        the number of accesses performed (size_sets x ways)."""
+        """Evict every line of `region` by writing what reading its
+        zero-device eviction set leaves behind: each set of the range
+        holds exactly its offset's `ways` zero-device lines, in way
+        order. The reads are still counted in `accesses`, and the number
+        of them (size_sets x ways) is returned."""
         base, size = self.table.range_of(region)
         geometry = self.table.geometry
-        count = 0
+        ways = geometry.ways
+        # The table's geometry condition (power-of-two line size and set
+        # count spanning at most 1 << WAY_SHIFT bytes) makes the eviction
+        # line of (offset, way) that of (0, way) plus offset, landing in
+        # set base + offset by access's formula, with distinct tags per
+        # way; reading them all leaves each set holding just those lines.
+        way_lines = [zero_device_address(region, 0, way, geometry)
+                     // geometry.line_bytes for way in range(ways)]
         for offset in range(size):
-            for way in range(geometry.ways):
-                self.access(zero_device_address(region, offset, way, geometry))
-                count += 1
-        return count
+            self.sets[base + offset] = {
+                (line + offset, region): True for line in way_lines}
+        self.accesses += size * ways
+        return size * ways
 
     def configure(self, new_table, running_enclaves):
         """Validated reconfiguration: only allowed with no enclave running

@@ -6,6 +6,12 @@ analyzer's on every jalr-free program whose branch and jump targets lie
 in the program (it treats `jalr` as falling through, and a target outside
 the program raises KeyError).
 
+Two soundness fixes were made here as in rmikit.analyzer, so that the two
+still agree: `_backward_transfer` takes only a nonzero rs1 or rs2 as an
+arithmetic source (x0 is never a leaked register), and after reporting
+the leaks at instruction 0 the walk goes on through the edges into it (a
+loop back to instruction 0 is unwound more than once).
+
 The original module docstring follows.
 
 Static analyzer gating burst regions.
@@ -172,7 +178,7 @@ def _backward_transfer(ins, leaked, speculative):
     # register-writing arithmetic reads exactly its rs1 and rs2, where set
     if ins.rd not in leaked:
         return leaked, False, False
-    sources = {r for r in (ins.rs1, ins.rs2) if r is not None}
+    sources = {r for r in (ins.rs1, ins.rs2) if r}
     return (leaked - {ins.rd}) | sources, False, False
 
 
@@ -253,8 +259,9 @@ def _explore_transmitter(program, policy, region, t_index, sources,
         seen.add(key)
 
         if not speculative and position == 0:
-            # architectural prefix fully unwound: what is still in the
-            # leaked set is an initial-register leak on a speculative path
+            # architectural prefix unwound to the entry: what is still in
+            # the leaked set is an initial-register leak on a speculative
+            # path; the walk then goes on through the edges into 0
             for reg in sorted(leaked):
                 if reg in policy.public_regs:
                     continue
@@ -264,7 +271,6 @@ def _explore_transmitter(program, policy, region, t_index, sources,
                     violations.append(Violation(
                         "SecretLeak", register=reg, transmitter=t_index,
                         condition=condition, path=path))
-            continue
 
         def expand(pred, new_condition, new_steps):
             nonlocal mdl_reported

@@ -300,6 +300,51 @@ def test_target_outside_program_before_region_precedes_nothing(target):
         (A2, "branch at line 3 taken")}
 
 
+# A loop back to instruction 0: after two iterations a1 holds the
+# initial a4, which only a walk that unwinds the loop twice finds.
+LOOP_TO_ENTRY = parse_program("""\
+top:
+mv a1, a2
+mv a2, a4
+addi a3, a3, -1
+bne a3, zero, top
+csrwi MSPEC, BURST_ON
+beq a0, a0, done
+lbu t1, 0(a1)
+done:
+csrwi MSPEC, BURST_OFF
+""")
+A4 = reg_num("a4")
+
+
+def test_walk_goes_on_through_an_edge_into_instruction_0():
+    public = Policy(public_regs=frozenset({A2, A3}))
+    report = analyze(LOOP_TO_ENTRY, public, LAYOUT)
+    assert report.leaked_initial_registers == {(A4, "branch at line 7 taken")}
+    assert "initial value of a4 can be leaked by the instruction at line 8 " \
+        "when branch at line 7 taken" in explain(report)
+    space = StateSpace(ArchState(regs={A2: 0x8000, A3: 2}),
+                       varying_registers=((A4, (0x8000, 0x8040)),))
+    assert not check_relative_ni(LOOP_TO_ENTRY, (SHM, SEQ), (SHM, STL),
+                                 space, LAYOUT).holds
+
+
+X0_SOURCE = parse_program("""\
+csrwi MSPEC, BURST_ON
+beq a0, a0, done
+add t1, zero, a2
+lbu t0, 0(t1)
+done:
+csrwi MSPEC, BURST_OFF
+""")
+
+
+def test_x0_arithmetic_source_is_not_a_leaked_register():
+    assert _leaked(analyze(X0_SOURCE, ALL_SECRET, LAYOUT)) == {A2}
+    report = analyze(X0_SOURCE, Policy(public_regs=frozenset({A2})), LAYOUT)
+    assert report.verdict == "pass" and report.violations == []
+
+
 def test_report_verdict_and_leaks_follow_violations():
     report = analyze(MEMCPY_LEFT, ALL_SECRET, LAYOUT)
     assert report.leaked_initial_registers == {

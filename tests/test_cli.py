@@ -186,6 +186,58 @@ def test_jalr_in_prefix_fails_sta_and_burst_sta_holds(capsys, tmp_path):
     assert code == 0 and out == "holds\n"
 
 
+LOOP_TO_ENTRY = """\
+top:
+mv a1, a2
+mv a2, a4
+addi a3, a3, -1
+bne a3, zero, top
+csrwi MSPEC, BURST_ON
+beq a0, a0, done
+lbu t1, 0(a1)
+done:
+csrwi MSPEC, BURST_OFF
+"""
+
+
+def test_loop_to_entry_fails_sta_and_burst_sta_holds(capsys, tmp_path):
+    """a3 = 2 runs the loop twice, so a1 holds the initial a4: sta unwinds
+    the loop through its edge into instruction 0 and reports a4, so
+    burst_sta refuses the program and holds."""
+    paths = {"s": LOOP_TO_ENTRY,
+             "policy.json": json.dumps({"public_regs": ["a2", "a3"]}),
+             "space.json": json.dumps({
+                 "base_state": {"pc": 0, "regs": {"a2": 32768, "a3": 2}},
+                 "varying_registers": [["a4", [32768, 32832]]]})}
+    for name, text in paths.items():
+        (tmp_path / name).write_text(text)
+    snippet, policy = str(tmp_path / "s"), str(tmp_path / "policy.json")
+    code, out = run_cli(["sta", snippet, "--policy", policy], capsys)
+    assert code == 2
+    assert out.startswith("initial value of a4 can be leaked by the "
+                          "instruction at line 8 when branch at line 7 taken\n")
+    code, out = run_cli(["hw-check", snippet, "--mode", "burst_sta",
+                         "--contract", "shm:seq", "--policy", policy,
+                         "--space", str(tmp_path / "space.json")], capsys)
+    assert code == 0 and out == "holds\n"
+
+
+def test_sta_x0_source_is_not_reported(capsys, tmp_path):
+    snippet = tmp_path / "s.s"
+    snippet.write_text("csrwi MSPEC, BURST_ON\nbeq a0, a0, done\n"
+                       "add t1, zero, a2\nlbu t0, 0(t1)\ndone:\n"
+                       "csrwi MSPEC, BURST_OFF\n")
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"public_regs": ["a2"]}))
+    code, out = run_cli(["sta", str(snippet), "--policy", str(policy),
+                         "--json"], capsys)
+    assert code == 0 and json.loads(out)["violations"] == []
+    code, out = run_cli(["sta", str(snippet), "--json"], capsys)
+    assert code == 2
+    assert json.loads(out)["leaked_initial_registers"] == [
+        ["a2", "branch at line 2 taken"]]
+
+
 @pytest.mark.parametrize("target", ["100", "-3"])
 def test_sta_branch_outside_program(target, capsys, tmp_path):
     """In a region the branch leaves it (exit 2); before the region it

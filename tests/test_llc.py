@@ -228,6 +228,72 @@ def test_accepted_geometry_flushes_every_line(geometry):
     assert cache.lines_of_region(1) == []
 
 
+# ------------------------------------------- flush against the eviction walk
+
+def _walk(cache, region):
+    """The flush that flush_region replaced: read the zero-device eviction
+    set, one access per way of each set of the region's range."""
+    _, size = cache.table.range_of(region)
+    geometry = cache.table.geometry
+    count = 0
+    for offset in range(size):
+        for way in range(geometry.ways):
+            cache.access(zero_device_address(region, offset, way, geometry))
+            count += 1
+    return count
+
+
+def _items(cache):
+    return [list(lines.items()) for lines in cache.sets]
+
+
+def _fill(cache):
+    """Every third line of a region-1 stream twice the size of its range,
+    so sets are partly filled, and one line of region 0."""
+    geometry = cache.table.geometry
+    _, size = cache.table.range_of(1)
+    for original in range(0, 2 * size * geometry.ways, 3):
+        cache.access((1 << 25) | (original * geometry.line_bytes))
+    cache.access(5 * geometry.line_bytes)
+
+
+FLUSH_CASES = {
+    "empty": (GEOMETRY, {0: (0, 16), 1: (16, 8)}, lambda cache: None),
+    "partly-filled": (GEOMETRY, {0: (0, 16), 1: (16, 8)}, _fill),
+    "second-flush": (GEOMETRY, {0: (0, 16), 1: (16, 8)},
+                     lambda cache: _walk(cache, 1)),
+    "one-set": (GEOMETRY, {0: (0, 16), 1: (16, 1)}, _fill),
+    "512-ways": (Geometry(total_bytes=64 * 512 * 4, ways=512, line_bytes=64),
+                 {0: (0, 1), 1: (1, 3)}, _fill),
+    "4096-byte-lines": (
+        Geometry(total_bytes=4096 * 2 * 16, ways=2, line_bytes=4096),
+        {0: (0, 4), 1: (4, 12)}, _fill),
+}
+
+
+@pytest.mark.parametrize("case", FLUSH_CASES)
+def test_flush_region_leaves_what_the_eviction_walk_leaves(case):
+    """The return value, `accesses` and every set's ordered entries after
+    flush_region are those after the walk it replaced, on a twin cache."""
+    geometry, entries, prepare = FLUSH_CASES[case]
+    flushed, walked = (PartitionedCache(PartitionTable(entries, geometry))
+                       for _ in range(2))
+    prepare(flushed)
+    prepare(walked)
+    assert flushed.flush_region(1) == _walk(walked, 1)
+    assert flushed.accesses == walked.accesses
+    assert _items(flushed) == _items(walked)
+
+
+def test_flush_of_a_region_without_range_changes_nothing():
+    cache = PartitionedCache(small_table({0: (0, 16), 1: (16, 8)}))
+    _fill(cache)
+    before = _items(cache), cache.accesses
+    with pytest.raises(RegionOutOfRange):
+        cache.flush_region(5)
+    assert (_items(cache), cache.accesses) == before
+
+
 # ---------------------------------------------- differential against a model
 
 REGIONS = (0, 1, 2, 63)      # region 5 never gets a range
@@ -286,8 +352,10 @@ def _outcome(call, *args):
 @given(geometry=geometries(), data=st.data())
 def test_cache_matches_list_model(geometry, data):
     """Every hit and miss, every change of `accesses`, the lines of every
-    region, and the set each accessed line lands in agree with the
-    list-based LRU model, over access, flush and configure sequences."""
+    region, the set each accessed line lands in, and each set's ordered
+    entries (tag, region, zero), zero-device lines and LRU order
+    included, agree with the list-based LRU model, over access, flush and
+    configure sequences."""
     entries = _draw_entries(data, geometry.total_sets, {}, REGIONS)
     cache = PartitionedCache(PartitionTable(entries, geometry))
     model = LruModel(entries, geometry.total_sets, geometry.ways,
@@ -323,3 +391,5 @@ def test_cache_matches_list_model(geometry, data):
         assert cache.accesses == model.accesses
         for region in range(64):
             assert cache.lines_of_region(region) == model.lines_of_region(region)
+        assert [[(tag, region, zero) for (tag, region), zero in lines.items()]
+                for lines in cache.sets] == model.sets
