@@ -11,15 +11,17 @@ Commands:
 
 Exit codes: 0 success / verdict reproduced, 1 check violated (or a
 parse error, or a well-formed --table the cache refuses), 2 analysis
-failed, 3 path explosion (the analyzer's path bound, the enumeration cap,
-or a committed path out of fuel), 4 the committed path faults, 64 usage
-error (a missing or unreadable snippet or input file, a --layout,
---policy, --space, --state or --table file that is not JSON or not such a
-document, such as a --table naming one region twice, a state space that
-cannot be enumerated, such as one with an empty value domain, or a
-hw-check --mode burst_sta whose space starts at a pc other than 0, where
-the analysis does not start). Every error prints {"error": ...} on stdout with
---json, and its message on stderr otherwise.
+failed, 3 path explosion (the analyzer's path bound, the enumeration cap
+on a trace set's window combinations or on the pieces an NI check forms,
+never on the states of a space, or a committed path out of fuel), 4 the
+committed path faults, 64 usage error (a missing or unreadable snippet
+or input file, a --layout, --policy, --space, --state or --table file
+that is not JSON or not such a document, such as a --table naming one
+region twice, a state space that cannot be enumerated, such as one with
+an empty value domain, or a hw-check --mode burst_sta whose space starts
+at a pc other than 0, where the analysis does not start). Every error
+prints {"error": ...} on stdout with --json, and its message on stderr
+otherwise.
 """
 
 from __future__ import annotations

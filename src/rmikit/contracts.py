@@ -38,8 +38,8 @@ empty run). A path not at its end after FUEL steps raises
 
 Constants, not parameters, bound every verdict: `FUEL` a committed path,
 `SPEC_DEPTH` a wrong-path window (the analyzer's too), and `ENUM_CAP` the
-product of a trace set's per-point choice counts and the states of a
-state space.
+product of a trace set's per-point choice counts, the pieces an NI check
+forms (ni._check) and the states of a listed state space.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .machine import (CONTROL, OTHER, PRIVATE, SETS_BURST_OFF, SETS_BURST_ON,
 FUEL = 10_000
 # The most instructions a wrong-path window runs.
 SPEC_DEPTH = 8
-# The most combinations of window choices in a trace set, and the most
-# states in a state space.
+# The most combinations of window choices in a trace set, pieces an NI
+# check forms, and states a listed state space holds.
 ENUM_CAP = 1 << 16
 
 # Writing the speculation CSR ends every wrong-path window.

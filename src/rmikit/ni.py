@@ -1,28 +1,43 @@
-"""Brute-force non-interference oracles over small enumerable state spaces.
+"""Exact non-interference oracles over finite state spaces.
 
-Three checks, all exhaustive over a finite state space:
+Three checks, each over every state of a finite state space:
 
     direct NI     equal public state implies equal contract traces
     relative NI   equal traces under contract A implies equal under B
     satisfaction  equal contract traces implies equal hardware traces
 
 A state of a space is the tuple of its varying components' values, one
-slot per row of the space's component table (`_components`), and the
-checks walk the product of the domains lazily, keying everything by
-tuple. Both sides of a check are projections of one committed run
-(contracts.simulate_committed), and one run serves every tuple that
-agrees with an explored one on each slot the run may have read
-(`_shared_runs`); an ArchState is built only for a run or a witness.
-Trace sets are compared as node ids of one contracts.TraceDag per check,
-and listed only for a violation's witness detail. States are grouped by
-the left-hand-side key (public slots, or the node of the A-trace set),
-so each state is compared only with its group's first state.
+slot per row of the space's component table (`_components`). States are
+grouped by the left-hand-side key (public slots, or the node of the
+A-trace set), and a check is the walk of every state in order, the
+product of the domains with the last slot varying fastest, that compares
+each state with its group's first state and stops at the first mismatch.
+
+`_check` decides that walk by cubes of read classes rather than state by
+state, in the spirit of the input classes of Oleksenko et al., Revizor
+(ASPLOS 2022). Both sides of a check are projections of one committed
+run (contracts.simulate_committed), and a deterministic run depends only
+on the components of its initial state that it reads: every state that
+agrees with a run's state on each slot the run may have read
+(contracts.read_walk) has the same run, and so the same key and value.
+The space is split DPLL-style (Davis, Logemann and Loveland, CACM 1962)
+along the read sets of the runs, least state first, into such cubes, and
+the groups, `pairs_checked` and the first mismatching pair follow from
+the cubes, cut by the values of their unread public slots, exactly as
+the walk of every state would find them. The work therefore grows with
+the read classes and public patterns, not with the states: `ENUM_CAP`
+bounds the pieces a check forms, and only `enumerate_states` lists
+states. An ArchState is built only for a run or a witness. Trace sets
+are compared as node ids of one contracts.TraceDag per check, and listed
+only for a violation's witness detail.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import add, itemgetter
 
 from .contracts import (EMPTY_TRACE, TraceDag, enforce_enum_cap, read_walk,
                         simulate_committed, trace_set_to_json)
@@ -103,22 +118,23 @@ def _state(base, table, values):
 
 def enumerate_states(space, layout):
     """All states of the space, in a deterministic order: the product of
-    the domains, the last component varying fastest."""
+    the domains, the last component varying fastest. Listing more than
+    ENUM_CAP states is refused."""
+    enforce_enum_cap(space.size(), "states")
     table = _components(space, layout)
     return [_state(space.base_state, table, values)
             for values in itertools.product(*(domain for *_, domain in table))]
 
 
 def _public(table, policy):
-    """The public projection of a tuple under `policy`: its shared cells
-    and the registers and private cells the policy lists. Every other
+    """The public slots of a tuple under `policy`: its shared cells and
+    the registers and private cells the policy lists. Every other
     component, and the pc, is the base state's in every state of a space,
-    so equal projections are pi-equivalence."""
-    slots = [i for i, (name, key, _, _) in enumerate(table)
-             if name == "shared_mem"
-             or key in (policy.public_regs if name == "regs"
-                        else policy.public_private_cells)]
-    return lambda values: tuple([values[i] for i in slots])
+    so equal projections on these slots are pi-equivalence."""
+    return [i for i, (name, key, _, _) in enumerate(table)
+            if name == "shared_mem"
+            or key in (policy.public_regs if name == "regs"
+                       else policy.public_private_cells)]
 
 
 @dataclass
@@ -138,15 +154,20 @@ class NiVerdict:
         return out
 
 
-def _shrink(a, b, table, observe):
+def _shrink(a, b, resets, observe):
     """Greedy witness minimization: reset slots to their base values, one
-    at a time in both tuples, while the violation persists. `a` and `b`
-    are (tuple, value) pairs, and so is the result."""
+    at a time in both tuples, while the violation persists. `resets` is
+    the domain index of each slot's base value, or None where the base
+    value lies outside the slot's domain, so a witness never leaves the
+    space. `a` and `b` are (index tuple, value) pairs, and so is the
+    result."""
     changed = True
     while changed:
         changed = False
-        for i, (_, _, base_value, _) in enumerate(table):
-            na, nb = (v[:i] + (base_value,) + v[i + 1:] for v in (a[0], b[0]))
+        for i, reset in enumerate(resets):
+            if reset is None:
+                continue
+            na, nb = (v[:i] + (reset,) + v[i + 1:] for v in (a[0], b[0]))
             if (na, nb) == (a[0], b[0]):
                 continue
             (key_a, value_a), (key_b, value_b) = observe(na), observe(nb)
@@ -156,85 +177,138 @@ def _shrink(a, b, table, observe):
     return a, b
 
 
-def _shared_runs(program, base, table, layout, derive):
-    """`derive(run)` of the committed run of each observed tuple, where one
-    run serves every tuple that agrees on the slots it read.
+def _projection(slots):
+    """The function from a tuple to its values on `slots`."""
+    return itemgetter(*slots) if slots else lambda values: ()
 
-    A deterministic run depends only on the components of the initial
-    state it reads, and `contracts.read_walk` lists their slots once
-    `derive` has forced the check's windows. Every state of a check is
-    `base` with a tuple's values on the table's components, so two states
-    cannot differ outside the varying components: a tuple that agrees
-    with an explored one on every slot its run read has the same run and
-    the same result. Only the result is kept: node ids of the check's
-    TraceDag, never the run, whose snapshots hold components it did not
-    read. The memo maps each distinct read set to a dict from the values
-    on it to the result.
 
-    The last tuple of a check's walk (the product of the domains, so each
-    domain's last value) is never entered: no later tuple of the walk can
-    probe it, and a shrink that would have hit it runs it again.
-    """
-    registers, cells = {}, {}
-    for i, (name, key, _, _) in enumerate(table):
-        (registers if name == "regs" else cells)[key] = i
-    reads = read_walk(program, registers, cells)
-    last = tuple(domain[-1] for *_, domain in table)
-    memo = {}
-
-    def observe(values):
-        for read_set, results in memo.items():
-            result = results.get(tuple([values[i] for i in read_set]))
-            if result is not None:
-                return result
-        run = simulate_committed(program, _state(base, table, values), layout)
-        result = derive(run)
-        if values != last:
-            read_set = reads(run)
-            memo.setdefault(read_set, {})[
-                tuple([values[i] for i in read_set])] = result
-        return result
-
-    return observe
+def _pieces(lo, hi, public):
+    """The least state of each piece of the cube `(lo, hi)`: one per
+    combination of the values of its free public slots."""
+    firsts = [lo]
+    for i in public:
+        if hi[i] - lo[i] > 1:
+            firsts = [first[:i] + (index,) + first[i + 1:]
+                      for first in firsts for index in range(lo[i], hi[i])]
+    return firsts
 
 
 def _check(program, space, layout, derive, detail_names, policy=None):
     """Shared engine: `derive(dag, run)` gives a committed run's (key,
-    value) with trace sets as nodes of the check's `dag`, and a tuple's
-    group key is its run's key plus, for direct NI, its public projection
-    under `policy`. Within each group all values must be equal; the first
-    mismatching pair, shrunk, is the witness, and the trace sets of its
-    two values are its detail under `detail_names`."""
-    enforce_enum_cap(space.size(), "states")
+    value) with trace sets as nodes of the check's `dag`, and a state's
+    group key is its run's key plus, for direct NI, its public slots
+    under `policy`. The verdict is that of the walk of every state in
+    order which stops at the first state whose value differs from its
+    group's first state's, with the pair, shrunk, as witness and the
+    trace sets of its two values as detail under `detail_names`. It is
+    decided by cubes, with states as tuples of domain indices:
+
+    - A box `(lo, hi)` holds, per slot, the indices from lo to hi - 1,
+      and `lo` is its least state. Boxes are popped in the order of
+      their least states, so every state below the next box lies in an
+      explored cube.
+    - The run of a box's least state, or a memoised run whose read set
+      it agrees with, serves the cube of the box with the read slots
+      fixed to its values. The rest of the box is pushed back, split
+      DPLL-style: per read slot, the earlier read slots fixed and this
+      one past the run's value. A box of one state is its own cube, and
+      its run is memoised for that state alone, not walked for reads.
+    - A cube is cut into pieces by the values of its free public slots,
+      so each piece lies in one group. A group keeps its least state and
+      its least state with another value, its first violator. Once the
+      next box lies past the least violator `t` of all groups, every
+      state up to `t` is explored and `t` is the walk's first mismatch.
+
+    A state whose run raises is the least state of the box popped once
+    every smaller state is explored, so a check raises where the walk
+    would. `ENUM_CAP` bounds the pieces a check forms.
+    """
     table = _components(space, layout)
-    public = (lambda values: ()) if policy is None else _public(table, policy)
+    domains = [domain for *_, domain in table]
+    public = () if policy is None else _public(table, policy)
     base, dag = space.base_state, TraceDag()
-    run_result = _shared_runs(program, base, table, layout,
-                              lambda run: derive(dag, run))
+    registers, cells = {}, {}
+    for i, (name, key, _, _) in enumerate(table):
+        (registers if name == "regs" else cells)[key] = i
+    reads = read_walk(program, registers, cells)
+    every_slot = tuple(range(len(table)))
+    ones = (1,) * len(table)
+    memo = {}       # read set -> (its projection, {projection: (key, value)})
 
-    def observe(values):
-        key, value = run_result(values)
-        return (public(values), key), value
+    def state(lo):
+        return _state(base, table, tuple([d[i] for d, i in zip(domains, lo)]))
 
-    groups = {}
-    pairs = 0
-    for values in itertools.product(*(domain for *_, domain in table)):
-        key, value = observe(values)
-        if key not in groups:
-            groups[key] = (values, value)
-            continue
-        pairs += 1
-        if value != groups[key][1]:
-            (a, value_a), (b, value_b) = _shrink(
-                groups[key], (values, value), table, observe)
-            name_a, name_b = detail_names
-            return NiVerdict(
-                holds=False, witness=(_state(base, table, a),
-                                      _state(base, table, b)),
-                witness_detail={name_a: trace_set_to_json(dag.traces(value_a)),
-                                name_b: trace_set_to_json(dag.traces(value_b))},
-                pairs_checked=pairs)
-    return NiVerdict(holds=True, pairs_checked=pairs)
+    def explore(lo, hi=None):
+        """The (key, value) of the state `lo` and the read set its run
+        shares. The run of a box `(lo, hi)` of one state is memoised for
+        `lo` alone, not walked."""
+        for read_set, (project, results) in memo.items():
+            result = results.get(project(lo))
+            if result is not None:
+                return result, read_set
+        run = simulate_committed(program, state(lo), layout)
+        result = derive(dag, run)
+        read_set = (every_slot if hi == tuple(map(add, lo, ones))
+                    else reads(run))
+        if read_set not in memo:
+            memo[read_set] = (_projection(read_set), {})
+        project, results = memo[read_set]
+        results[project(lo)] = result
+        return result, read_set
+
+    project = _projection(public)
+    heap = [((0,) * len(domains), tuple([len(domain) for domain in domains]))]
+    groups = {}     # (public projection, key) -> [first, value, violator, value]
+    t = None        # the group of the least violator
+    pieces = 0
+    while heap and (t is None or heap[0][0] < t[2]):
+        lo, hi = heappop(heap)
+        (key, value), read_set = explore(lo, hi)
+        hi = list(hi)
+        for r in read_set:
+            if lo[r] + 1 < hi[r]:
+                heappush(heap, (lo[:r] + (lo[r] + 1,) + lo[r + 1:], tuple(hi)))
+                hi[r] = lo[r] + 1
+        n = 1
+        for i in public:
+            n *= hi[i] - lo[i]
+        pieces += n
+        enforce_enum_cap(pieces, "cubes")
+        for first in _pieces(lo, hi, public) if n > 1 else (lo,):
+            group_key = (project(first), key)
+            group = groups.get(group_key)
+            if group is None:
+                groups[group_key] = [first, value, None, None]
+                continue
+            if first < group[0]:
+                if value != group[1]:
+                    group[2:] = group[:2]
+                group[:2] = first, value
+            elif value != group[1] and (group[2] is None or first < group[2]):
+                group[2:] = first, value
+            if group[2] is not None and (t is None or group[2] < t[2]):
+                t = group
+    if t is None:
+        return NiVerdict(holds=True, pairs_checked=space.size() - len(groups))
+    violator = t[2]
+    rank = 0
+    for domain, i in zip(domains, violator):
+        rank = rank * len(domain) + i
+    resets = [domain.index(base_value) if base_value in domain else None
+              for (_, _, base_value, domain) in table]
+
+    def observe(lo):
+        (key, value), _ = explore(lo)
+        return (project(lo), key), value
+
+    (a, value_a), (b, value_b) = _shrink(t[:2], t[2:], resets, observe)
+    name_a, name_b = detail_names
+    return NiVerdict(
+        holds=False, witness=(state(a), state(b)),
+        witness_detail={name_a: trace_set_to_json(dag.traces(value_a)),
+                        name_b: trace_set_to_json(dag.traces(value_b))},
+        # the states up to t, less the first state of each group below t
+        pairs_checked=rank + 1 - sum(g[0] < violator for g in groups.values()))
 
 
 def check_direct_ni(program, contract, policy, space, layout):

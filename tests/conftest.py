@@ -1,10 +1,13 @@
 """Hypothesis profiles. The default profile is hypothesis's own; CI runs
 tier-1 with `--hypothesis-profile=ci`, which gives the properties that
 take their example count from the profile (the differential ones in
-test_decode.py and test_analyzer.py, and those of test_llc.py, among
-them test_cache_matches_list_model, which compares each set's ordered
-entries, zero-device lines included, with the LRU model's) ten times as
-many examples, and prints the reproduction blob of a failing example."""
+test_decode.py and test_analyzer.py; those of test_shared_runs.py,
+test_cubes_match_tuple_walk, which compares every NI check decided by
+cubes with the tuple walk of tests/ni_oracle.py; and those of
+test_llc.py, among them test_cache_matches_list_model, which compares
+each set's ordered entries, zero-device lines included, with the LRU
+model's) ten times as many examples, and prints the reproduction blob
+of a failing example."""
 
 from hypothesis import settings
 

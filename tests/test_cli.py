@@ -86,6 +86,51 @@ def test_ni_command_violated_exit(capsys, tmp_path):
     assert code == 0 and "holds" in out
 
 
+def test_ni_command_past_the_state_cap(capsys, tmp_path):
+    """spectre_v1 over 2^20 states, a0 over 16 values and a full byte at
+    0x1008 and at 0x1002, is decided: it holds under (shm, seq)."""
+    space, policy, layout = (tmp_path / name for name in
+                             ("space.json", "policy.json", "layout.json"))
+    space.write_text(json.dumps({
+        "base_state": {"pc": 0, "regs": {"a0": 8}},
+        "varying_registers": [["a0", list(range(16))]],
+        "varying_cells": [["0x1008", list(range(256))],
+                          ["0x1002", list(range(256))]]}))
+    policy.write_text(json.dumps({
+        "public_regs": ["a0"], "public_private_cells": ["0x1002"]}))
+    layout.write_text(json.dumps({"private": ["0x1000", "0x2000"],
+                                  "shared": ["0x8000", "0xC000"]}))
+    code, out = run_cli(["ni", f"{CORPUS}/spectre_v1.s", "--space", str(space),
+                         "--policy", str(policy), "--layout", str(layout),
+                         "--direct", "shm:seq", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "holds",
+                               "pairs_checked": (1 << 20) - 16 * 256}
+
+
+def test_ni_witness_stays_in_the_space(capsys, tmp_path):
+    """The witness shrink resets a slot to its base value only when that
+    value is in the slot's domain. a2's base, 0, is not: resetting it
+    would load from the unmapped 0x0, where every state of the space
+    loads from shared memory."""
+    snippet, space, policy = (tmp_path / name for name in
+                              ("w.s", "space.json", "policy.json"))
+    snippet.write_text("lbu t1, 0(a2)\nli a1, 0x8000\nadd a1, a1, a0\n"
+                       "lbu t0, 0(a1)\n")
+    space.write_text(json.dumps({
+        "base_state": {"pc": 0, "regs": {}},
+        "varying_registers": [["a0", [2, 8]], ["a2", [32768, 32769]]]}))
+    policy.write_text(json.dumps({"public_regs": ["a2"]}))
+    code, out = run_cli(["ni", str(snippet), "--space", str(space),
+                         "--policy", str(policy), "--direct", "shm:spec",
+                         "--json"], capsys)
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    for state in witness.values():
+        assert state["regs"]["a0"] in (2, 8)
+        assert state["regs"]["a2"] in (32768, 32769)
+
+
 def test_zero_x0_in_documents_is_dropped(capsys, tmp_path):
     """An x0 of 0 in a --state or a base_state is accepted and changes
     nothing; a nonzero one is a usage error (see the malformed inputs)."""

@@ -1,6 +1,7 @@
 """Non-interference oracle tests."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from rmikit.ni import (Policy, StateSpace, check_direct_ni,
                        check_hw_satisfies_one, check_relative_ni,
                        enumerate_states)
 
+import ni_oracle
 from test_shared_runs import _programs
 
 LAYOUT = MemoryLayout()
@@ -70,10 +72,11 @@ def _assert_projection_is_pi_key(space, policy):
     """The checkers' public projection of tuples splits every pair of
     states of the space as `pi_key` does."""
     table = ni._components(space, LAYOUT)
-    project = ni._public(table, policy)
-    keys = [(pi_key(state, policy), project(values)) for state, values in zip(
-        enumerate_states(space, LAYOUT),
-        itertools.product(*(domain for *_, domain in table)))]
+    slots = ni._public(table, policy)
+    keys = [(pi_key(state, policy), [values[i] for i in slots])
+            for state, values in zip(
+                enumerate_states(space, LAYOUT),
+                itertools.product(*(domain for *_, domain in table)))]
     assert len(keys) == space.size()
     for (pi_a, public_a), (pi_b, public_b) in itertools.combinations(keys, 2):
         assert (pi_a == pi_b) == (public_a == public_b)
@@ -165,19 +168,37 @@ def test_hw_satisfies_safe_but_not_insecure():
     assert ok.holds and not bad.holds
 
 
-def test_pair_cap_enforced(monkeypatch):
+def test_unread_space_past_the_state_cap_holds_in_one_run(monkeypatch):
+    """`li a0, 1` reads nothing, so one run serves all 257 * 257 states:
+    the check holds with every state but the first checked against it."""
     space = StateSpace(base_state=ArchState(),
                        varying_registers=((A0, tuple(range(257))),
                                           (A1, tuple(range(257)))))
     assert space.size() == 257 * 257 > ENUM_CAP
+    calls = _count_runs(monkeypatch)
+    verdict = check_direct_ni(parse_program("li a0, 1"), (SHM, SEQ), Policy(),
+                              space, LAYOUT)
+    assert verdict.to_json() == {"verdict": "holds", "pairs_checked": 66048}
+    assert len(calls) == 1
 
-    def no_enumeration(*args):
-        raise AssertionError("space read past the cap")
-    monkeypatch.setattr(ni, "_components", no_enumeration)
-    with pytest.raises(EnumerationCapExceeded) as exc:
-        check_direct_ni(parse_program("li a0, 1"), (SHM, SEQ), Policy(),
+
+def test_cube_cap_enforced(monkeypatch):
+    """ENUM_CAP bounds the pieces a check forms: with a0 and a1 public and
+    unread, the one cube of `li a0, 1` falls into 5 * 5 pieces, one per
+    public pattern. Listing states stays bounded by the same cap."""
+    monkeypatch.setattr(contracts, "ENUM_CAP", 16)
+    space = StateSpace(base_state=ArchState(),
+                       varying_registers=((A0, tuple(range(5))),
+                                          (A1, tuple(range(5)))))
+    public = Policy(public_regs=frozenset({A0, A1}))
+    with pytest.raises(EnumerationCapExceeded, match="cubes") as exc:
+        check_direct_ni(parse_program("li a0, 1"), (SHM, SEQ), public,
                         space, LAYOUT)
-    assert exc.value.needed == space.size()
+    assert exc.value.needed == 25
+    assert check_direct_ni(parse_program("li a0, 1"), (SHM, SEQ), Policy(),
+                           space, LAYOUT).holds
+    with pytest.raises(EnumerationCapExceeded, match="states"):
+        enumerate_states(space, LAYOUT)
 
 
 def test_state_cap_counts_states_not_pairs():
@@ -289,6 +310,74 @@ def test_spectre_runs_per_read_class(monkeypatch, check, runs):
     assert check(entry, layout).holds
     assert len(calls) == runs
     assert len({repr(state) for state in calls}) == runs
+
+
+# spectre_v1's gadget with a0 over 16 values, 4 in bounds, and a full
+# secret byte at 0x1008 and public byte at 0x1002: 2^20 states; and with
+# a full byte at each of 0x1008-0x100b, a secret word: 2^36 states
+SPECTRE_2_20 = StateSpace(
+    base_state=ArchState(regs={A0: 8}),
+    varying_registers=((A0, tuple(range(16))),),
+    varying_cells=((0x1008, tuple(range(256))), (0x1002, tuple(range(256)))))
+SPECTRE_2_36 = StateSpace(
+    base_state=ArchState(regs={A0: 8}),
+    varying_registers=((A0, tuple(range(16))),),
+    varying_cells=tuple((addr, tuple(range(256)))
+                        for addr in range(0x1008, 0x100C)))
+
+
+def _direct_seq(entry, space, layout):
+    return check_direct_ni(entry.program, (SHM, SEQ), entry.policy, space,
+                           layout)
+
+
+def _burst_stl(entry, space, layout):
+    return check_hw_satisfies_one(entry.program, BURST, (SHM, STL), space,
+                                  layout)
+
+
+@pytest.mark.parametrize("space, check, runs, pairs", [
+    (SPECTRE_2_20, _direct_seq, 271, (1 << 20) - 16 * 256),
+    (SPECTRE_2_20, _burst_stl, 526, (1 << 20) - 512),
+    (SPECTRE_2_36, _direct_seq, 16, (1 << 36) - 16),
+    (SPECTRE_2_36, _burst_stl, 1036, (1 << 36) - 257)],
+    ids=["2^20-direct_shm_seq", "2^20-burst_shm_stl",
+         "2^36-direct_shm_seq", "2^36-burst_shm_stl"])
+def test_spectre_past_the_state_cap_runs_per_read_class(
+        monkeypatch, space, check, runs, pairs):
+    """The checks hold with one committed run per read class. Over 2^20
+    states under seq, a0 = 2 reads the public cell (256 classes), 0, 1
+    and 3 read cells that do not vary and the 12 out-of-bounds values
+    read a0 alone: 271 runs. Burst's stl window also reads the secret
+    when a0 = 8: 256 classes more, 526 runs. Over 2^36 states no
+    in-bounds a0 reads a varying cell (16 runs under seq), and the stl
+    windows of a0 = 8 to 11 each read one byte of the secret word: 1 036
+    runs."""
+    entry = load_entry("spectre_v1")
+    layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    calls = _count_runs(monkeypatch)
+    verdict = check(entry, space, layout)
+    assert verdict.to_json() == {"verdict": "holds", "pairs_checked": pairs}
+    assert len(calls) == runs
+
+
+@pytest.mark.parametrize("check", [
+    lambda entry, layout: check_direct_ni(
+        entry.program, (SHM, SPEC), entry.policy, SPECTRE_2_20, layout),
+    lambda entry, layout: check_relative_ni(
+        entry.program, (SHM, SEQ), (SHM, STL), SPECTRE_2_20, layout)],
+    ids=["direct_shm_spec", "relative_seq_stl"])
+def test_violated_check_past_the_state_cap_matches_tuple_walk(
+        monkeypatch, check):
+    """Over the 2^20 states, the violated checks give the tuple walk's
+    `to_json()` byte for byte, the walk run with the state cap lifted."""
+    entry = load_entry("spectre_v1")
+    layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    cubes = json.dumps(check(entry, layout).to_json())
+    monkeypatch.setattr(contracts, "ENUM_CAP", 1 << 20)
+    monkeypatch.setattr(ni, "_check", ni_oracle.check)
+    assert cubes == json.dumps(check(entry, layout).to_json())
+    assert json.loads(cubes)["verdict"] == "violated"
 
 
 def test_holding_check_builds_only_the_states_it_runs(monkeypatch):

@@ -1,20 +1,28 @@
-"""The NI checkers share one committed run among the states that agree on
-what it read (ni._shared_runs). Every verdict must equal the per-state
-path's, which runs every observed state and stays as the oracle: the
-tests replace the memo with a pass-through and compare `to_json()`, or
-the class of the raised error, check by check.
+"""The NI checkers decide a check by cubes of states that agree on what
+a run read (ni._check). Every verdict must equal the tuple walk's, which
+walks every state in order and stays as the oracle (tests/ni_oracle.py):
+the tests patch `ni._check` with the oracle and compare `to_json()`
+byte for byte, or the class and message of the raised error, and the
+states run, check by check. A second property replaces the oracle's
+shared-run memo with a per-state path, which runs every observed state.
 
 The generated programs go past tests/snippetgen.py: branches on varying
 registers, loads through a varying base that fault inside windows, jalr
 to a varying target, window stores forwarded to loads, and varying
-private and shared cells."""
+private and shared cells. Wide spaces give a slot 3 to 6 values and add
+a register no program reads, public or secret, so cubes keep free slots
+and public wildcard slots."""
 
+import heapq
+import itertools
+import json
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ni_oracle
 from rmikit import ni
 from rmikit.analyzer import PathExplosion, analyze
 from rmikit.asm import parse_program, reg_num
@@ -30,7 +38,8 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::rmikit.contracts.SelfContainmentViolation")
 
 LAYOUT = MemoryLayout()
-A0, A1, A2, A3, A5 = (reg_num(r) for r in ("a0", "a1", "a2", "a3", "a5"))
+A0, A1, A2, A3, A5, A6 = (reg_num(r)
+                          for r in ("a0", "a1", "a2", "a3", "a5", "a6"))
 
 CONTRACTS = [(LeakageModel(leak), ExecModel(kind))
              for leak in LEAK_KINDS for kind in EXEC_KINDS]
@@ -44,7 +53,7 @@ DATA = ("a0", "a1", "zero", "t0", "t2")
 # a4 holds 0x8000, and a5, which only windows use, takes an address that
 # faults (unmapped, or misaligned for lw and ld) and one that does not,
 # mostly the faulting one first
-MAPPED = (0x1000, 0x1008, 0x8000, 0x8008)
+MAPPED = (0x1000, 0x1008, 0x8000, 0x8008, 0x1001, 0x8001)
 FAULTING = ((0x40, 0x8000), (0x8001, 0x8008), (0x8000, 0x40))
 CELLS = (0x1000, 0x1001, 0x1004, 0x8000, 0x8001, 0x8004)
 
@@ -67,9 +76,21 @@ def _pass_through(program, base, table, layout, derive):
 
 def _outcome(check):
     try:
-        return check().to_json()
+        return json.dumps(check().to_json())
     except (MachineError, ContractError) as exc:
-        return type(exc).__name__
+        return type(exc).__name__, str(exc)
+
+
+def _outcome_and_runs(check, engine):
+    """The check's outcome and the states it ran, in order."""
+    runs = []
+
+    def recording(program, state, layout):
+        runs.append(repr(state))
+        return simulate_committed(program, state, layout)
+
+    with mock.patch.object(engine, "simulate_committed", recording):
+        return _outcome(check), runs
 
 
 def _checks(program, policy, space, contract):
@@ -89,11 +110,53 @@ def _checks(program, policy, space, contract):
     return checks
 
 
-def _assert_memo_matches_oracle(program, policy, space, contract=(SHM, STL)):
+def _disjoint(box, other):
+    return any(hi <= other_lo or other_hi <= lo for lo, hi, other_lo, other_hi
+               in zip(*box, *other))
+
+
+def _recording_splits():
+    """Replacements for ni's heap operations that record, per popped box,
+    the boxes pushed back after it: its split."""
+    splits = []
+
+    def pop(heap):
+        splits.append([])
+        return heapq.heappop(heap)
+
+    def push(heap, box):
+        splits[-1].append(box)
+        heapq.heappush(heap, box)
+
+    return splits, pop, push
+
+
+def _assert_cubes_match_oracle(program, policy, space, contract=(SHM, STL)):
+    """Each check gives the tuple walk's outcome and runs the states the
+    walk runs, in the same order. The walk may run one state twice: it
+    keeps no run of its last state, which its shrink can look up. The
+    split of each box is a disjoint union of boxes."""
     checks = _checks(program, policy, space, contract)
-    shared = [_outcome(check) for check in checks]
-    with mock.patch.object(ni, "_shared_runs", _pass_through):
-        oracle = [_outcome(check) for check in checks]
+    splits, pop, push = _recording_splits()
+    with mock.patch.object(ni, "heappop", pop), \
+            mock.patch.object(ni, "heappush", push):
+        cubes = [_outcome_and_runs(check, ni) for check in checks]
+    for split in splits:
+        assert all(_disjoint(a, b) for a, b in itertools.combinations(split, 2))
+    with mock.patch.object(ni, "_check", ni_oracle.check):
+        oracle = [_outcome_and_runs(check, ni_oracle) for check in checks]
+    for (got, runs), (want, oracle_runs) in zip(cubes, oracle):
+        assert got == want
+        assert runs == list(dict.fromkeys(oracle_runs))
+
+
+def _assert_memo_matches_per_state_path(program, policy, space,
+                                        contract=(SHM, STL)):
+    checks = _checks(program, policy, space, contract)
+    with mock.patch.object(ni, "_check", ni_oracle.check):
+        shared = [_outcome(check) for check in checks]
+        with mock.patch.object(ni_oracle, "_shared_runs", _pass_through):
+            oracle = [_outcome(check) for check in checks]
     for got, want in zip(shared, oracle):
         assert got == want
 
@@ -124,10 +187,12 @@ def _item(draw, bases):
 
 
 @st.composite
-def _programs(draw):
+def _programs(draw, wide=False):
     """(program, policy, space): forward branches on varying registers,
     at most one jalr through the varying a3, and an optional burst region
-    around the whole body."""
+    around the whole body. A `wide` space gives one of a0, a1, a2 and the
+    first cell 3 to 6 values and adds a6, which no program reads, with 3
+    to 6."""
     lines, labels = [], 0
     for _ in range(draw(st.integers(2, 7))):
         roll = draw(st.sampled_from(
@@ -151,34 +216,50 @@ def _programs(draw):
     if draw(st.booleans()):
         lines = ["csrwi MSPEC, BURST_ON", *lines, "csrwi MSPEC, BURST_OFF"]
     program = parse_program("\n".join(lines) + "\n")
+    wide_slot = draw(st.sampled_from((A0, A1, A2, "cell"))) if wide else None
 
-    def domain(values):
-        return tuple(draw(st.lists(st.sampled_from(values), min_size=1,
-                                   max_size=2, unique=True)))
+    def domain(slot, values):
+        size = (3, 6) if slot == wide_slot else (1, 2)
+        return tuple(draw(st.lists(st.sampled_from(values), min_size=size[0],
+                                   max_size=size[1], unique=True)))
 
-    registers = [(A0, domain((0, 1, 5, 0x8000))), (A1, domain((0, 1, 5))),
-                 (A2, domain(MAPPED)), (A5, draw(st.sampled_from(FAULTING)))]
+    registers = [(A0, domain(A0, (0, 1, 5, 0x8000, 2, 0x1000))),
+                 (A1, domain(A1, (0, 1, 5, 2, 3, 0x80))),
+                 (A2, domain(A2, MAPPED)), (A5, draw(st.sampled_from(FAULTING)))]
     jalrs = [i for i, ins in enumerate(program.instructions)
              if ins.opcode == "jalr"]
     if jalrs:
         # forward targets only, so no run loops
-        registers.append((A3, domain(range(jalrs[0] + 1, len(program) + 1))))
-    cells = tuple((addr, domain((0, 1, 7, 0x80))) for addr in draw(
-        st.lists(st.sampled_from(CELLS), min_size=1, max_size=2, unique=True)))
+        registers.append((A3, domain(A3, range(jalrs[0] + 1, len(program) + 1))))
+    if wide:
+        registers.append((A6, domain(wide_slot, range(8))))
+    cells = tuple((addr, domain("cell" if i == 0 else None,
+                                (0, 1, 7, 0x80, 2, 0xFF)))
+                  for i, addr in enumerate(draw(st.lists(
+                      st.sampled_from(CELLS), min_size=1, max_size=2,
+                      unique=True))))
     space = StateSpace(
         base_state=ArchState(regs={A3: len(program), reg_num("a4"): 0x8000}),
         varying_registers=tuple(registers), varying_cells=cells)
-    public = draw(st.sets(st.sampled_from((A0, A1, A2, A3, A5))))
+    public = draw(st.sets(st.sampled_from((A0, A1, A2, A3, A5, A6))))
     private = [a for a, _ in cells if LAYOUT.classify(a) == "private"]
     public_cells = draw(st.sets(st.sampled_from(private))) if private else ()
     return program, Policy(frozenset(public), frozenset(public_cells)), space
+
+
+@settings(deadline=None)
+@given(case=st.one_of(_programs(), _programs(wide=True)),
+       contract=st.sampled_from(CONTRACTS))
+def test_cubes_match_tuple_walk(case, contract):
+    program, policy, space = case
+    _assert_cubes_match_oracle(program, policy, space, contract)
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=_programs(), contract=st.sampled_from(CONTRACTS))
 def test_shared_runs_match_per_state_path(case, contract):
     program, policy, space = case
-    _assert_memo_matches_oracle(program, policy, space, contract)
+    _assert_memo_matches_per_state_path(program, policy, space, contract)
 
 
 GUARDED_LOAD = parse_program("beq zero, zero, done\nlbu t0, 0(a2)\ndone:\n")
@@ -196,4 +277,5 @@ def test_window_reads_decide_reuse(bases):
     verdict = check_relative_ni(GUARDED_LOAD, (SHM, SEQ), (SHM, SPEC),
                                 space, LAYOUT)
     assert not verdict.holds
-    _assert_memo_matches_oracle(GUARDED_LOAD, Policy(), space)
+    _assert_cubes_match_oracle(GUARDED_LOAD, Policy(), space)
+    _assert_memo_matches_per_state_path(GUARDED_LOAD, Policy(), space)
