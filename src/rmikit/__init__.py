@@ -14,8 +14,8 @@ from .contracts import (ARCH, CT, MEM, SEQ, SHM, SPEC, STL,
                         contract_trace_set, simulate_committed)
 from .modes import (BURST, BURST_STA, INSECURE, MI6, SAFE, HwMode,
                     ReportProgramMismatch, hw_trace_set, sta_gate)
-from .ni import (Policy, StateSpace, check_direct_ni, check_hw_satisfies,
-                 check_hw_satisfies_one, check_relative_ni)
+from .ni import (Policy, StateSpace, check_direct_ni, check_hw_satisfies_one,
+                 check_relative_ni)
 from .analyzer import (AnalysisReport, PathExplosion, Violation, analyze,
                        check_self_contained, explain)
 from .llc import (EnclavesRunning, ExceedsCapacity, Geometry,

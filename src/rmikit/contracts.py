@@ -18,10 +18,15 @@ state after each control instruction, and each wrong-path window, run on
 first use; `read_walk` lists, by their slots in a state's tuple of
 varying values, which components of the initial state a run may have
 read, so that one run can serve every state that agrees on them (ni.py).
-Contracts and hardware modes (modes.py) are projections of that run: a
-leakage model filters events (ct, arch, mem, shm), and an execution
-model chooses decision points (seq: none, stl: taken branches, spec:
-every branch arm and jalr target).
+Contracts and hardware modes (modes.py) are projections of that run
+(`Projection`): a leakage model filters events (ct, arch, mem, shm), and
+an execution model chooses decision points (seq: none, stl: taken
+branches, spec: every branch arm and jalr target). The NI checks keep
+the runs, and a node per projection, of one (program, space, layout)
+between checks: one slot holds the exploration of the most recent
+check, keyed on the program object, the layout, the space's component
+table and its base state, so its memory is bounded by one exploration
+(ni.py).
 
 A trace set is the finite language seg0 W0 seg1 W1 ... tail, where each
 W is the set of choices at one decision point. `TraceDag.splice` builds
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .asm import BRANCHES, LOAD_SIZES
 from .machine import (CONTROL, OTHER, PRIVATE, SETS_BURST_OFF, SETS_BURST_ON,
@@ -163,16 +169,11 @@ class CommittedRun:
     resume: dict               # step -> committed state after a branch or jalr
     final_state: object
     windows: dict = field(default_factory=dict, repr=False, compare=False)
+    words: dict = field(default_factory=dict, repr=False, compare=False)
 
     def decision_points(self, exec_model):
-        points = []
-        for pos in self.resume:
-            index, effect, burst_active = self.steps[pos]
-            targets = _mispredict_targets(self.program, index, effect.next_pc,
-                                          exec_model)
-            if targets:
-                points.append(DecisionPoint(pos, index, targets, burst_active))
-        return points
+        return decision_points(self.program, self.steps, self.resume,
+                               exec_model)
 
     def window(self, step, target):
         """Raw steps of the wrong-path window at `target` after committed
@@ -183,21 +184,73 @@ class CommittedRun:
                 self.program, self.resume[step], target, self.layout)
         return self.windows[key]
 
+    def window_word(self, step, target, kind):
+        """The events of that window under the leakage model `kind`,
+        closed by the rollback: the word `TraceDag.splice` splices in,
+        made on first use."""
+        key = (step, target, kind)
+        word = self.words.get(key)
+        if word is None:
+            word = self.words[key] = (_events(self.window(step, target), kind)
+                                      + ROLLBACK)
+        return word
+
+
+def decision_points(program, steps, controls, exec_model):
+    """The decision points of a run's committed `steps` under
+    `exec_model`, among the positions `controls` of its branches and
+    jalrs, in execution order."""
+    points = []
+    for pos in controls:
+        index, effect, burst_active = steps[pos]
+        targets = _mispredict_targets(program, index, effect.next_pc,
+                                      exec_model)
+        if targets:
+            points.append(DecisionPoint(pos, index, targets, burst_active))
+    return points
+
+
+class Projection(NamedTuple):
+    """One view of a committed run: a leakage model, and the decision
+    points of an execution model whose windows are spliced in, with
+    `burst_only` only those reached with the burst flag on (burst mode).
+    A contract (leak, exec) is `Projection(leak, exec)`."""
+    leak: LeakageModel
+    exec_model: ExecModel
+    burst_only: bool = False
+
+    def options(self, run):
+        """The run's options for `TraceDag.splice`: each selected decision
+        point's step, paired with None and then its mispredict targets.
+        Under seq no point has a target."""
+        if self.exec_model.kind == "seq":
+            return ()
+        return tuple((p.step, (None,) + p.targets)
+                     for p in run.decision_points(self.exec_model)
+                     if p.burst_active or not self.burst_only)
+
+    def __call__(self, dag, run):
+        """The node of the run's traces under this view, in `dag`."""
+        return dag.splice(run, self.leak, self.options(run))
+
 
 def read_walk(program, registers, cells):
-    """The function that lists, for a CommittedRun of `program`, the
-    components of its initial state among `registers` ({register number:
-    index}) and `cells` ({address: index}) that the run may have read, as
-    their indices, in the order first read.
+    """The function `reads(steps, target=None)` that lists the components
+    of an initial state among `registers` ({register number: index}) and
+    `cells` ({address: index}) that the steps of a run of `program` may
+    have read, as their indices in the order read, with repeats: the
+    committed steps of a CommittedRun, or, with `target`, the steps of
+    one of its windows, run from `target`.
 
-    Listed are the rs1 and rs2 of every committed step and of every window
-    run so far, every byte in the span of every load, and the rs1 and rs2
-    of the instruction at which a window stopped short: it faulted, and
-    its operands decided that the window ends there. A register counts
-    even where an earlier step wrote it, so no write is tracked: a state
-    that agrees with the run's initial state on every component listed,
-    and on every component outside `registers` and `cells`, runs the same
-    steps, and the same steps in each window the run ran.
+    Listed are the rs1 and rs2 of every step, every byte in the span of
+    every load, and for a window, the rs1 and rs2 of the instruction at
+    which it stopped short: it faulted, and its operands decided that the
+    window ends there. A register counts even where an earlier step wrote
+    it, so no write is tracked: a state that agrees with the run's
+    initial state on every component listed for its committed steps and
+    some of its windows, and on every component outside `registers` and
+    `cells`, runs the same committed steps, and the same steps in each of
+    those windows.
     """
     instructions = program.instructions
     sources = [tuple(registers[r] for r in (ins.rs1, ins.rs2) if r in registers)
@@ -205,25 +258,20 @@ def read_walk(program, registers, cells):
     loads = {i: LOAD_SIZES[ins.opcode] for i, ins in enumerate(instructions)
              if cells and ins.opcode in LOAD_SIZES}
 
-    def reads(run):
+    def reads(steps, target=None):
         read = []
-
-        def walk(steps):
-            for step in steps:
-                index = step[0]
-                read.extend(sources[index])
-                if index in loads:
-                    address = step[1].mem_event.address
-                    read.extend(cells[x] for x in range(
-                        address, address + loads[index]) if x in cells)
-
-        walk(run.steps)
-        for (_, target), steps in run.windows.items():
-            walk(steps)
+        for step in steps:
+            index = step[0]
+            read.extend(sources[index])
+            if index in loads:
+                address = step[1].mem_event.address
+                read.extend(cells[x] for x in range(
+                    address, address + loads[index]) if x in cells)
+        if target is not None:
             stop = steps[-1][1].next_pc if steps else target
             if len(steps) < SPEC_DEPTH and 0 <= stop < len(instructions):
                 read.extend(sources[stop])
-        return tuple(dict.fromkeys(read))
+        return read
 
     return reads
 
@@ -407,6 +455,7 @@ class TraceDag:
     def splice(self, run, leak, options):
         """The node of the traces of `run` over every combination of choices.
 
+        `run` is a CommittedRun or has its `steps` and `window_word`.
         `options` pairs each decision point's committed step, in execution
         order, with its choices: None for a correct prediction, or a
         mispredict target whose window is spliced in after that step. The
@@ -424,17 +473,11 @@ class TraceDag:
             node = self.chain(_events(run.steps[pos + 1:end], kind), node)
             alternatives = [
                 node if target is None else self.chain(
-                    _events(run.window(pos, target), kind) + ROLLBACK, node)
+                    run.window_word(pos, target, kind), node)
                 for target in choices]
             node = functools.reduce(self.union, alternatives)
             end = pos + 1
         return self.chain(_events(run.steps[:end], kind), node)
-
-    def trace_key(self, run, leak, exec_model):
-        """The node of the traces of `run` under (leak, exec_model)."""
-        options = [(p.step, (None,) + p.targets)
-                   for p in run.decision_points(exec_model)]
-        return self.splice(run, leak, options)
 
     def traces(self, node):
         """The trace set of `node`, walked depth-first with one prefix
@@ -492,7 +535,7 @@ def contract_trace_set(program, state0, layout, leak, exec_model):
     """Set of traces over every admissible predictor choice."""
     run = simulate_committed(program, state0, layout)
     dag = TraceDag()
-    return dag.traces(dag.trace_key(run, leak, exec_model))
+    return dag.traces(Projection(leak, exec_model)(dag, run))
 
 
 def trace_to_json(trace):

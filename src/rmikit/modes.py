@@ -22,8 +22,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .contracts import (SEQ, SHM, SPEC, STL, SelfContainmentViolation,
-                        TraceDag, simulate_committed)
+from .contracts import (SEQ, SHM, SPEC, STL, Projection,
+                        SelfContainmentViolation, TraceDag, simulate_committed)
 
 MODE_KINDS = ("insecure", "mi6", "safe", "burst", "burst_sta")
 
@@ -60,17 +60,23 @@ BURST_STA = HwMode("burst_sta")
 EMPTY_TRACE_SET = frozenset({()})
 
 
-def _check_runtime_containment(run):
-    """Warn if execution with the burst flag on ever leaves every static
-    burst region; traces are still returned."""
+def runtime_escape(run):
+    """The first instruction `run` executes with the burst flag on
+    outside every static burst region, or None."""
+    inside = {index for on, off in run.program.burst_regions
+              for index in range(on, off + 1)}
     for index, _, burst_active in run.steps:
-        if burst_active and not any(
-                on <= index <= off for on, off in run.program.burst_regions):
-            warnings.warn(
-                f"instruction {index} executed with burst mode on "
-                f"outside every static burst region",
-                SelfContainmentViolation, stacklevel=3)
-            return
+        if burst_active and index not in inside:
+            return index
+    return None
+
+
+def warn_escape(index, stacklevel):
+    """The SelfContainmentViolation diagnostic for an escape at `index`;
+    traces are still returned."""
+    warnings.warn(f"instruction {index} executed with burst mode on "
+                  f"outside every static burst region",
+                  SelfContainmentViolation, stacklevel=stacklevel + 1)
 
 
 def sta_gate(program, report):
@@ -92,35 +98,35 @@ def check_start(mode, state):
 
 
 def hw_projection(program, mode, sta_report=None):
-    """The attacker's view under `mode` as a function of a TraceDag and a
-    committed run of `program`, which returns the node of the run's
-    observable trace set in that table; or None when the mode lets the
-    attacker observe nothing (mi6, or burst_sta refusing the program),
-    which needs no run."""
+    """The attacker's view under `mode` as a contracts.Projection of a
+    committed run of `program`; or None when the mode lets the attacker
+    observe nothing (mi6, or burst_sta refusing the program), which needs
+    no run. Burst mode's view is (shm, stl) with only the decision points
+    reached while the MSPEC flag is on."""
     kind = mode.kind
     if kind == "burst_sta":
         kind = "burst" if sta_gate(program, sta_report) else "mi6"
     if kind == "mi6":
         return None
     if kind == "insecure":
-        return lambda dag, run: dag.trace_key(run, SHM, SPEC)
+        return Projection(SHM, SPEC)
     if kind == "safe":
-        return lambda dag, run: dag.trace_key(run, SHM, SEQ)
-
-    def burst(dag, run):
-        _check_runtime_containment(run)
-        options = [(p.step, (None,) + p.targets)
-                   for p in run.decision_points(STL) if p.burst_active]
-        return dag.splice(run, SHM, options)
-    return burst
+        return Projection(SHM, SEQ)
+    return Projection(SHM, STL, burst_only=True)
 
 
 def hw_trace_set(program, state0, layout, mode, sta_report=None):
-    """Attacker-observable trace set of `program` from `state0` under `mode`."""
+    """Attacker-observable trace set of `program` from `state0` under
+    `mode`. A burst run that escapes its static regions warns
+    SelfContainmentViolation."""
     check_start(mode, state0)
     project = hw_projection(program, mode, sta_report)
     if project is None:
         return EMPTY_TRACE_SET
     dag = TraceDag()
     run = simulate_committed(program, state0, layout)
+    if project.burst_only:
+        escape = runtime_escape(run)
+        if escape is not None:
+            warn_escape(escape, stacklevel=2)
     return dag.traces(project(dag, run))

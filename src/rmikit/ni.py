@@ -27,9 +27,25 @@ the cubes, cut by the values of their unread public slots, exactly as
 the walk of every state would find them. The work therefore grows with
 the read classes and public patterns, not with the states: `ENUM_CAP`
 bounds the pieces a check forms, and only `enumerate_states` lists
-states. An ArchState is built only for a run or a witness. Trace sets
-are compared as node ids of one contracts.TraceDag per check, and listed
-only for a violation's witness detail.
+states. An ArchState is built only for a run or a witness.
+
+Consecutive checks share one exploration (`_Exploration`), in a slot
+that holds the exploration of the most recent check. It is keyed on the
+program (the same object), the layout, the component table and the base
+state (pc, registers and both memories, equal by value), and holds one
+contracts.TraceDag, the committed runs indexed by read class, each with
+a memo from view (leak kind and options) to DAG node, and per check
+signature the cube walk's memo. Every contract and mode is a projection
+(contracts.Projection) of the same runs, so a direct (shm, spec) check
+and a (shm, stl) check over one space share runs, and relative
+(shm, seq) -> (shm, stl) and Burst mode share runs and (shm, stl) nodes.
+A run's read set for a check counts only the windows of that check's
+projections, so verdicts, cube splits and piece counts never depend on
+the checks before. A kept run keeps no window steps and no snapshot it
+no longer needs, and the slot keeps one exploration, so the memory of
+the checks is bounded by the largest exploration of one (program,
+space, layout). Trace sets are compared as node ids of the
+exploration's DAG, and listed only for a violation's witness detail.
 """
 
 from __future__ import annotations
@@ -39,10 +55,11 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import add, itemgetter
 
-from .contracts import (EMPTY_TRACE, TraceDag, enforce_enum_cap, read_walk,
-                        simulate_committed, trace_set_to_json)
+from .contracts import (CommittedRun, Projection, TraceDag, decision_points,
+                        enforce_enum_cap, read_walk, simulate_committed,
+                        trace_set_to_json)
 from .machine import MASK64, PRIVATE, ArchState
-from .modes import check_start, hw_projection
+from .modes import check_start, hw_projection, runtime_escape, warn_escape
 
 
 class InvalidSpace(ValueError):
@@ -193,68 +210,337 @@ def _pieces(lo, hi, public):
     return firsts
 
 
-def _check(program, space, layout, derive, detail_names, policy=None):
-    """Shared engine: `derive(dag, run)` gives a committed run's (key,
-    value) with trace sets as nodes of the check's `dag`, and a state's
-    group key is its run's key plus, for direct NI, its public slots
-    under `policy`. The verdict is that of the walk of every state in
-    order which stops at the first state whose value differs from its
-    group's first state's, with the pair, shrunk, as witness and the
-    trace sets of its two values as detail under `detail_names`. It is
-    decided by cubes, with states as tuples of domain indices:
+class _Run:
+    """A committed run kept by an exploration, lean: the state it ran
+    from, as a tuple of domain indices; its committed `steps`, the
+    positions `controls` of their branches and jalrs, and the slots
+    `committed` they read, all three shared by the runs of one committed
+    path; the snapshots `resume` of the points whose windows have not
+    run; a `cache` from view (leak kind and options) to DAG node, from
+    window (step, target) to the slots it read, and from (step, target,
+    leak kind) to the window's word; and, once a burst check enters it,
+    the instruction at which it escapes its burst regions, if any.
+
+    A window's steps are dropped once its word and read slots are
+    recorded, and a point's snapshot once its windows have run: every
+    view that has a point runs every window the point has (a branch has
+    one wrong arm, and only spec takes a jalr, with all its targets).
+    `full` is a whole CommittedRun while a check enters the run: the
+    snapshots of the points not yet run, or, when a view needs a window
+    run before under other leakage models only, the state run again."""
+    __slots__ = ("origin", "program", "layout", "steps", "controls",
+                 "committed", "resume", "full", "cache", "escape")
+
+    def __init__(self, origin, program, layout, steps, controls, resume,
+                 cache):
+        self.origin, self.program, self.layout = origin, program, layout
+        self.steps, self.controls = steps, controls
+        self.resume, self.full, self.cache = resume, None, cache
+        self.committed = self.escape = None
+
+    def decision_points(self, exec_model):
+        return decision_points(self.program, self.steps, self.controls,
+                               exec_model)
+
+    def window_word(self, step, target, kind):
+        word = self.cache.get((step, target, kind))
+        if word is None:
+            if self.full is None:
+                self.full = CommittedRun(self.program, self.layout, self.steps,
+                                         self.resume, None)
+            word = self.full.window_word(step, target, kind)
+        return word
+
+
+# The `resume` of a kept run whose snapshots are all dropped.
+_NO_SNAPSHOTS = {}
+
+
+class _Exploration:
+    """What the checks of one (program, space, layout) share: one TraceDag,
+    the kept runs, and per check signature (the pair of key and value
+    projections) the cube walk's memo.
+
+    - `runs` indexes the kept runs by the values of the slots their
+      committed paths read: committed read set -> (itself, its
+      projection, {values on it: [_Run, ...]}). The runs of one list
+      share their committed path and differ only in their windows.
+    - `memos` maps a signature to the memo from read set to (its
+      projection, {values on it: (key, value, escape)}), and to how many
+      runs of each list (by its id) are entered in that memo.
+    - `shared` holds one copy of each view, cache key and read-slot
+      tuple of the kept runs.
+    - `pending` holds the fresh runs of the checks, lean but not yet
+      indexed: a check indexes them (`_keep`) when it takes the
+      exploration, so a check over an exploration no later check takes
+      pays no indexing.
+
+    It matches a check whose program is the same object and whose
+    layout, component table and base state (pc, registers and both
+    memories, copied here) are equal. It keeps the runs of the states
+    its checks explored, so its memory is bounded by them and by its
+    DAG, and the slot keeps one exploration."""
+    __slots__ = ("program", "layout", "table", "base", "dag", "reads", "runs",
+                 "memos", "shared", "pending")
+
+    def __init__(self, program, layout, table, base):
+        self.program, self.layout, self.table = program, layout, table
+        self.base = (base.pc, dict(base.regs), dict(base.private_mem),
+                     dict(base.shared_mem))
+        self.dag = TraceDag()
+        registers, cells = {}, {}
+        for i, (name, key, _, _) in enumerate(table):
+            (registers if name == "regs" else cells)[key] = i
+        self.reads = read_walk(program, registers, cells)
+        self.runs, self.memos, self.shared = {}, {}, {}
+        # (origin, steps, controls, resume, words, (view, node) pairs,
+        # escape, entered counts of its check, committed read slots,
+        # (window, read slots) pairs) per fresh run
+        self.pending = []
+
+    def matches(self, program, layout, table, base):
+        return (program is self.program and layout == self.layout
+                and table == self.table
+                and (base.pc, base.regs, base.private_mem,
+                     base.shared_mem) == self.base)
+
+
+# The exploration of the most recent check. A check takes it out while it
+# runs, so two threads never share one, and puts it back when it ends; a
+# check that raises puts nothing back.
+_slot = []
+
+
+def _exploration(program, layout, table, base):
+    """The slot's exploration if it matches the check, else a new one."""
+    try:
+        exploration = _slot.pop()
+    except IndexError:
+        exploration = None
+    if exploration is None or not exploration.matches(program, layout, table,
+                                                      base):
+        exploration = _Exploration(program, layout, table, base)
+    return exploration
+
+
+# The most fresh runs an exploration holds before it indexes them. A check
+# of few runs over an exploration that no later check takes indexes none;
+# one of many runs shares the steps of a committed path every _PENDING.
+_PENDING = 32
+
+
+def _keep(exploration):
+    """Keep the fresh runs of `exploration`: index each by the values of
+    the slots its committed path read, with its nodes, and the words and
+    read slots of its windows, in its cache. A run stays entered in the
+    memo of its own check."""
+    runs, shared = exploration.runs, exploration.shared
+    for (origin, steps, controls, resume, cache, views, escape, entered, read,
+         windows) in exploration.pending:
+        committed = tuple(dict.fromkeys(read))
+        if committed not in runs:
+            runs[committed] = (committed, _projection(committed), {})
+        committed, at, lists = runs[committed]
+        kept_runs = lists.setdefault(at(origin), [])
+        if kept_runs:
+            # the runs of one committed path share its steps
+            steps, controls = kept_runs[0].steps, kept_runs[0].controls
+        for view, node in views:
+            if view is not None:
+                cache[shared.setdefault(view, view)] = node
+        for window, slots in windows:
+            slots = tuple(slots)
+            cache[shared.setdefault(window, window)] = shared.setdefault(
+                slots, slots)
+        kept = _Run(origin, exploration.program, exploration.layout, steps,
+                    controls, resume or _NO_SNAPSHOTS, cache)
+        kept.committed, kept.escape = committed, escape
+        if entered.get(id(kept_runs), 0) == len(kept_runs):
+            entered[id(kept_runs)] = len(kept_runs) + 1
+        kept_runs.append(kept)
+    exploration.pending.clear()
+
+
+def _check(program, space, layout, projections, detail_names, policy=None):
+    """Shared engine: a state's (key, value) are the nodes of its committed
+    run under `projections`, a pair of contracts.Projection (None for a
+    constant), and its group key is its key plus, for direct NI, its
+    public slots under `policy`. The verdict is that of the walk of every
+    state in order which stops at the first state whose value differs
+    from its group's first state's, with the pair, shrunk, as witness and
+    the trace sets of its two values as detail under `detail_names`. It
+    is decided by cubes, with states as tuples of domain indices:
 
     - A box `(lo, hi)` holds, per slot, the indices from lo to hi - 1,
       and `lo` is its least state. Boxes are popped in the order of
       their least states, so every state below the next box lies in an
       explored cube.
-    - The run of a box's least state, or a memoised run whose read set
-      it agrees with, serves the cube of the box with the read slots
-      fixed to its values. The rest of the box is pushed back, split
+    - The run of a box's least state, or a kept run whose read set it
+      agrees with, serves the cube of the box with the read slots fixed
+      to its values. The rest of the box is pushed back, split
       DPLL-style: per read slot, the earlier read slots fixed and this
       one past the run's value. A box of one state is its own cube, and
-      its run is memoised for that state alone, not walked for reads.
+      its run is entered for that state alone, with no read set.
     - A cube is cut into pieces by the values of its free public slots,
       so each piece lies in one group. A group keeps its least state and
       its least state with another value, its first violator. Once the
       next box lies past the least violator `t` of all groups, every
       state up to `t` is explored and `t` is the walk's first mismatch.
 
+    Runs, nodes and memo entries come from the slot's exploration when
+    it matches. A run's read set for a check counts its committed path
+    and only the windows of this check's projections, so a kept run
+    serves exactly the states its own fresh run would, and the boxes,
+    pieces and outcome never depend on the checks before.
+
     A state whose run raises is the least state of the box popped once
     every smaller state is explored, so a check raises where the walk
     would. `ENUM_CAP` bounds the pieces a check forms.
     """
     table = _components(space, layout)
+    exploration = _exploration(program, layout, table, space.base_state)
     domains = [domain for *_, domain in table]
     public = () if policy is None else _public(table, policy)
-    base, dag = space.base_state, TraceDag()
-    registers, cells = {}, {}
-    for i, (name, key, _, _) in enumerate(table):
-        (registers if name == "regs" else cells)[key] = i
-    reads = read_walk(program, registers, cells)
+    base, dag, reads = space.base_state, exploration.dag, exploration.reads
+    if exploration.pending:
+        _keep(exploration)
+    runs, shared = exploration.runs, exploration.shared
+    pending = exploration.pending
+    # runs kept by the checks before may serve a state of this one
+    reuse = bool(runs)
+    key_projection, value_projection = projections
+    memos = exploration.memos.get(projections)
+    if memos is None:
+        memos = exploration.memos[projections] = ({}, {})
+    memo, entered = memos
+    burst = any(p is not None and p.burst_only for p in projections)
     every_slot = tuple(range(len(table)))
     ones = (1,) * len(table)
-    memo = {}       # read set -> (its projection, {projection: (key, value)})
+    warned = not burst
 
     def state(lo):
         return _state(base, table, tuple([d[i] for d, i in zip(domains, lo)]))
 
-    def explore(lo, hi=None):
-        """The (key, value) of the state `lo` and the read set its run
-        shares. The run of a box `(lo, hi)` of one state is memoised for
-        `lo` alone, not walked."""
-        for read_set, (project, results) in memo.items():
-            result = results.get(project(lo))
-            if result is not None:
-                return result, read_set
-        run = simulate_committed(program, state(lo), layout)
-        result = derive(dag, run)
-        read_set = (every_slot if hi == tuple(map(add, lo, ones))
-                    else reads(run))
+    def enter(kept):
+        """Derive the kept run's (key, value) and enter it in the memo
+        under its read set."""
+        cache = kept.cache
+        views = [None if p is None else (p.leak.kind, p.options(kept))
+                 for p in projections]
+        if kept.full is None and any(
+                view is not None and view not in cache and any(
+                    (pos, target, view[0]) not in cache
+                    and pos not in kept.resume
+                    for pos, choices in view[1] for target in choices[1:])
+                for view in views):
+            # a window run before under other leakage models only
+            kept.full = simulate_committed(program, state(kept.origin),
+                                           layout)
+        read = list(kept.committed)
+        nodes = []
+        for projection, view in zip(projections, views):
+            if view is None:
+                nodes.append(None)
+                continue
+            node = cache.get(view)
+            if node is None:
+                node = cache[shared.setdefault(view, view)] = dag.splice(
+                    kept, projection.leak, view[1])
+            nodes.append(node)
+            for pos, choices in reversed(view[1]):
+                for target in choices[1:]:
+                    slots = cache.get((pos, target))
+                    if slots is None:
+                        # run now: record its read slots, drop its steps
+                        window = (pos, target)
+                        window = shared.setdefault(window, window)
+                        slots = tuple(reads(kept.full.windows[window], target))
+                        cache[window] = slots = shared.setdefault(slots, slots)
+                        kept.resume.pop(pos, None)
+                    read += slots
+        if kept.full is not None:
+            cache.update(kept.full.words)
+            kept.full = None
+            if not kept.resume:
+                kept.resume = _NO_SNAPSHOTS
+        if burst:
+            kept.escape = runtime_escape(kept)
+        read_set = tuple(dict.fromkeys(read))
         if read_set not in memo:
             memo[read_set] = (_projection(read_set), {})
-        project, results = memo[read_set]
-        results[project(lo)] = result
+        at, results = memo[read_set]
+        result = results[at(kept.origin)] = (*nodes, kept.escape)
         return result, read_set
+
+    def run_fresh(lo, one_state):
+        """Run the state `lo`, derive its (key, value) and enter it under
+        its read set, or for `lo` alone when `one_state`. The run waits in
+        `pending` until a later check takes the exploration, or until
+        `_PENDING` runs wait, and is then kept (`_keep`)."""
+        run = simulate_committed(program, state(lo), layout)
+        key_view = value_view = key = value = None
+        if key_projection is not None:
+            key_view = (key_projection.leak.kind, key_projection.options(run))
+            key = dag.splice(run, key_projection.leak, key_view[1])
+        if value_projection is not None:
+            value_view = (value_projection.leak.kind,
+                          value_projection.options(run))
+            value = key if value_view == key_view else dag.splice(
+                run, value_projection.leak, value_view[1])
+        committed = reads(run.steps)
+        read, windows, controls = committed[:], [], tuple(run.resume)
+        for window, steps in run.windows.items():
+            windows.append((window, reads(steps, window[1])))
+            read += windows[-1][1]
+            # every window of the point has run: no view needs its snapshot
+            run.resume.pop(window[0], None)
+        read_set = every_slot if one_state else tuple(dict.fromkeys(read))
+        escape = runtime_escape(run) if burst else None
+        if read_set not in memo:
+            memo[read_set] = (_projection(read_set), {})
+        at, results = memo[read_set]
+        result = results[at(lo)] = (key, value, escape)
+        pending.append((lo, run.steps, controls, run.resume, run.words,
+                        ((key_view, key), (value_view, value)), escape,
+                        entered, committed, windows))
+        if len(pending) == _PENDING:
+            _keep(exploration)
+        return result, read_set
+
+    def explore(lo, hi=None):
+        """The (key, value, escape) of the state `lo` and the read set its
+        run shares. A miss enters the kept runs that share the committed
+        path of `lo` and are not yet entered, and runs `lo` when none of
+        them serves it. The run of a box `(lo, hi)` of one state is
+        entered for `lo` alone."""
+        nonlocal warned
+        for read_set, (at, results) in memo.items():
+            found = results.get(at(lo))
+            if found is not None:
+                break
+        else:
+            found = kept_runs = None
+            for _, at, lists in runs.values() if reuse else ():
+                kept_runs = lists.get(at(lo))
+                if kept_runs is not None:
+                    break
+            if kept_runs is not None:
+                n = entered.get(id(kept_runs), 0)
+                while found is None and n < len(kept_runs):
+                    kept = kept_runs[n]
+                    n += 1
+                    result, read_set = enter(kept)
+                    at = memo[read_set][0]
+                    if at(lo) == at(kept.origin):
+                        found = result
+                entered[id(kept_runs)] = n
+            if found is None:
+                found, read_set = run_fresh(
+                    lo, hi == tuple(map(add, lo, ones)))
+        if not warned and found[2] is not None:
+            warn_escape(found[2], stacklevel=4)
+            warned = True
+        return found, read_set
 
     project = _projection(public)
     heap = [((0,) * len(domains), tuple([len(domain) for domain in domains]))]
@@ -263,7 +549,7 @@ def _check(program, space, layout, derive, detail_names, policy=None):
     pieces = 0
     while heap and (t is None or heap[0][0] < t[2]):
         lo, hi = heappop(heap)
-        (key, value), read_set = explore(lo, hi)
+        (key, value, _), read_set = explore(lo, hi)
         hi = list(hi)
         for r in read_set:
             if lo[r] + 1 < hi[r]:
@@ -289,6 +575,7 @@ def _check(program, space, layout, derive, detail_names, policy=None):
             if group[2] is not None and (t is None or group[2] < t[2]):
                 t = group
     if t is None:
+        _slot[:] = (exploration,)
         return NiVerdict(holds=True, pairs_checked=space.size() - len(groups))
     violator = t[2]
     rank = 0
@@ -298,11 +585,12 @@ def _check(program, space, layout, derive, detail_names, policy=None):
               for (_, _, base_value, domain) in table]
 
     def observe(lo):
-        (key, value), _ = explore(lo)
+        (key, value, _), _ = explore(lo)
         return (project(lo), key), value
 
     (a, value_a), (b, value_b) = _shrink(t[:2], t[2:], resets, observe)
     name_a, name_b = detail_names
+    _slot[:] = (exploration,)
     return NiVerdict(
         holds=False, witness=(state(a), state(b)),
         witness_detail={name_a: trace_set_to_json(dag.traces(value_a)),
@@ -313,52 +601,25 @@ def _check(program, space, layout, derive, detail_names, policy=None):
 
 def check_direct_ni(program, contract, policy, space, layout):
     """Exhaustive direct non-interference for one (leak, exec) contract."""
-    return _check(program, space, layout,
-                  lambda dag, run: (None, dag.trace_key(run, *contract)),
+    return _check(program, space, layout, (None, Projection(*contract)),
                   ("traces_a", "traces_b"), policy)
 
 
 def check_relative_ni(program, contract_a, contract_b, space, layout):
     """Equal trace sets under contract A must imply equal sets under B,
     over every pair of states in the space (no public/secret split)."""
-    return _check(program, space, layout, lambda dag, run: (
-        dag.trace_key(run, *contract_a), dag.trace_key(run, *contract_b)),
-        ("traces_b_a", "traces_b_b"))
+    return _check(program, space, layout,
+                  (Projection(*contract_a), Projection(*contract_b)),
+                  ("traces_b_a", "traces_b_b"))
 
 
 def check_hw_satisfies_one(program, mode, contract, space, layout,
                            sta_report=None):
     """One program: equal contract traces must imply equal attacker
-    observations under the hardware mode."""
+    observations under the hardware mode. A run that escapes its burst
+    regions under burst mode warns SelfContainmentViolation, once per
+    check."""
     check_start(mode, space.base_state)
-    project = hw_projection(program, mode, sta_report)
-    return _check(program, space, layout, lambda dag, run: (
-        dag.trace_key(run, *contract),
-        EMPTY_TRACE if project is None else project(dag, run)),
+    return _check(program, space, layout, (
+        Projection(*contract), hw_projection(program, mode, sta_report)),
         ("hw_traces_a", "hw_traces_b"))
-
-
-@dataclass
-class SatisfactionVerdict:
-    per_program: dict      # name -> NiVerdict
-    holds: bool
-
-    def to_json(self):
-        return {"verdict": "holds" if self.holds else "violated",
-                "programs": {name: v.to_json()
-                             for name, v in sorted(self.per_program.items())}}
-
-
-def check_hw_satisfies(mode, contract, entries):
-    """Run the satisfaction check across a corpus of entries, each exposing
-    name, program, space, layout, and (for the analyzer-gated mode) an
-    sta_report attribute."""
-    per_program = {}
-    for entry in entries:
-        report = getattr(entry, "sta_report", None)
-        per_program[entry.name] = check_hw_satisfies_one(
-            entry.program, mode, contract, entry.space, entry.layout,
-            sta_report=report)
-    return SatisfactionVerdict(
-        per_program=per_program,
-        holds=all(v.holds for v in per_program.values()))

@@ -63,7 +63,9 @@ def _shared_runs(program, base, table, layout, derive):
         run = simulate_committed(program, _state(base, table, values), layout)
         result = derive(run)
         if values != last:
-            read_set = reads(run)
+            read_set = tuple(dict.fromkeys(reads(run.steps) + [
+                slot for (_, target), steps in run.windows.items()
+                for slot in reads(steps, target)]))
             memo.setdefault(read_set, {})[
                 tuple([values[i] for i in read_set])] = result
         return result
@@ -71,7 +73,7 @@ def _shared_runs(program, base, table, layout, derive):
     return observe
 
 
-def check(program, space, layout, derive, detail_names, policy=None):
+def check(program, space, layout, projections, detail_names, policy=None):
     """The tuple walk: every state in order, grouped by its run's key plus,
     for direct NI, its public projection; the first state whose value
     differs from its group's first state's ends the walk, and the pair,
@@ -81,8 +83,8 @@ def check(program, space, layout, derive, detail_names, policy=None):
     table = _components(space, layout)
     slots = () if policy is None else _public(table, policy)
     base, dag = space.base_state, TraceDag()
-    run_result = _shared_runs(program, base, table, layout,
-                              lambda run: derive(dag, run))
+    run_result = _shared_runs(program, base, table, layout, lambda run: tuple(
+        None if p is None else p(dag, run) for p in projections))
 
     def observe(values):
         key, value = run_result(values)

@@ -12,7 +12,7 @@ from rmikit.asm import parse_program, reg_num
 from rmikit.contracts import (ENUM_CAP, SEQ, SHM, SPEC, STL,
                               EnumerationCapExceeded, FuelExhausted,
                               contract_trace_set)
-from rmikit.corpus import load_entry
+from rmikit.corpus import load_corpus, load_entry, verify_corpus
 from rmikit.machine import ArchState, MemoryLayout
 from rmikit.modes import BURST, INSECURE, MI6, SAFE
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
@@ -257,7 +257,9 @@ def test_empty_value_domain_raises(space, message):
 
 
 def _count_runs(monkeypatch):
-    """The states simulate_committed runs from, in call order."""
+    """The states simulate_committed runs from, in call order, from here
+    on. The exploration slot is emptied, so nothing run before counts."""
+    ni._slot.clear()
     calls = []
     original = contracts.simulate_committed
 
@@ -310,6 +312,51 @@ def test_spectre_runs_per_read_class(monkeypatch, check, runs):
     assert check(entry, layout).holds
     assert len(calls) == runs
     assert len({repr(state) for state in calls}) == runs
+
+
+@pytest.mark.filterwarnings(
+    "ignore::rmikit.contracts.SelfContainmentViolation")
+def test_verify_corpus_runs_each_state_once(monkeypatch):
+    """The checks of a corpus entry share one exploration of its program,
+    space and layout: verify_corpus() runs each (program, state) at most
+    once, 25 of the 32 states of the corpus's spaces."""
+    entries = load_corpus()
+    ni._slot.clear()
+    runs = []
+
+    def counting(program, state, layout):
+        runs.append((id(program), repr(state)))
+        return contracts.simulate_committed(program, state, layout)
+    monkeypatch.setattr(ni, "simulate_committed", counting)
+    assert verify_corpus(entries)["ok"]
+    assert sum(entry.space.size() for entry in entries) == 32
+    assert len(runs) == len(set(runs)) == 25
+
+
+def test_stl_check_after_spec_check_runs_nothing(monkeypatch):
+    """memcpy_right, direct (shm, spec) and then (shm, stl) over one space
+    of two states that differ in a secret source byte: every stl window is
+    a spec window, so the second check makes no committed run. Both give
+    the verdicts of a cold exploration."""
+    entry = load_entry("memcpy_right")
+    a2 = reg_num("a2")
+    space = StateSpace(
+        base_state=ArchState(regs={A0: 0x8000, A1: 0x1100, a2: 8},
+                             private_mem={0x1100 + i: i for i in range(8)}),
+        varying_cells=((0x1104, (3, 200)),))
+    policy = Policy(public_regs=frozenset({A0, A1, a2}))
+    checks = [lambda c=c: check_direct_ni(entry.program, (SHM, c), policy,
+                                          space, entry.layout)
+              for c in (SPEC, STL)]
+    cold = []
+    for check in checks:
+        ni._slot.clear()
+        cold.append(check().to_json())
+    calls = _count_runs(monkeypatch)
+    assert checks[0]().to_json() == cold[0]
+    assert len(calls) == 2
+    assert checks[1]().to_json() == cold[1]
+    assert len(calls) == 2
 
 
 # spectre_v1's gadget with a0 over 16 values, 4 in bounds, and a full

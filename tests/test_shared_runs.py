@@ -3,8 +3,11 @@ a run read (ni._check). Every verdict must equal the tuple walk's, which
 walks every state in order and stays as the oracle (tests/ni_oracle.py):
 the tests patch `ni._check` with the oracle and compare `to_json()`
 byte for byte, or the class and message of the raised error, and the
-states run, check by check. A second property replaces the oracle's
-shared-run memo with a per-state path, which runs every observed state.
+states run, check by check, each check on a cold exploration (the slot
+emptied first). The same checks run back to back on one exploration
+must give the cold outcomes and box splits. A further property replaces
+the oracle's shared-run memo with a per-state path, which runs every
+observed state.
 
 The generated programs go past tests/snippetgen.py: branches on varying
 registers, loads through a varying base that fault inside windows, jalr
@@ -93,6 +96,14 @@ def _outcome_and_runs(check, engine):
         return _outcome(check), runs
 
 
+def _cold(check):
+    """The check on a new exploration: the slot is emptied first."""
+    def cold():
+        ni._slot.clear()
+        return check()
+    return cold
+
+
 def _checks(program, policy, space, contract):
     """Every check of the program: 12 direct contracts, the relative
     pairs, and the five hardware modes under `contract`."""
@@ -115,9 +126,10 @@ def _disjoint(box, other):
                in zip(*box, *other))
 
 
-def _recording_splits():
-    """Replacements for ni's heap operations that record, per popped box,
-    the boxes pushed back after it: its split."""
+def _recorded(check):
+    """The check's outcome, the states it ran, in order, and the split of
+    each box it popped: the boxes pushed back after it. Every split is a
+    disjoint union of boxes."""
     splits = []
 
     def pop(heap):
@@ -128,26 +140,45 @@ def _recording_splits():
         splits[-1].append(box)
         heapq.heappush(heap, box)
 
-    return splits, pop, push
+    with mock.patch.object(ni, "heappop", pop), \
+            mock.patch.object(ni, "heappush", push):
+        outcome, runs = _outcome_and_runs(check, ni)
+    for split in splits:
+        assert all(_disjoint(a, b) for a, b in itertools.combinations(split, 2))
+    return outcome, runs, splits
 
 
 def _assert_cubes_match_oracle(program, policy, space, contract=(SHM, STL)):
-    """Each check gives the tuple walk's outcome and runs the states the
-    walk runs, in the same order. The walk may run one state twice: it
-    keeps no run of its last state, which its shrink can look up. The
-    split of each box is a disjoint union of boxes."""
+    """Each check, on a cold exploration, gives the tuple walk's outcome
+    and runs the states the walk runs, in the same order. The walk may
+    run one state twice: it keeps no run of its last state, which its
+    shrink can look up."""
     checks = _checks(program, policy, space, contract)
-    splits, pop, push = _recording_splits()
-    with mock.patch.object(ni, "heappop", pop), \
-            mock.patch.object(ni, "heappush", push):
-        cubes = [_outcome_and_runs(check, ni) for check in checks]
-    for split in splits:
-        assert all(_disjoint(a, b) for a, b in itertools.combinations(split, 2))
+    cubes = [_recorded(_cold(check)) for check in checks]
     with mock.patch.object(ni, "_check", ni_oracle.check):
         oracle = [_outcome_and_runs(check, ni_oracle) for check in checks]
-    for (got, runs), (want, oracle_runs) in zip(cubes, oracle):
+    for (got, runs, _), (want, oracle_runs) in zip(cubes, oracle):
         assert got == want
         assert runs == list(dict.fromkeys(oracle_runs))
+
+
+def _assert_warm_matches_cold(program, policy, space, contract, shuffle):
+    """The checks run back to back on one exploration, in the order
+    `shuffle` gives them, twice over, give each the outcome and the box
+    splits it gives on a cold exploration. Unless a check raises, which
+    leaves the slot empty, the second time over runs nothing."""
+    checks = _checks(program, policy, space, contract)
+    cold = [_recorded(_cold(check)) for check in checks]
+    order = list(range(len(checks)))
+    shuffle(order)
+    ni._slot.clear()
+    warm = [(i, _recorded(checks[i])) for i in order + order]
+    for i, (got, _, got_splits) in warm:
+        want, _, want_splits = cold[i]
+        assert got == want
+        assert got_splits == want_splits
+    if all(isinstance(outcome, str) for outcome, _, _ in cold):
+        assert all(runs == [] for _, (_, runs, _) in warm[len(checks):])
 
 
 def _assert_memo_matches_per_state_path(program, policy, space,
@@ -253,6 +284,15 @@ def _programs(draw, wide=False):
 def test_cubes_match_tuple_walk(case, contract):
     program, policy, space = case
     _assert_cubes_match_oracle(program, policy, space, contract)
+
+
+@settings(deadline=None)
+@given(case=st.one_of(_programs(), _programs(wide=True)),
+       contract=st.sampled_from(CONTRACTS),
+       rnd=st.randoms(use_true_random=False))
+def test_warm_exploration_matches_cold(case, contract, rnd):
+    program, policy, space = case
+    _assert_warm_matches_cold(program, policy, space, contract, rnd.shuffle)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from rmikit.asm import reg_num
 from rmikit.contracts import (EMPTY_TRACE, ENUM_CAP, EXEC_KINDS, LEAK_KINDS,
                               SHM, SPEC, EnumerationCapExceeded, ExecModel,
-                              LeakageModel, TraceDag, simulate_committed)
+                              LeakageModel, Projection, TraceDag,
+                              simulate_committed)
 from rmikit.corpus import ENTRY_NAMES, load_entry
 from rmikit.machine import ArchState
 from rmikit.modes import BURST, hw_projection
@@ -49,7 +50,7 @@ def _assert_keys_match_oracle(program, states, layout, projection):
         key = hw_projection(program, BURST)
         oracle = lambda run: oracle_burst_set(run, SHM)
     else:
-        key = lambda dag, run: dag.trace_key(run, *projection)
+        key = Projection(*projection)
         oracle = lambda run: oracle_trace_set(run, *projection)
     keys, sets = [], []
     for state in states:
@@ -115,7 +116,7 @@ def test_holding_copy_check_builds_no_trace_set(monkeypatch):
     policy = Policy(public_regs=frozenset(reg_num(r) for r in ("a0", "a1", "a2")))
     run = simulate_committed(entry.program, space.base_state, entry.layout)
     dag = TraceDag()
-    key = dag.trace_key(run, SHM, SPEC)
+    key = Projection(SHM, SPEC)(dag, run)
     assert len(dag.traces(key)) == 2 ** 13
     assert len(dag.nodes) <= 40
 
