@@ -26,7 +26,9 @@ the runs, and a node per projection, of one (program, space, layout)
 between checks: one slot holds the exploration of the most recent
 check, keyed on the program object, the layout, the space's component
 table and its base state, so its memory is bounded by one exploration
-(ni.py).
+(ni.py). A kept CommittedRun keeps the raw steps of its windows, so a
+projection under another leakage model never runs the state again, and
+drops its final state and the snapshots no projection needs.
 
 A trace set is the finite language seg0 W0 seg1 W1 ... tail, where each
 W is the set of choices at one decision point. `TraceDag.splice` builds
@@ -50,7 +52,7 @@ forms (ni._check) and the states of a listed state space.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .asm import BRANCHES, LOAD_SIZES
@@ -152,24 +154,31 @@ def _events(steps, kind):
     return tuple(events)
 
 
-@dataclass(frozen=True)
-class DecisionPoint:
+class DecisionPoint(NamedTuple):
     step: int                  # position in the committed step sequence
     index: int                 # program index of the control instruction
     targets: tuple             # admissible mispredict targets
     burst_active: bool
 
 
-@dataclass(frozen=True)
 class CommittedRun:
-    """The exploration of one (program, state)."""
-    program: object
-    layout: object
-    steps: tuple               # (index, effect, burst flag) per committed step
-    resume: dict               # step -> committed state after a branch or jalr
-    final_state: object
-    windows: dict = field(default_factory=dict, repr=False, compare=False)
-    words: dict = field(default_factory=dict, repr=False, compare=False)
+    """The exploration of one (program, state): its committed `steps`
+    ((index, effect, burst flag) each), `resume`, from the position of
+    each branch and jalr to the committed state after it, and its
+    `final_state`; and the raw steps of each wrong-path window and its
+    word per leakage model, made on first use.
+
+    Only simulate_committed builds one. A run the NI checks keep is
+    trimmed there (ni._Exploration): it drops its final state (None),
+    shares the `steps` of an equal committed path, and drops a point's
+    snapshot (None in `resume`) once the point's windows have run."""
+    __slots__ = ("program", "layout", "steps", "resume", "final_state",
+                 "windows", "words")
+
+    def __init__(self, program, layout, steps, resume, final_state):
+        self.program, self.layout = program, layout
+        self.steps, self.resume, self.final_state = steps, resume, final_state
+        self.windows, self.words = {}, {}
 
     def decision_points(self, exec_model):
         return decision_points(self.program, self.steps, self.resume,
@@ -453,9 +462,9 @@ class TraceDag:
         return unions[top]
 
     def splice(self, run, leak, options):
-        """The node of the traces of `run` over every combination of choices.
+        """The node of the traces of the CommittedRun `run` over every
+        combination of choices.
 
-        `run` is a CommittedRun or has its `steps` and `window_word`.
         `options` pairs each decision point's committed step, in execution
         order, with its choices: None for a correct prediction, or a
         mispredict target whose window is spliced in after that step. The

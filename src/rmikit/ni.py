@@ -33,19 +33,22 @@ Consecutive checks share one exploration (`_Exploration`), in a slot
 that holds the exploration of the most recent check. It is keyed on the
 program (the same object), the layout, the component table and the base
 state (pc, registers and both memories, equal by value), and holds one
-contracts.TraceDag, the committed runs indexed by read class, each with
-a memo from view (leak kind and options) to DAG node, and per check
-signature the cube walk's memo. Every contract and mode is a projection
-(contracts.Projection) of the same runs, so a direct (shm, spec) check
+contracts.TraceDag, the committed runs indexed by read class as they
+are made, each with a cache from view (leak kind and options) to DAG
+node, and per check signature the cube walk's memo. Every contract and
+mode is a projection (contracts.Projection) of the same runs, derived in
+one place for a fresh run and a kept one, so a direct (shm, spec) check
 and a (shm, stl) check over one space share runs, and relative
 (shm, seq) -> (shm, stl) and Burst mode share runs and (shm, stl) nodes.
 A run's read set for a check counts only the windows of that check's
 projections, so verdicts, cube splits and piece counts never depend on
-the checks before. A kept run keeps no window steps and no snapshot it
-no longer needs, and the slot keeps one exploration, so the memory of
-the checks is bounded by the largest exploration of one (program,
-space, layout). Trace sets are compared as node ids of the
-exploration's DAG, and listed only for a violation's witness detail.
+the checks before. A kept run keeps the raw steps of its windows, so a
+view under any leakage model runs no state twice in one exploration,
+and drops its final state and each snapshot no view needs; the slot
+keeps one exploration, so the memory of the checks is bounded by the
+largest exploration of one (program, space, layout). Trace sets are
+compared as node ids of the exploration's DAG, and listed only for a
+violation's witness detail.
 """
 
 from __future__ import annotations
@@ -53,11 +56,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from operator import add, itemgetter
+from operator import itemgetter
 
-from .contracts import (CommittedRun, Projection, TraceDag, decision_points,
-                        enforce_enum_cap, read_walk, simulate_committed,
-                        trace_set_to_json)
+from .contracts import (Projection, TraceDag, enforce_enum_cap, read_walk,
+                        simulate_committed, trace_set_to_json)
 from .machine import MASK64, PRIVATE, ArchState
 from .modes import check_start, hw_projection, runtime_escape, warn_escape
 
@@ -124,8 +126,8 @@ def _components(space, layout):
 
 
 def _state(base, table, values):
-    """The ArchState of the tuple `values`: `base`, owning copies of its
-    dicts, with each component of `table` set to its slot's value."""
+    """The ArchState of the slot values `values`: `base`, owning copies of
+    its dicts, with each component of `table` set to its slot's value."""
     fields = {"regs": dict(base.regs), "private_mem": dict(base.private_mem),
               "shared_mem": dict(base.shared_mem)}
     for (name, key, _, _), value in zip(table, values):
@@ -210,70 +212,30 @@ def _pieces(lo, hi, public):
     return firsts
 
 
-class _Run:
-    """A committed run kept by an exploration, lean: the state it ran
-    from, as a tuple of domain indices; its committed `steps`, the
-    positions `controls` of their branches and jalrs, and the slots
-    `committed` they read, all three shared by the runs of one committed
-    path; the snapshots `resume` of the points whose windows have not
-    run; a `cache` from view (leak kind and options) to DAG node, from
-    window (step, target) to the slots it read, and from (step, target,
-    leak kind) to the window's word; and, once a burst check enters it,
-    the instruction at which it escapes its burst regions, if any.
-
-    A window's steps are dropped once its word and read slots are
-    recorded, and a point's snapshot once its windows have run: every
-    view that has a point runs every window the point has (a branch has
-    one wrong arm, and only spec takes a jalr, with all its targets).
-    `full` is a whole CommittedRun while a check enters the run: the
-    snapshots of the points not yet run, or, when a view needs a window
-    run before under other leakage models only, the state run again."""
-    __slots__ = ("origin", "program", "layout", "steps", "controls",
-                 "committed", "resume", "full", "cache", "escape")
-
-    def __init__(self, origin, program, layout, steps, controls, resume,
-                 cache):
-        self.origin, self.program, self.layout = origin, program, layout
-        self.steps, self.controls = steps, controls
-        self.resume, self.full, self.cache = resume, None, cache
-        self.committed = self.escape = None
-
-    def decision_points(self, exec_model):
-        return decision_points(self.program, self.steps, self.controls,
-                               exec_model)
-
-    def window_word(self, step, target, kind):
-        word = self.cache.get((step, target, kind))
-        if word is None:
-            if self.full is None:
-                self.full = CommittedRun(self.program, self.layout, self.steps,
-                                         self.resume, None)
-            word = self.full.window_word(step, target, kind)
-        return word
-
-
-# The `resume` of a kept run whose snapshots are all dropped.
-_NO_SNAPSHOTS = {}
-
-
 class _Exploration:
     """What the checks of one (program, space, layout) share: one TraceDag,
-    the kept runs, and per check signature (the pair of key and value
-    projections) the cube walk's memo.
+    the runs of its checks, and per check signature (the pair of key and
+    value projections) the cube walk's memo.
 
-    - `runs` indexes the kept runs by the values of the slots their
-      committed paths read: committed read set -> (itself, its
-      projection, {values on it: [_Run, ...]}). The runs of one list
-      share their committed path and differ only in their windows.
+    - `runs` indexes each run as it is made, by the values of the slots
+      its committed path read: committed read set -> (its projection,
+      {values on it: [kept run, ...]}). A kept run is the record
+      (origin, run, committed read set, cache): the state it ran from,
+      as a tuple of domain indices; its contracts.CommittedRun; and a
+      cache from view (leak kind and options) to DAG node and from
+      window (step, target) to the slots the window read. The runs of
+      one list share their committed path, and its `steps` object, and
+      differ only in their windows.
     - `memos` maps a signature to the memo from read set to (its
       projection, {values on it: (key, value, escape)}), and to how many
       runs of each list (by its id) are entered in that memo.
-    - `shared` holds one copy of each view, cache key and read-slot
-      tuple of the kept runs.
-    - `pending` holds the fresh runs of the checks, lean but not yet
-      indexed: a check indexes them (`_keep`) when it takes the
-      exploration, so a check over an exploration no later check takes
-      pays no indexing.
+
+    A kept run keeps the raw steps of every window it ran, so a view
+    under any leakage model derives its words without running the state
+    again, and drops what no view reads: its final state, and the
+    snapshot of a point whose windows have run (every view that has a
+    point runs every window the point has: a branch has one wrong arm,
+    and only spec takes a jalr, with all its targets).
 
     It matches a check whose program is the same object and whose
     layout, component table and base state (pc, registers and both
@@ -281,7 +243,7 @@ class _Exploration:
     its checks explored, so its memory is bounded by them and by its
     DAG, and the slot keeps one exploration."""
     __slots__ = ("program", "layout", "table", "base", "dag", "reads", "runs",
-                 "memos", "shared", "pending")
+                 "memos")
 
     def __init__(self, program, layout, table, base):
         self.program, self.layout, self.table = program, layout, table
@@ -292,11 +254,7 @@ class _Exploration:
         for i, (name, key, _, _) in enumerate(table):
             (registers if name == "regs" else cells)[key] = i
         self.reads = read_walk(program, registers, cells)
-        self.runs, self.memos, self.shared = {}, {}, {}
-        # (origin, steps, controls, resume, words, (view, node) pairs,
-        # escape, entered counts of its check, committed read slots,
-        # (window, read slots) pairs) per fresh run
-        self.pending = []
+        self.runs, self.memos = {}, {}
 
     def matches(self, program, layout, table, base):
         return (program is self.program and layout == self.layout
@@ -321,44 +279,6 @@ def _exploration(program, layout, table, base):
                                                       base):
         exploration = _Exploration(program, layout, table, base)
     return exploration
-
-
-# The most fresh runs an exploration holds before it indexes them. A check
-# of few runs over an exploration that no later check takes indexes none;
-# one of many runs shares the steps of a committed path every _PENDING.
-_PENDING = 32
-
-
-def _keep(exploration):
-    """Keep the fresh runs of `exploration`: index each by the values of
-    the slots its committed path read, with its nodes, and the words and
-    read slots of its windows, in its cache. A run stays entered in the
-    memo of its own check."""
-    runs, shared = exploration.runs, exploration.shared
-    for (origin, steps, controls, resume, cache, views, escape, entered, read,
-         windows) in exploration.pending:
-        committed = tuple(dict.fromkeys(read))
-        if committed not in runs:
-            runs[committed] = (committed, _projection(committed), {})
-        committed, at, lists = runs[committed]
-        kept_runs = lists.setdefault(at(origin), [])
-        if kept_runs:
-            # the runs of one committed path share its steps
-            steps, controls = kept_runs[0].steps, kept_runs[0].controls
-        for view, node in views:
-            if view is not None:
-                cache[shared.setdefault(view, view)] = node
-        for window, slots in windows:
-            slots = tuple(slots)
-            cache[shared.setdefault(window, window)] = shared.setdefault(
-                slots, slots)
-        kept = _Run(origin, exploration.program, exploration.layout, steps,
-                    controls, resume or _NO_SNAPSHOTS, cache)
-        kept.committed, kept.escape = committed, escape
-        if entered.get(id(kept_runs), 0) == len(kept_runs):
-            entered[id(kept_runs)] = len(kept_runs) + 1
-        kept_runs.append(kept)
-    exploration.pending.clear()
 
 
 def _check(program, space, layout, projections, detail_names, policy=None):
@@ -399,120 +319,64 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     """
     table = _components(space, layout)
     exploration = _exploration(program, layout, table, space.base_state)
-    domains = [domain for *_, domain in table]
+    domains = [row[3] for row in table]
     public = () if policy is None else _public(table, policy)
     base, dag, reads = space.base_state, exploration.dag, exploration.reads
-    if exploration.pending:
-        _keep(exploration)
-    runs, shared = exploration.runs, exploration.shared
-    pending = exploration.pending
-    # runs kept by the checks before may serve a state of this one
+    runs = exploration.runs
+    # runs kept by the checks before may serve a state of this one; each
+    # run of this check is entered in its memo as it is made
     reuse = bool(runs)
-    key_projection, value_projection = projections
-    memos = exploration.memos.get(projections)
-    if memos is None:
-        memos = exploration.memos[projections] = ({}, {})
-    memo, entered = memos
+    memo, entered = exploration.memos.setdefault(projections, ({}, {}))
     burst = any(p is not None and p.burst_only for p in projections)
-    every_slot = tuple(range(len(table)))
-    ones = (1,) * len(table)
     warned = not burst
 
     def state(lo):
-        return _state(base, table, tuple([d[i] for d, i in zip(domains, lo)]))
+        return _state(base, table, [d[i] for d, i in zip(domains, lo)])
 
-    def enter(kept):
-        """Derive the kept run's (key, value) and enter it in the memo
-        under its read set."""
-        cache = kept.cache
-        views = [None if p is None else (p.leak.kind, p.options(kept))
-                 for p in projections]
-        if kept.full is None and any(
-                view is not None and view not in cache and any(
-                    (pos, target, view[0]) not in cache
-                    and pos not in kept.resume
-                    for pos, choices in view[1] for target in choices[1:])
-                for view in views):
-            # a window run before under other leakage models only
-            kept.full = simulate_committed(program, state(kept.origin),
-                                           layout)
-        read = list(kept.committed)
+    def enter(kept, alone=False):
+        """Derive the kept run's (key, value, escape) under this check's
+        projections and enter it in the memo under its read set: its
+        committed read set and the slots the windows of this check's
+        views read; or, when `alone`, for its own state alone."""
+        origin, run, committed, cache = kept
+        read = committed
         nodes = []
-        for projection, view in zip(projections, views):
-            if view is None:
+        for projection in projections:
+            if projection is None:
                 nodes.append(None)
                 continue
+            view = (projection.leak.kind, projection.options(run))
             node = cache.get(view)
             if node is None:
-                node = cache[shared.setdefault(view, view)] = dag.splice(
-                    kept, projection.leak, view[1])
+                node = cache[view] = dag.splice(run, projection.leak, view[1])
             nodes.append(node)
             for pos, choices in reversed(view[1]):
                 for target in choices[1:]:
                     slots = cache.get((pos, target))
                     if slots is None:
-                        # run now: record its read slots, drop its steps
-                        window = (pos, target)
-                        window = shared.setdefault(window, window)
-                        slots = tuple(reads(kept.full.windows[window], target))
-                        cache[window] = slots = shared.setdefault(slots, slots)
-                        kept.resume.pop(pos, None)
+                        slots = cache[pos, target] = tuple(
+                            reads(run.windows[pos, target], target))
                     read += slots
-        if kept.full is not None:
-            cache.update(kept.full.words)
-            kept.full = None
-            if not kept.resume:
-                kept.resume = _NO_SNAPSHOTS
-        if burst:
-            kept.escape = runtime_escape(kept)
-        read_set = tuple(dict.fromkeys(read))
+                run.resume[pos] = None
+        if alone:
+            read_set = tuple(range(len(origin)))
+        elif len(read) > len(committed):
+            read_set = tuple(dict.fromkeys(read))
+        else:
+            read_set = committed
         if read_set not in memo:
             memo[read_set] = (_projection(read_set), {})
         at, results = memo[read_set]
-        result = results[at(kept.origin)] = (*nodes, kept.escape)
-        return result, read_set
-
-    def run_fresh(lo, one_state):
-        """Run the state `lo`, derive its (key, value) and enter it under
-        its read set, or for `lo` alone when `one_state`. The run waits in
-        `pending` until a later check takes the exploration, or until
-        `_PENDING` runs wait, and is then kept (`_keep`)."""
-        run = simulate_committed(program, state(lo), layout)
-        key_view = value_view = key = value = None
-        if key_projection is not None:
-            key_view = (key_projection.leak.kind, key_projection.options(run))
-            key = dag.splice(run, key_projection.leak, key_view[1])
-        if value_projection is not None:
-            value_view = (value_projection.leak.kind,
-                          value_projection.options(run))
-            value = key if value_view == key_view else dag.splice(
-                run, value_projection.leak, value_view[1])
-        committed = reads(run.steps)
-        read, windows, controls = committed[:], [], tuple(run.resume)
-        for window, steps in run.windows.items():
-            windows.append((window, reads(steps, window[1])))
-            read += windows[-1][1]
-            # every window of the point has run: no view needs its snapshot
-            run.resume.pop(window[0], None)
-        read_set = every_slot if one_state else tuple(dict.fromkeys(read))
-        escape = runtime_escape(run) if burst else None
-        if read_set not in memo:
-            memo[read_set] = (_projection(read_set), {})
-        at, results = memo[read_set]
-        result = results[at(lo)] = (key, value, escape)
-        pending.append((lo, run.steps, controls, run.resume, run.words,
-                        ((key_view, key), (value_view, value)), escape,
-                        entered, committed, windows))
-        if len(pending) == _PENDING:
-            _keep(exploration)
+        result = results[at(origin)] = (
+            *nodes, runtime_escape(run) if burst else None)
         return result, read_set
 
     def explore(lo, hi=None):
         """The (key, value, escape) of the state `lo` and the read set its
         run shares. A miss enters the kept runs that share the committed
         path of `lo` and are not yet entered, and runs `lo` when none of
-        them serves it. The run of a box `(lo, hi)` of one state is
-        entered for `lo` alone."""
+        them serves it, keeping the run at once. The run of a box
+        `(lo, hi)` of one state is entered for `lo` alone."""
         nonlocal warned
         for read_set, (at, results) in memo.items():
             found = results.get(at(lo))
@@ -520,7 +384,7 @@ def _check(program, space, layout, projections, detail_names, policy=None):
                 break
         else:
             found = kept_runs = None
-            for _, at, lists in runs.values() if reuse else ():
+            for at, lists in runs.values() if reuse else ():
                 kept_runs = lists.get(at(lo))
                 if kept_runs is not None:
                     break
@@ -531,12 +395,26 @@ def _check(program, space, layout, projections, detail_names, policy=None):
                     n += 1
                     result, read_set = enter(kept)
                     at = memo[read_set][0]
-                    if at(lo) == at(kept.origin):
+                    if at(lo) == at(kept[0]):
                         found = result
                 entered[id(kept_runs)] = n
             if found is None:
-                found, read_set = run_fresh(
-                    lo, hi == tuple(map(add, lo, ones)))
+                run = simulate_committed(program, state(lo), layout)
+                committed = tuple(dict.fromkeys(reads(run.steps)))
+                if committed not in runs:
+                    runs[committed] = (_projection(committed), {})
+                at, lists = runs[committed]
+                kept_runs = lists.setdefault(at(lo), [])
+                run.final_state = None
+                if kept_runs:
+                    run.steps = kept_runs[0][1].steps
+                kept = (lo, run, committed, {})
+                kept_runs.append(kept)
+                # every earlier run of the list is entered in this memo
+                entered[id(kept_runs)] = len(kept_runs)
+                # every slot of a box is at least one value wide
+                found, read_set = enter(kept, hi is not None and (
+                    sum(hi) - sum(lo) == len(lo)))
         if not warned and found[2] is not None:
             warn_escape(found[2], stacklevel=4)
             warned = True

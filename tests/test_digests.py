@@ -1,8 +1,8 @@
 """Pinned outputs: every corpus state's trace set under all 12 contracts
 and all 5 hardware modes, every corpus NI verdict's JSON, the output of
 `rmikit corpus-verify --json` and of `rmikit cache --show-map
---show-flush-cost --json` (the reference table), and the stdout of the
-partitioned-cache demo, each as a sha256 digest.
+--show-flush-cost --json` (the reference table), and the stdout of each
+demo, each as a sha256 digest.
 
 The digests in digests.json were taken from a known-good build; any change
 to a trace, a verdict, a witness or the CLI matrix shows up here. After an
@@ -31,7 +31,7 @@ from rmikit.ni import (check_direct_ni, check_hw_satisfies_one,
                        check_relative_ni, enumerate_states)
 
 DIGESTS = Path(__file__).with_name("digests.json")
-LLC_DEMO = Path(__file__).resolve().parents[1] / "demos" / "04_llc_partitioning.py"
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 # the corpus checks of rmikit.corpus.CHECKS, as verdict objects
 NI_CHECKS = {
@@ -92,10 +92,11 @@ def compute_digests():
             with contextlib.redirect_stdout(out):
                 code = main(argv)
             digests[" ".join(argv)] = _sha(f"{code}\n{out.getvalue()}")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(LLC_DEMO), run_name="__main__")
-    digests[f"demos/{LLC_DEMO.name} stdout"] = _sha(out.getvalue())
+    for demo in DEMOS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        digests[f"demos/{demo.name} stdout"] = _sha(out.getvalue())
     return digests
 
 

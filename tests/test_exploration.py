@@ -3,7 +3,8 @@ only when its program is the same object and its layout, component
 table and base state are equal, it is never shared by two threads, a
 check that raises leaves it empty, and it keeps no earlier program
 alive. A burst check warns of an escaping run also when its runs and
-nodes come from the exploration."""
+nodes come from the exploration. A kept run holds only what a later view
+can read."""
 
 import gc
 import json
@@ -216,3 +217,28 @@ def test_warm_burst_check_still_warns_of_escape(monkeypatch, warm_up):
     assert verdict.holds
     assert runs == []
 
+
+
+def test_kept_runs_hold_only_what_a_view_reads():
+    """memcpy_right copies 4 bytes, and only the wrong path of its last
+    branch loads the byte past them, which varies: the three states share
+    one committed path. After a direct (shm, spec) check, its kept runs
+    share one `steps` object, none holds a final state, and none holds
+    the snapshot of a point whose windows have run (under spec, every
+    branch)."""
+    entry = load_entry("memcpy_right")
+    a1, a2 = reg_num("a1"), reg_num("a2")
+    space = StateSpace(
+        base_state=ArchState(regs={A0: 0x8000, a1: 0x1100, a2: 4},
+                             private_mem={0x1100 + i: i for i in range(4)}),
+        varying_cells=((0x1104, (3, 200, 7)),))
+    check_direct_ni(entry.program, (SHM, SPEC), Policy(), space, entry.layout)
+    (exploration,) = ni._slot
+    (kept_runs,) = [kept_runs for _, lists in exploration.runs.values()
+                    for kept_runs in lists.values()]
+    assert len(kept_runs) == 3
+    for _, run, _, _ in kept_runs:
+        assert run.steps is kept_runs[0][1].steps
+        assert run.final_state is None
+        assert run.resume and {pos for pos, _ in run.windows} == set(run.resume)
+        assert all(snapshot is None for snapshot in run.resume.values())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rmikit import contracts, ni
 from rmikit.asm import parse_program, reg_num
-from rmikit.contracts import (ENUM_CAP, SEQ, SHM, SPEC, STL,
+from rmikit.contracts import (ARCH, CT, ENUM_CAP, SEQ, SHM, SPEC, STL,
                               EnumerationCapExceeded, FuelExhausted,
                               contract_trace_set)
 from rmikit.corpus import load_corpus, load_entry, verify_corpus
@@ -357,6 +357,32 @@ def test_stl_check_after_spec_check_runs_nothing(monkeypatch):
     assert len(calls) == 2
     assert checks[1]().to_json() == cold[1]
     assert len(calls) == 2
+
+
+def test_views_under_other_leakage_models_run_nothing(monkeypatch):
+    """A branch on a0 guards a load of the private cell 0x1000. Direct
+    (ct, spec) runs three states; (arch, spec) and then (shm, stl) over
+    the same space derive their views from the kept runs and the raw
+    steps of their windows, and run none. Each gives the verdict of a
+    cold exploration."""
+    program = parse_program("beq a0, zero, skip\nlbu t0, 0(a1)\nskip:\n")
+    space = StateSpace(base_state=ArchState(regs={A1: 0x1000}),
+                       varying_registers=((A0, (0, 1)),),
+                       varying_cells=((0x1000, (3, 4)),))
+    checks = [lambda c=c: check_direct_ni(program, c, Policy(), space, LAYOUT)
+              for c in ((CT, SPEC), (ARCH, SPEC), (SHM, STL))]
+    cold = []
+    for check in checks:
+        ni._slot.clear()
+        cold.append(check().to_json())
+    ni._slot.clear()
+    calls = _count_runs(monkeypatch)
+    counts = []
+    for check, want in zip(checks, cold):
+        before = len(calls)
+        assert check().to_json() == want
+        counts.append(len(calls) - before)
+    assert counts == [3, 0, 0]
 
 
 # spectre_v1's gadget with a0 over 16 values, 4 in bounds, and a full

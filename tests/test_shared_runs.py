@@ -166,7 +166,8 @@ def _assert_warm_matches_cold(program, policy, space, contract, shuffle):
     """The checks run back to back on one exploration, in the order
     `shuffle` gives them, twice over, give each the outcome and the box
     splits it gives on a cold exploration. Unless a check raises, which
-    leaves the slot empty, the second time over runs nothing."""
+    leaves the slot empty, no state runs twice over the first time, and
+    the second time over runs nothing."""
     checks = _checks(program, policy, space, contract)
     cold = [_recorded(_cold(check)) for check in checks]
     order = list(range(len(checks)))
@@ -178,6 +179,9 @@ def _assert_warm_matches_cold(program, policy, space, contract, shuffle):
         assert got == want
         assert got_splits == want_splits
     if all(isinstance(outcome, str) for outcome, _, _ in cold):
+        first = [state for _, (_, runs, _) in warm[:len(checks)]
+                 for state in runs]
+        assert len(set(first)) == len(first), "a state ran twice"
         assert all(runs == [] for _, (_, runs, _) in warm[len(checks):])
 
 
