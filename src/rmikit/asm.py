@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # Canonical register numbering: x0..x31 plus the usual ABI aliases.
 _ABI_ALIASES = {
@@ -138,6 +139,12 @@ class Program:
 
     def __hash__(self):
         return hash((self.instructions, self.burst_regions))
+
+    @cached_property
+    def burst_indices(self):
+        """The instruction indices inside some static burst region."""
+        return frozenset(index for on, off in self.burst_regions
+                         for index in range(on, off + 1))
 
 
 def reg_num(name):

@@ -7,22 +7,30 @@ each region to a contiguous range of cache sets:
 
 A table is immutable and validated once, on construction, which also
 resolves it into a 64-slot tuple indexed by region, holding (base, size)
-or None for a region with no range; every set lookup reads that tuple.
+or None for a region with no range.
 
-Line tags (full line addresses) keep the entire original set index, so
-arbitrarily small ranges stay unambiguous. Each cache set is a dict from
-(tag, region) to whether the line came from the zero device, least
-recently used first. The hardware flushes a region by reading an
-eviction set in a zero-device address space that aliases the region's
-cache indexing but always returns zeros. The eviction set puts the set
-offset below bit 16 and the way in bits 16 to 24, so a table is accepted
-only on a geometry where that set covers every (set, way) of a range:
-power-of-two line size and set count, a line size times set count of at
-most 1 << 16, and at most 1 << 9 ways. On such a geometry the walk's
-outcome is fixed: each set of the range ends up holding exactly its
-offset's `ways` zero-device lines, in way order. The model writes that
-outcome directly; the flush still costs size x ways accesses, counted
-in `accesses`.
+Line tags are full line numbers (address >> log2 line_bytes). A tag
+keeps the entire original set index, so arbitrarily small ranges stay
+unambiguous, and the region too (its six bits from 25 - log2 line_bytes
+up), so the tag alone names a line. Each cache set is a dict from tag
+to what a hit on it returns: True for a DRAM line, False for a
+zero-device line, least recently used first. The cache resolves its
+current table once, per region, into the tuple of that region's set
+dicts (None for a region with no range), so an access indexes that tuple
+with a shift, a mask and one modulo. A flush and a reconfiguration
+update the set dicts in place, so the resolved tuples stay valid.
+
+The hardware flushes a region by reading an eviction set in a
+zero-device address space that aliases the region's cache indexing but
+always returns zeros. The eviction set puts the set offset below bit 16
+and the way in bits 16 to 24, so a table is accepted only on a geometry
+where that set covers every (set, way) of a range: power-of-two line
+size and set count, a line size times set count of at most 1 << 16, and
+at most 1 << 9 ways. On such a geometry the walk's outcome is fixed:
+each set of the range ends up holding exactly its offset's `ways`
+zero-device lines, in way order. The model writes that outcome
+directly; the flush still costs size x ways accesses, counted in
+`accesses`.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from functools import cached_property
 from .machine import json_int
 
 NUM_REGIONS = 64
+REGION_MASK = NUM_REGIONS - 1
 REGION_SHIFT = 25            # 32MB region granularity
 WAY_SHIFT = 16               # the way's bits in a zero-device address
 TABLE_BITS = 1216            # 64 entries * (10-bit base + 9-bit size)
@@ -158,8 +167,9 @@ def region_of(address):
 
 
 def remap_set_index(address, table):
-    """(region id, cache set) for a physical or zero-device address.
-    PartitionedCache.access computes the same formula inline."""
+    """(region id, cache set) for a physical or zero-device address, by
+    the documented formula. PartitionedCache.access finds the same set
+    through the region's resolved tuple of set dicts (see _bind)."""
     region = (address >> REGION_SHIFT) % NUM_REGIONS
     span = table.ranges[region]
     if span is None:
@@ -185,48 +195,56 @@ class PartitionedCache:
         self._bind(table)
 
     def _bind(self, table):
-        """Make `table` current, with what access reads of it as attributes."""
+        """Make `table` current and resolve it for access: per region, the
+        tuple of the set dicts of its range (None for a region with no
+        range), and the line shift and set mask that the table's
+        power-of-two geometry allows in place of // and %. The tuples
+        hold the dicts of `sets`, which are only ever updated in place."""
         self.table = table
-        self._ranges = table.ranges
-        self._line_bytes = table.geometry.line_bytes
-        self._total_sets = table.geometry.total_sets
-        self._ways = table.geometry.ways
+        geometry = table.geometry
+        self._region_sets = tuple(
+            None if span is None else tuple(self.sets[span[0]:span[0] + span[1]])
+            for span in table.ranges)
+        self._line_shift = geometry.line_bytes.bit_length() - 1
+        self._set_mask = geometry.total_sets - 1
+        self._ways = geometry.ways
 
     def access(self, address):
         """LRU lookup/fill; returns True on hit. Zero-device reads always
-        miss architecturally but still allocate (that is their purpose).
-        The set is remap_set_index's, computed inline."""
+        miss architecturally but still allocate (that is their purpose):
+        a set maps each line number to what a hit on it returns. The set
+        is remap_set_index's: entry (line mod total_sets) mod size of the
+        region's resolved tuple."""
         self.accesses += 1
-        region = (address >> REGION_SHIFT) % NUM_REGIONS
-        span = self._ranges[region]
-        if span is None:
-            raise _no_range(region)
-        line = address // self._line_bytes
-        base, size = span
-        lines = self.sets[base + line % self._total_sets % size]
-        key = (line, region)
-        zero = lines.pop(key, None)
-        if zero is not None:
-            lines[key] = zero                   # most recent last
-            return not zero
-        lines[key] = bool(address & ZERO_DEVICE_BASE)
+        region_sets = self._region_sets[address >> REGION_SHIFT & REGION_MASK]
+        if region_sets is None:
+            raise _no_range(address >> REGION_SHIFT & REGION_MASK)
+        line = address >> self._line_shift
+        lines = region_sets[(line & self._set_mask) % len(region_sets)]
+        hit = lines.pop(line, None)
+        if hit is not None:
+            lines[line] = hit                   # most recent last
+            return hit
+        lines[line] = not address & ZERO_DEVICE_BASE
         if len(lines) > self._ways:
             del lines[next(iter(lines))]
         return False
 
     def lines_of_region(self, region):
-        """Tags of the region's cached lines, zero-device lines excluded."""
-        return [tag for lines in self.sets
-                for (tag, owner), zero in lines.items()
-                if owner == region and not zero]
+        """Tags of the region's cached lines, zero-device lines excluded;
+        the region is read from each tag."""
+        shift = REGION_SHIFT - self._line_shift
+        return [line for lines in self.sets for line, hit in lines.items()
+                if hit and line >> shift & REGION_MASK == region]
 
     def flush_region(self, region):
         """Evict every line of `region` by writing what reading its
         zero-device eviction set leaves behind: each set of the range
         holds exactly its offset's `ways` zero-device lines, in way
-        order. The reads are still counted in `accesses`, and the number
-        of them (size_sets x ways) is returned."""
-        base, size = self.table.range_of(region)
+        order. The set dicts are refilled in place. The reads are still
+        counted in `accesses`, and the number of them (size_sets x ways)
+        is returned."""
+        _, size = self.table.range_of(region)
         geometry = self.table.geometry
         ways = geometry.ways
         # The table's geometry condition (power-of-two line size and set
@@ -235,17 +253,18 @@ class PartitionedCache:
         # set base + offset by access's formula, with distinct tags per
         # way; reading them all leaves each set holding just those lines.
         way_lines = [zero_device_address(region, 0, way, geometry)
-                     // geometry.line_bytes for way in range(ways)]
-        for offset in range(size):
-            self.sets[base + offset] = {
-                (line + offset, region): True for line in way_lines}
+                     >> self._line_shift for way in range(ways)]
+        for offset, lines in enumerate(self._region_sets[region]):
+            lines.clear()
+            for line in way_lines:
+                lines[line + offset] = False
         self.accesses += size * ways
         return size * ways
 
     def configure(self, new_table, running_enclaves):
         """Validated reconfiguration: only allowed with no enclave running
         and without touching the ranges reserved for the security monitor;
-        sets whose mapping changes are flushed before the switch."""
+        sets whose mapping changes are emptied in place before the switch."""
         if running_enclaves:
             raise EnclavesRunning(
                 f"{running_enclaves} enclave(s) still running")
@@ -262,7 +281,7 @@ class PartitionedCache:
                                                 new_table.entries.get(region))):
                     affected.update(range(base, base + size))
         for set_index in affected:
-            self.sets[set_index] = {}
+            self.sets[set_index].clear()
         self._bind(new_table)
         return new_table
 

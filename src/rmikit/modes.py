@@ -63,8 +63,7 @@ EMPTY_TRACE_SET = frozenset({()})
 def runtime_escape(run):
     """The first instruction `run` executes with the burst flag on
     outside every static burst region, or None."""
-    inside = {index for on, off in run.program.burst_regions
-              for index in range(on, off + 1)}
+    inside = run.program.burst_indices
     for index, _, burst_active in run.steps:
         if burst_active and index not in inside:
             return index

@@ -103,6 +103,64 @@ def test_configure_flushes_affected_sets():
     assert cache.access(addr) is False    # old line was flushed
 
 
+# ------------------------------------------------------------ line identity
+
+def test_bit_31_names_another_line_in_the_same_set():
+    cache = PartitionedCache(small_table({0: (0, 16), 1: (16, 8)}))
+    low = (1 << 25) | (5 * GEOMETRY.line_bytes)
+    high = low | 1 << 31
+    assert remap_set_index(low, cache.table) == remap_set_index(high, cache.table)
+    assert [cache.access(a) for a in (low, high, low, high)] == [
+        False, False, True, True]
+    assert cache.lines_of_region(1) == [low // GEOMETRY.line_bytes,
+                                        high // GEOMETRY.line_bytes]
+
+
+def test_zero_device_alias_shares_a_set_and_never_hits():
+    cache = PartitionedCache(small_table({0: (0, 16), 1: (16, 8)}))
+    dram = (1 << 25) | (5 * GEOMETRY.line_bytes)
+    alias = dram | 1 << 40                  # the zero-device bit
+    _, set_index = remap_set_index(dram, cache.table)
+    assert remap_set_index(alias, cache.table) == (1, set_index)
+    assert [cache.access(a) for a in (dram, alias, dram, alias)] == [
+        False, False, True, False]
+    assert list(cache.sets[set_index]) == [dram // GEOMETRY.line_bytes,
+                                           alias // GEOMETRY.line_bytes]
+    assert cache.lines_of_region(1) == [dram // GEOMETRY.line_bytes]
+
+
+def test_moved_region_flushed_and_accessed_agrees_with_model():
+    """Configure to a table that moves region 1 and shrinks it, flush it,
+    then access it again: after every step the cache agrees with the
+    list-based model."""
+    entries = {0: (0, 16), 1: (16, 8), 2: (24, 4)}
+    moved = {0: (0, 16), 1: (40, 4), 2: (24, 4)}
+    cache = PartitionedCache(small_table(entries))
+    model = LruModel(entries, GEOMETRY.total_sets, GEOMETRY.ways,
+                     GEOMETRY.line_bytes)
+    stream = [(region << 25) | (i * GEOMETRY.line_bytes)
+              for region in (1, 2) for i in range(0, 60, 3)]
+
+    def agree():
+        assert cache.accesses == model.accesses
+        assert _entries(cache, GEOMETRY) == model.sets
+        for region in entries:
+            assert cache.lines_of_region(region) == model.lines_of_region(region)
+
+    assert [cache.access(a) for a in stream] == [model.access(a) for a in stream]
+    agree()
+    cache.configure(small_table(moved), running_enclaves=0)
+    model.configure(moved, running_enclaves=0)
+    agree()
+    assert cache.flush_region(1) == model.flush(1)
+    agree()
+    for _ in range(2):
+        assert [cache.access(a) for a in stream] == [
+            model.access(a) for a in stream]
+        agree()
+    assert cache.lines_of_region(1) and cache.lines_of_region(2)
+
+
 def test_flush_cost_and_completeness():
     table = small_table({0: (0, 16), 1: (16, 4)})
     cache = PartitionedCache(table)
@@ -367,10 +425,10 @@ def test_cache_matches_list_model(geometry, data):
             hit = _outcome(cache.access, address)
             assert hit == _outcome(model.access, address)
             if hit != "no range":
-                region, set_index = remap_set_index(address, cache.table)
+                _, set_index = remap_set_index(address, cache.table)
                 assert set_index == model.set_of(address)
                 assert next(reversed(cache.sets[set_index])) == (
-                    address // geometry.line_bytes, region)
+                    address // geometry.line_bytes)
         elif op == "flush":
             region = data.draw(st.sampled_from(REGIONS + (5,)))
             assert _outcome(cache.flush_region, region) == _outcome(
@@ -391,5 +449,19 @@ def test_cache_matches_list_model(geometry, data):
         assert cache.accesses == model.accesses
         for region in range(64):
             assert cache.lines_of_region(region) == model.lines_of_region(region)
-        assert [[(tag, region, zero) for (tag, region), zero in lines.items()]
-                for lines in cache.sets] == model.sets
+        assert _entries(cache, geometry) == model.sets
+
+
+def _entries(cache, geometry):
+    """Each set's ordered (tag, region, zero) entries, the region and the
+    zero-device flag derived from the tag by the documented formulas; a
+    set's value for a tag is what a hit on it returns."""
+    entries = []
+    for lines in cache.sets:
+        entries.append([])
+        for tag, hit in lines.items():
+            address = tag * geometry.line_bytes
+            zero = bool(address >> 40 & 1)
+            assert hit is not zero
+            entries[-1].append((tag, (address >> 25) % 64, zero))
+    return entries
