@@ -21,14 +21,19 @@ read, so that one run can serve every state that agrees on them (ni.py).
 Contracts and hardware modes (modes.py) are projections of that run
 (`Projection`): a leakage model filters events (ct, arch, mem, shm), and
 an execution model chooses decision points (seq: none, stl: taken
-branches, spec: every branch arm and jalr target). The NI checks keep
+branches, spec: every branch arm and jalr target). The Projection of
+each contract is made once (`CONTRACT_VIEWS`); the two models are
+one-field named tuples, so a projection hashes in C. The NI checks keep
 the runs, and a node per projection, of one (program, space, layout)
 between checks: one slot holds the exploration of the most recent
 check, keyed on the program object, the layout, the space's component
 table and its base state, so its memory is bounded by one exploration
-(ni.py). A kept CommittedRun keeps the raw steps of its windows, so a
-projection under another leakage model never runs the state again, and
-drops its final state and the snapshots no projection needs.
+(ni.py). There the states that agree on what a committed path read
+share one record of it, its steps and its snapshots, and a state whose
+windows read other values gets a CommittedRun derived from the record:
+the path's steps, no snapshots of its own, and only its windows run.
+A kept CommittedRun keeps the raw steps of its windows, so a projection
+under another leakage model never runs the state again.
 
 A trace set is the finite language seg0 W0 seg1 W1 ... tail, where each
 W is the set of choices at one decision point. `TraceDag.splice` builds
@@ -52,7 +57,7 @@ forms (ni._check) and the states of a listed state space.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .asm import BRANCHES, LOAD_SIZES
@@ -103,22 +108,25 @@ class SelfContainmentViolation(UserWarning):
     """A burst-region execution escaped its static region at runtime."""
 
 
-@dataclass(frozen=True)
-class LeakageModel:
-    kind: str
+# The two halves of a contract are one-field named tuples, so that a
+# Projection, and a check's pair of them, hashes in C.
 
-    def __post_init__(self):
-        if self.kind not in LEAK_KINDS:
-            raise ValueError(f"unknown leakage model {self.kind!r}")
+class LeakageModel(namedtuple("LeakageModel", "kind")):
+    __slots__ = ()
+
+    def __new__(cls, kind):
+        if kind not in LEAK_KINDS:
+            raise ValueError(f"unknown leakage model {kind!r}")
+        return super().__new__(cls, kind)
 
 
-@dataclass(frozen=True)
-class ExecModel:
-    kind: str
+class ExecModel(namedtuple("ExecModel", "kind")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in EXEC_KINDS:
-            raise ValueError(f"unknown execution model {self.kind!r}")
+    def __new__(cls, kind):
+        if kind not in EXEC_KINDS:
+            raise ValueError(f"unknown execution model {kind!r}")
+        return super().__new__(cls, kind)
 
 
 CT = LeakageModel("ct")
@@ -168,10 +176,13 @@ class CommittedRun:
     `final_state`; and the raw steps of each wrong-path window and its
     word per leakage model, made on first use.
 
-    Only simulate_committed builds one. A run the NI checks keep is
-    trimmed there (ni._Exploration): it drops its final state (None),
-    shares the `steps` of an equal committed path, and drops a point's
-    snapshot (None in `resume`) once the point's windows have run."""
+    simulate_committed builds one by running the committed path. The NI
+    checks (ni._Path) keep one per committed path with its snapshots,
+    and drop its final state (None). For each other state that shares
+    the path they build a run with the path's `steps`, no `resume` and
+    no final state (None), and fill in `windows` themselves, each run
+    from the path's snapshot with the state's own values in the slots
+    the path has neither read nor written before it."""
     __slots__ = ("program", "layout", "steps", "resume", "final_state",
                  "windows", "words")
 
@@ -241,6 +252,13 @@ class Projection(NamedTuple):
     def __call__(self, dag, run):
         """The node of the run's traces under this view, in `dag`."""
         return dag.splice(run, self.leak, self.options(run))
+
+
+# The Projection of each contract, made once, so that the checkers key
+# their memos by the same objects.
+CONTRACT_VIEWS = {(leak, exec_model): Projection(leak, exec_model)
+                  for leak in (CT, ARCH, MEM, SHM)
+                  for exec_model in (SEQ, STL, SPEC)}
 
 
 def read_walk(program, registers, cells):
@@ -320,8 +338,8 @@ def simulate_committed(program, state0, layout):
     table (`machine.decode`, fetched once per run), and the kind of each
     instruction decides what a step records beyond its effect: states are
     snapshotted only where a wrong-path window can start (after a branch
-    or a jalr: a jal has no wrong path) and at the end, and a csrwi sets
-    the burst flag of the steps after it.
+    or a jalr: a jal has no wrong path), the final state takes the core's
+    dicts, and a csrwi sets the burst flag of the steps after it.
     """
     end = len(program)
     pc = state0.pc
@@ -350,7 +368,7 @@ def simulate_committed(program, state0, layout):
     else:
         raise FuelExhausted(f"committed path runs past {FUEL} steps")
     return CommittedRun(program, layout, tuple(steps), resume,
-                        _snapshot(pc, regs, mems))
+                        ArchState(pc, regs, mems[PRIVATE], mems[SHARED]))
 
 
 def wrong_path_events(program, resume_state, target, layout):

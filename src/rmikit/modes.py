@@ -22,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .contracts import (SEQ, SHM, SPEC, STL, Projection,
+from .contracts import (CONTRACT_VIEWS, SEQ, SHM, SPEC, STL, Projection,
                         SelfContainmentViolation, TraceDag, simulate_committed)
 
 MODE_KINDS = ("insecure", "mi6", "safe", "burst", "burst_sta")
@@ -58,6 +58,11 @@ BURST = HwMode("burst")
 BURST_STA = HwMode("burst_sta")
 
 EMPTY_TRACE_SET = frozenset({()})
+
+# The attacker's view under each mode that observes anything.
+_VIEWS = {"insecure": CONTRACT_VIEWS[SHM, SPEC],
+          "safe": CONTRACT_VIEWS[SHM, SEQ],
+          "burst": Projection(SHM, STL, burst_only=True)}
 
 
 def runtime_escape(run):
@@ -105,13 +110,7 @@ def hw_projection(program, mode, sta_report=None):
     kind = mode.kind
     if kind == "burst_sta":
         kind = "burst" if sta_gate(program, sta_report) else "mi6"
-    if kind == "mi6":
-        return None
-    if kind == "insecure":
-        return Projection(SHM, SPEC)
-    if kind == "safe":
-        return Projection(SHM, SEQ)
-    return Projection(SHM, STL, burst_only=True)
+    return _VIEWS.get(kind)
 
 
 def hw_trace_set(program, state0, layout, mode, sta_report=None):

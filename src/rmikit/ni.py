@@ -33,22 +33,36 @@ Consecutive checks share one exploration (`_Exploration`), in a slot
 that holds the exploration of the most recent check. It is keyed on the
 program (the same object), the layout, the component table and the base
 state (pc, registers and both memories, equal by value), and holds one
-contracts.TraceDag, the committed runs indexed by read class as they
-are made, each with a cache from view (leak kind and options) to DAG
-node, and per check signature the cube walk's memo. Every contract and
-mode is a projection (contracts.Projection) of the same runs, derived in
-one place for a fresh run and a kept one, so a direct (shm, spec) check
-and a (shm, stl) check over one space share runs, and relative
-(shm, seq) -> (shm, stl) and Burst mode share runs and (shm, stl) nodes.
-A run's read set for a check counts only the windows of that check's
+contracts.TraceDag, the committed paths indexed by committed read class
+as they are made, each path with the kept runs that share it and each
+run with a cache from view (leak kind and options) to DAG node, and per
+check signature the cube walk's memo. Every contract and mode is a
+projection (contracts.Projection) of the same runs, derived in one
+place for a fresh run and a kept one, so a direct (shm, spec) check and
+a (shm, stl) check over one space share runs, and relative (shm, seq)
+-> (shm, stl) and Burst mode share runs and (shm, stl) nodes. A run's
+read set for a check counts only the windows of that check's
 projections, so verdicts, cube splits and piece counts never depend on
-the checks before. A kept run keeps the raw steps of its windows, so a
-view under any leakage model runs no state twice in one exploration,
-and drops its final state and each snapshot no view needs; the slot
-keeps one exploration, so the memory of the checks is bounded by the
-largest exploration of one (program, space, layout). Trace sets are
-compared as node ids of the exploration's DAG, and listed only for a
-violation's witness detail.
+the checks before.
+
+Every speculative trace is the committed run with wrong-path windows
+spliced in (Guarnieri et al., S&P 2021), so two states that agree on the
+committed read set share the whole committed run and differ only in
+their windows. A path record (`_Path`) keeps that run once: its steps,
+its snapshots at its control positions and its options per projection.
+A state of a known path that no kept run serves (its windows read other
+values) gets a run derived from the record: each snapshot is the path's
+with the state's own values in the slots the path has neither read nor
+written up to that step, which is exactly the state's own committed
+state by `read_walk`'s argument, and only its windows run. So
+`simulate_committed` runs once per committed path, in cold and warm
+checks alike. A kept run keeps the raw steps of its windows, so a view
+under any leakage model runs no state twice in one exploration, and
+holds no final state and no snapshot of its own; the slot keeps one
+exploration, so the memory of the checks is bounded by the largest
+exploration of one (program, space, layout). Trace sets are compared as
+node ids of the exploration's DAG, and listed only for a violation's
+witness detail.
 """
 
 from __future__ import annotations
@@ -58,8 +72,10 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from .contracts import (Projection, TraceDag, enforce_enum_cap, read_walk,
-                        simulate_committed, trace_set_to_json)
+from .asm import STORE_SIZES
+from .contracts import (CONTRACT_VIEWS, CommittedRun, TraceDag,
+                        enforce_enum_cap, read_walk, simulate_committed,
+                        trace_set_to_json, wrong_path_events)
 from .machine import MASK64, PRIVATE, ArchState
 from .modes import check_start, hw_projection, runtime_escape, warn_escape
 
@@ -212,48 +228,109 @@ def _pieces(lo, hi, public):
     return firsts
 
 
+class _Path:
+    """One committed path of an exploration, and the kept runs that share
+    it: every state that agrees with its first state on the `committed`
+    read set runs its steps (contracts.read_walk).
+
+    - `first` is the CommittedRun of the path's first state, `origin` (a
+      tuple of domain indices); its `steps` are the path's, and its
+      `resume` holds the path's snapshots, once per path.
+    - `views` is None until the path has a second run, and then maps a
+      projection to its view on the path, (leak kind, options), computed
+      once per path: the runs of the path key their nodes by these
+      objects.
+    - `free` maps each control position to the slots that the path
+      neither read nor wrote up to and including that step, or is None
+      until a second state on the path needs a window.
+    - `kept` lists the kept runs `(origin, run, cache)`, first run first:
+      the state, its CommittedRun (the path's steps, its own windows, no
+      final state, and no snapshots but the first run's), and a cache
+      from view to DAG node and from window (step, target) to the slots
+      the window read.
+
+    The derivation is exact. A state that agrees with the first state on
+    `committed` runs the same steps with the same effects: each step
+    reads a slot of `committed`, a component no state varies, or what an
+    earlier step wrote, equal in both. So after any step the two states
+    differ only in the slots that the path has neither read nor written
+    so far, and the state's snapshot at a control position is the path's
+    with its own values in those slots. Its run (`derive`) shares the
+    path's steps and runs only its windows, from those snapshots."""
+    __slots__ = ("first", "origin", "committed", "views", "free", "kept")
+
+    def __init__(self, run, committed, origin):
+        run.final_state = None
+        self.first, self.origin, self.committed = run, origin, committed
+        self.views = self.free = None
+        self.kept = [(origin, run, {})]
+
+    def derive(self, origin):
+        """The kept run of the state `origin`, which agrees with the first
+        state on the committed read set: the path's steps and no window
+        yet."""
+        first = self.first
+        kept = (origin, CommittedRun(first.program, first.layout, first.steps,
+                                     None, None), {})
+        self.kept.append(kept)
+        if self.views is None:
+            self.views = {}
+        return kept
+
+    def snapshot(self, pos, origin, exploration):
+        """The committed state of `origin` after the control step `pos`:
+        the path's snapshot with the free slots set to its values."""
+        snapshot = self.first.resume[pos]
+        if origin is self.origin:
+            return snapshot
+        if self.free is None:
+            self.free = exploration.unwritten(self)
+        changed = [slot for slot in self.free[pos]
+                   if origin[slot] != self.origin[slot]]
+        if not changed:
+            return snapshot
+        table = exploration.table
+        return _state(snapshot, [table[slot] for slot in changed],
+                      [table[slot][3][origin[slot]] for slot in changed])
+
+
 class _Exploration:
     """What the checks of one (program, space, layout) share: one TraceDag,
-    the runs of its checks, and per check signature (the pair of key and
-    value projections) the cube walk's memo.
+    the committed paths of its checks with their kept runs, and per check
+    signature (the pair of key and value projections) the cube walk's
+    memo.
 
-    - `runs` indexes each run as it is made, by the values of the slots
-      its committed path read: committed read set -> (its projection,
-      {values on it: [kept run, ...]}). A kept run is the record
-      (origin, run, committed read set, cache): the state it ran from,
-      as a tuple of domain indices; its contracts.CommittedRun; and a
-      cache from view (leak kind and options) to DAG node and from
-      window (step, target) to the slots the window read. The runs of
-      one list share their committed path, and its `steps` object, and
-      differ only in their windows.
+    - `runs` indexes each path (`_Path`) as it is made, by the values of
+      the slots it read: committed read set -> (its projection, {values
+      on it: path}).
     - `memos` maps a signature to the memo from read set to (its
       projection, {values on it: (key, value, escape)}), and to how many
-      runs of each list (by its id) are entered in that memo.
+      runs of each path are entered in that memo.
 
-    A kept run keeps the raw steps of every window it ran, so a view
-    under any leakage model derives its words without running the state
-    again, and drops what no view reads: its final state, and the
-    snapshot of a point whose windows have run (every view that has a
-    point runs every window the point has: a branch has one wrong arm,
-    and only spec takes a jalr, with all its targets).
+    `simulate_committed` runs a state only when no path matches it. A
+    state that matches a path and that no kept run serves (its windows
+    read other values) gets a run derived from the path, and only its
+    windows run. A kept run keeps the raw steps of every window it ran,
+    so a view under any leakage model derives its words without running
+    the state again.
 
     It matches a check whose program is the same object and whose
     layout, component table and base state (pc, registers and both
     memories, copied here) are equal. It keeps the runs of the states
     its checks explored, so its memory is bounded by them and by its
     DAG, and the slot keeps one exploration."""
-    __slots__ = ("program", "layout", "table", "base", "dag", "reads", "runs",
-                 "memos")
+    __slots__ = ("program", "layout", "table", "base", "dag", "registers",
+                 "cells", "reads", "runs", "memos")
 
     def __init__(self, program, layout, table, base):
         self.program, self.layout, self.table = program, layout, table
         self.base = (base.pc, dict(base.regs), dict(base.private_mem),
                      dict(base.shared_mem))
         self.dag = TraceDag()
-        registers, cells = {}, {}
+        self.registers, self.cells = {}, {}
         for i, (name, key, _, _) in enumerate(table):
-            (registers if name == "regs" else cells)[key] = i
-        self.reads = read_walk(program, registers, cells)
+            (self.registers if name == "regs" else self.cells)[key] = i
+        self.reads = read_walk(program, self.registers, self.cells)
         self.runs, self.memos = {}, {}
 
     def matches(self, program, layout, table, base):
@@ -261,6 +338,29 @@ class _Exploration:
                 and table == self.table
                 and (base.pc, base.regs, base.private_mem,
                      base.shared_mem) == self.base)
+
+    def unwritten(self, path):
+        """Per control position of `path`, the slots outside its committed
+        read set that no step up to and including it wrote: the `rd` of
+        each step's instruction and the bytes of each store."""
+        instructions, cells = self.program.instructions, self.cells
+        free = set(range(len(self.table))).difference(path.committed)
+        controls = path.first.resume
+        unwritten = {}
+        for pos, (index, effect, _) in enumerate(path.first.steps):
+            if len(unwritten) == len(controls):
+                break
+            ins = instructions[index]
+            free.discard(self.registers.get(ins.rd))
+            event = effect.mem_event
+            if event is not None and event.kind == "store":
+                free.difference_update(
+                    cells.get(x) for x in range(
+                        event.address,
+                        event.address + STORE_SIZES[ins.opcode]))
+            if pos in controls:
+                unwritten[pos] = tuple(sorted(free))
+        return unwritten
 
 
 # The exploration of the most recent check. A check takes it out while it
@@ -323,9 +423,6 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     public = () if policy is None else _public(table, policy)
     base, dag, reads = space.base_state, exploration.dag, exploration.reads
     runs = exploration.runs
-    # runs kept by the checks before may serve a state of this one; each
-    # run of this check is entered in its memo as it is made
-    reuse = bool(runs)
     memo, entered = exploration.memos.setdefault(projections, ({}, {}))
     burst = any(p is not None and p.burst_only for p in projections)
     warned = not burst
@@ -333,31 +430,45 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     def state(lo):
         return _state(base, table, [d[i] for d, i in zip(domains, lo)])
 
-    def enter(kept, alone=False):
+    def enter(path, kept, alone=False):
         """Derive the kept run's (key, value, escape) under this check's
-        projections and enter it in the memo under its read set: its
+        projections, running the windows of its views that it has not
+        run, and enter it in the memo under its read set: its path's
         committed read set and the slots the windows of this check's
         views read; or, when `alone`, for its own state alone."""
-        origin, run, committed, cache = kept
-        read = committed
+        origin, run, cache = kept
+        read = committed = path.committed
         nodes = []
         for projection in projections:
             if projection is None:
                 nodes.append(None)
                 continue
-            view = (projection.leak.kind, projection.options(run))
+            views = path.views
+            view = None if views is None else views.get(projection)
+            if view is None:
+                view = (projection.leak.kind, projection.options(path.first))
+                if views is not None:
+                    views[projection] = view
+            options = view[1]
             node = cache.get(view)
             if node is None:
-                node = cache[view] = dag.splice(run, projection.leak, view[1])
+                windows = run.windows
+                for pos, choices in options:
+                    if (pos, choices[1]) in windows:
+                        continue    # a point runs all its windows at once
+                    snapshot = path.snapshot(pos, origin, exploration)
+                    for target in choices[1:]:
+                        windows[pos, target] = wrong_path_events(
+                            program, snapshot, target, layout)
+                node = cache[view] = dag.splice(run, projection.leak, options)
             nodes.append(node)
-            for pos, choices in reversed(view[1]):
+            for pos, choices in reversed(options):
                 for target in choices[1:]:
                     slots = cache.get((pos, target))
                     if slots is None:
                         slots = cache[pos, target] = tuple(
                             reads(run.windows[pos, target], target))
                     read += slots
-                run.resume[pos] = None
         if alone:
             read_set = tuple(range(len(origin)))
         elif len(read) > len(committed):
@@ -373,47 +484,50 @@ def _check(program, space, layout, projections, detail_names, policy=None):
 
     def explore(lo, hi=None):
         """The (key, value, escape) of the state `lo` and the read set its
-        run shares. A miss enters the kept runs that share the committed
-        path of `lo` and are not yet entered, and runs `lo` when none of
-        them serves it, keeping the run at once. The run of a box
-        `(lo, hi)` of one state is entered for `lo` alone."""
+        run shares. A miss finds the path that `lo` runs, enters those of
+        its kept runs that are not yet entered, and when none of them
+        serves `lo`, keeps a run of `lo` derived from the path; only a
+        state that no path matches runs its committed path. The run of a
+        box `(lo, hi)` of one state is entered for `lo` alone."""
         nonlocal warned
         for read_set, (at, results) in memo.items():
             found = results.get(at(lo))
             if found is not None:
                 break
         else:
-            found = kept_runs = None
-            for at, lists in runs.values() if reuse else ():
-                kept_runs = lists.get(at(lo))
-                if kept_runs is not None:
+            found = None
+            for at, paths in runs.values():
+                path = paths.get(at(lo))
+                if path is not None:
                     break
-            if kept_runs is not None:
-                n = entered.get(id(kept_runs), 0)
-                while found is None and n < len(kept_runs):
-                    kept = kept_runs[n]
-                    n += 1
-                    result, read_set = enter(kept)
-                    at = memo[read_set][0]
-                    if at(lo) == at(kept[0]):
-                        found = result
-                entered[id(kept_runs)] = n
-            if found is None:
+            else:
+                path = None
+            if path is None:
                 run = simulate_committed(program, state(lo), layout)
                 committed = tuple(dict.fromkeys(reads(run.steps)))
                 if committed not in runs:
                     runs[committed] = (_projection(committed), {})
-                at, lists = runs[committed]
-                kept_runs = lists.setdefault(at(lo), [])
-                run.final_state = None
-                if kept_runs:
-                    run.steps = kept_runs[0][1].steps
-                kept = (lo, run, committed, {})
-                kept_runs.append(kept)
-                # every earlier run of the list is entered in this memo
-                entered[id(kept_runs)] = len(kept_runs)
+                at, paths = runs[committed]
+                path = paths[at(lo)] = _Path(run, committed, lo)
+                kept = path.kept[0]
+            else:
+                kept_runs = path.kept
+                n = entered.get(path, 0)
+                while found is None and n < len(kept_runs):
+                    kept = kept_runs[n]
+                    n += 1
+                    result, read_set = enter(path, kept)
+                    at = memo[read_set][0]
+                    if at(lo) == at(kept[0]):
+                        found = result
+                entered[path] = n
+                if found is None:
+                    kept = path.derive(lo)
+            if found is None:
+                # every earlier run of the path is entered in this memo
+                entered[path] = len(path.kept)
                 # every slot of a box is at least one value wide
-                found, read_set = enter(kept, hi is not None and (
+                found, read_set = enter(path, kept, hi is not None and (
                     sum(hi) - sum(lo) == len(lo)))
         if not warned and found[2] is not None:
             warn_escape(found[2], stacklevel=4)
@@ -477,9 +591,15 @@ def _check(program, space, layout, projections, detail_names, policy=None):
         pairs_checked=rank + 1 - sum(g[0] < violator for g in groups.values()))
 
 
+def _view(contract):
+    """The contracts.Projection of the contract (leak, exec)."""
+    leak, exec_model = contract
+    return CONTRACT_VIEWS[leak, exec_model]
+
+
 def check_direct_ni(program, contract, policy, space, layout):
     """Exhaustive direct non-interference for one (leak, exec) contract."""
-    return _check(program, space, layout, (None, Projection(*contract)),
+    return _check(program, space, layout, (None, _view(contract)),
                   ("traces_a", "traces_b"), policy)
 
 
@@ -487,7 +607,7 @@ def check_relative_ni(program, contract_a, contract_b, space, layout):
     """Equal trace sets under contract A must imply equal sets under B,
     over every pair of states in the space (no public/secret split)."""
     return _check(program, space, layout,
-                  (Projection(*contract_a), Projection(*contract_b)),
+                  (_view(contract_a), _view(contract_b)),
                   ("traces_b_a", "traces_b_b"))
 
 
@@ -499,5 +619,5 @@ def check_hw_satisfies_one(program, mode, contract, space, layout,
     check."""
     check_start(mode, space.base_state)
     return _check(program, space, layout, (
-        Projection(*contract), hw_projection(program, mode, sta_report)),
+        _view(contract), hw_projection(program, mode, sta_report)),
         ("hw_traces_a", "hw_traces_b"))

@@ -4,23 +4,34 @@ table and base state are equal, it is never shared by two threads, a
 check that raises leaves it empty, and it keeps no earlier program
 alive. A burst check warns of an escaping run also when its runs and
 nodes come from the exploration. A kept run holds only what a later view
-can read."""
+can read, and a run derived from a committed path has the snapshots and
+windows that simulate_committed gives its state."""
 
 import gc
+import itertools
 import json
+import random
 import sys
 import threading
 import warnings
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ni_oracle
+import snippetgen
+from test_ni import _count_derived
+from test_shared_runs import _programs
 from rmikit import ni
 from rmikit.asm import parse_program, reg_num
-from rmikit.contracts import (SEQ, SHM, SPEC, STL, FuelExhausted,
-                              SelfContainmentViolation)
+from rmikit.contracts import (LEAK_KINDS, SEQ, SHM, SPEC, STL, ContractError,
+                              ExecModel, FuelExhausted, LeakageModel,
+                              SelfContainmentViolation, simulate_committed)
 from rmikit.corpus import load_entry
-from rmikit.machine import ArchState, MemoryLayout, OutOfRangeAccess
+from rmikit.machine import (ArchState, MachineError, MemoryLayout,
+                            OutOfRangeAccess)
 from rmikit.modes import BURST
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
                        check_hw_satisfies_one, check_relative_ni)
@@ -222,10 +233,12 @@ def test_warm_burst_check_still_warns_of_escape(monkeypatch, warm_up):
 def test_kept_runs_hold_only_what_a_view_reads():
     """memcpy_right copies 4 bytes, and only the wrong path of its last
     branch loads the byte past them, which varies: the three states share
-    one committed path. After a direct (shm, spec) check, its kept runs
-    share one `steps` object, none holds a final state, and none holds
-    the snapshot of a point whose windows have run (under spec, every
-    branch)."""
+    one committed path. After a direct (shm, spec) check, the path keeps
+    its snapshots once, in its first run; the other two runs are derived
+    from it. The three share its `steps` object, none holds a final
+    state, and every run has run the window of every branch (under spec,
+    every branch has one). The derived runs key their nodes by the
+    path's own view objects."""
     entry = load_entry("memcpy_right")
     a1, a2 = reg_num("a1"), reg_num("a2")
     space = StateSpace(
@@ -234,11 +247,168 @@ def test_kept_runs_hold_only_what_a_view_reads():
         varying_cells=((0x1104, (3, 200, 7)),))
     check_direct_ni(entry.program, (SHM, SPEC), Policy(), space, entry.layout)
     (exploration,) = ni._slot
-    (kept_runs,) = [kept_runs for _, lists in exploration.runs.values()
-                    for kept_runs in lists.values()]
-    assert len(kept_runs) == 3
-    for _, run, _, _ in kept_runs:
-        assert run.steps is kept_runs[0][1].steps
+    (path,) = [path for _, paths in exploration.runs.values()
+               for path in paths.values()]
+    assert len(path.kept) == 3
+    assert path.kept[0][1] is path.first and path.first.resume
+    for _, run, _ in path.kept:
+        assert run.steps is path.first.steps
         assert run.final_state is None
-        assert run.resume and {pos for pos, _ in run.windows} == set(run.resume)
-        assert all(snapshot is None for snapshot in run.resume.values())
+        assert {pos for pos, _ in run.windows} == set(path.first.resume)
+    views = list(path.views.values())
+    for _, run, cache in path.kept[1:]:
+        assert run.resume is None
+        keys = [key for key in cache if isinstance(key[0], str)]
+        assert keys and all(any(key is view for view in views) for key in keys)
+
+
+CONTRACTS = [(LeakageModel(leak), ExecModel(kind))
+             for leak in LEAK_KINDS for kind in ("stl", "spec")]
+
+
+def _assert_kept_runs_match_committed_runs(program, space):
+    """Every kept run of the slot's exploration, derived ones included:
+    its steps, its snapshot at each control position (the path's own, or
+    patched for a derived run) and the raw steps of each window it ran
+    equal those of simulate_committed from its state. So does the
+    snapshot the path would patch for every other state of the space
+    that agrees with it on its committed read set. Returns the number of
+    derived runs."""
+    (exploration,) = ni._slot
+    table = exploration.table
+    paths = [path for _, paths in exploration.runs.values()
+             for path in paths.values()]
+
+    def committed_run(origin):
+        return simulate_committed(program, ni._state(space.base_state, table, [
+            row[3][i] for row, i in zip(table, origin)]), LAYOUT)
+
+    for origin in itertools.product(*(range(len(row[3])) for row in table)):
+        for path in paths:
+            if all(origin[i] == path.origin[i] for i in path.committed):
+                fresh = committed_run(origin)
+                assert fresh.steps == path.first.steps
+                assert {pos: path.snapshot(pos, origin, exploration)
+                        for pos in fresh.resume} == fresh.resume
+    for path in paths:
+        for origin, run, _ in path.kept:
+            fresh = committed_run(origin)
+            assert run.steps is path.first.steps
+            assert {pos: path.snapshot(pos, origin, exploration)
+                    for pos in fresh.resume} == fresh.resume
+            assert run.windows == {key: fresh.window(*key)
+                                   for key in run.windows}
+    return sum(len(path.kept) - 1 for path in paths)
+
+
+MAPPED_BASES = (0x1000, 0x1008, 0x1010, 0x8000, 0x8008)
+BYTES = (0, 8, 1, 0x10, 0xFF)
+
+
+@st.composite
+def _snippet_cases(draw):
+    """(program, space, contracts): a tests/snippetgen.py snippet, or one
+    behind a jalr prefix, over a random space whose committed paths are
+    fault-free (the generator's own space otherwise), and one to three
+    contracts with windows; a jalr program's first is under spec."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    jalr = draw(st.booleans())
+    if jalr:
+        program, space = snippetgen.generate_jalr_snippet(rng)
+    else:
+        program = snippetgen.generate_snippet(rng)
+        space = snippetgen.SNIPPET_SPACE
+    # the varied registers, and one scratch register that the snippet
+    # may write before a branch without its committed path reading it
+    scratch = draw(st.sampled_from(snippetgen.TEMP_REGS))
+    registers = [(reg_num(r), tuple(draw(st.lists(
+        st.sampled_from(MAPPED_BASES), min_size=1 + (r == scratch),
+        max_size=3, unique=True)))) for r in snippetgen.VAR_REGS + (scratch,)]
+    if jalr:
+        # a3 past the jalr and up to the region's entry: other paths
+        registers.append((reg_num("a3"), tuple(draw(st.lists(
+            st.integers(1, 6), min_size=1, max_size=2, unique=True)))))
+    cells = tuple((addr, tuple(draw(st.lists(
+        st.sampled_from(BYTES), min_size=2, max_size=3, unique=True))))
+        for addr in draw(st.lists(st.sampled_from(range(0x1000, 0x1010)),
+                                  min_size=1, max_size=3, unique=True)))
+    drawn = StateSpace(base_state=space.base_state,
+                       varying_registers=tuple(registers), varying_cells=cells)
+    if snippetgen.committed_paths_ok(program, drawn):
+        space = drawn
+    contracts = draw(st.lists(st.sampled_from(CONTRACTS), min_size=1,
+                              max_size=3))
+    if jalr:
+        contracts[0] = (contracts[0][0], SPEC)
+    return program, space, contracts
+
+
+@st.composite
+def _window_cases(draw):
+    """(program, space, contracts) from test_shared_runs._programs, whose
+    guards open windows that read registers and cells no committed path
+    reads, with one of the registers the programs write varied too."""
+    program, _, space = draw(_programs())
+    written = (reg_num(draw(st.sampled_from(("t0", "t1", "t2")))), tuple(
+        draw(st.lists(st.sampled_from((0, 5, 0x8000)), min_size=2,
+                      max_size=3, unique=True))))
+    space = StateSpace(base_state=space.base_state,
+                       varying_registers=space.varying_registers + (written,),
+                       varying_cells=space.varying_cells)
+    return program, space, draw(st.lists(st.sampled_from(CONTRACTS),
+                                         min_size=1, max_size=3))
+
+
+@settings(deadline=None)
+@given(case=st.one_of(_snippet_cases(), _window_cases()))
+def test_derived_runs_match_committed_runs(case):
+    """Per contract, relative NI of the contract with itself, which holds
+    and so serves a state of every read class, and then direct NI with
+    every slot secret, back to back on one exploration: after each check
+    that does not raise, every kept run, derived ones included, matches
+    simulate_committed from its state
+    (_assert_kept_runs_match_committed_runs)."""
+    program, space, contracts = case
+    ni._slot.clear()
+    for contract in contracts:
+        for check in (
+                lambda: check_relative_ni(program, contract, contract, space,
+                                          LAYOUT),
+                lambda: check_direct_ni(program, contract, Policy(), space,
+                                        LAYOUT)):
+            try:
+                check()
+            except (MachineError, ContractError):
+                continue
+            _assert_kept_runs_match_committed_runs(program, space)
+
+
+# a1 and the cell 0x1000 vary, and both are overwritten before the branch,
+# which is always taken: its window reads them, and so loads from 0x8007
+# in every state
+WRITTEN_BEFORE_THE_WINDOW = parse_program(
+    "li a1, 0x8000\nli t0, 7\nsb t0, 0(a2)\nbeq zero, zero, skip\n"
+    "lbu t1, 0(a2)\nadd t2, a1, t1\nlbu t3, 0(t2)\nskip:\n")
+
+
+def test_derived_snapshot_keeps_earlier_writes(monkeypatch):
+    """The committed path reads no varying slot, so every state shares it;
+    the window reads the cell and a1, so each state but the first derives
+    its run. The snapshot of a derived run keeps what the path wrote
+    before the branch, the `li` to a1 and the `sb` to the cell, and
+    patches neither: the check holds, as the tuple walk says, and every
+    derived snapshot and window equals a committed run's."""
+    space = StateSpace(base_state=ArchState(regs={reg_num("a2"): 0x1000}),
+                       varying_registers=((reg_num("a1"), (0x8000, 0x8010)),),
+                       varying_cells=((0x1000, (7, 9)),))
+    derived = _count_derived(monkeypatch)
+    ni._slot.clear()
+    verdict = check_direct_ni(WRITTEN_BEFORE_THE_WINDOW, (SHM, STL), Policy(),
+                              space, LAYOUT)
+    assert [origin for _, origin in derived] == [(0, 1), (1, 0), (1, 1)]
+    assert _assert_kept_runs_match_committed_runs(
+        WRITTEN_BEFORE_THE_WINDOW, space) == 3
+    assert verdict.to_json() == {"verdict": "holds", "pairs_checked": 3}
+    monkeypatch.setattr(ni, "_check", ni_oracle.check)
+    assert _json(check_direct_ni(WRITTEN_BEFORE_THE_WINDOW, (SHM, STL),
+                                 Policy(), space, LAYOUT)) == _json(verdict)

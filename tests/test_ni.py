@@ -272,12 +272,30 @@ def _count_runs(monkeypatch):
     return calls
 
 
+def _count_derived(monkeypatch):
+    """The (program id, state) pairs, each state a tuple of domain
+    indices, whose runs are derived from a committed path
+    (ni._Path.derive) from here on: each is served without a committed
+    run."""
+    derived = []
+    original = ni._Path.derive
+
+    def counting(path, origin):
+        derived.append((id(path.first.program), origin))
+        return original(path, origin)
+
+    monkeypatch.setattr(ni._Path, "derive", counting)
+    return derived
+
+
 def test_one_committed_run_per_read_class(monkeypatch):
-    """No state runs twice, and a holding check runs once per class of
-    states that agree on what a run read. With a0 = 2 a run reads a0 and
-    the public cell 0x1002 (two classes); with a0 = 8 it reads a0 and,
-    in the spec window, the secret at 0x1008 (two classes)."""
+    """No state runs twice, and a holding check serves one state per class
+    of states that agree on what a run read. With a0 = 2 a run reads a0
+    and the public cell 0x1002 (two classes, two committed paths); with
+    a0 = 8 it reads a0 and, in the spec window, the secret at 0x1008 (two
+    classes on one committed path: the second runs only its window)."""
     calls = _count_runs(monkeypatch)
+    derived = _count_derived(monkeypatch)
     states = enumerate_states(GADGET_SPACE, LAYOUT)
     verdict = check_relative_ni(GADGET, (SHM, SPEC), (SHM, SEQ),
                                 GADGET_SPACE, LAYOUT)
@@ -286,7 +304,8 @@ def test_one_committed_run_per_read_class(monkeypatch):
     assert all(state in states for state in calls)
     classes = {(s.reg(A0), s.private_mem[0x1002 if s.reg(A0) == 2 else 0x1008])
                for s in states}
-    assert len(calls) == len(classes) == 4
+    assert (len(calls), len(derived)) == (3, 1)
+    assert len(calls) + len(derived) == len(classes) == 4
 
 
 SPECTRE_1024 = StateSpace(
@@ -295,31 +314,38 @@ SPECTRE_1024 = StateSpace(
     varying_cells=((0x1008, tuple(range(256))), (0x1002, (0, 1))))
 
 
-@pytest.mark.parametrize("check, runs", [
+@pytest.mark.parametrize("check, runs, served", [
     (lambda entry, layout: check_direct_ni(
-        entry.program, (SHM, SEQ), entry.policy, SPECTRE_1024, layout), 3),
+        entry.program, (SHM, SEQ), entry.policy, SPECTRE_1024, layout), 3, 3),
     (lambda entry, layout: check_hw_satisfies_one(
-        entry.program, BURST, (SHM, STL), SPECTRE_1024, layout), 258)],
+        entry.program, BURST, (SHM, STL), SPECTRE_1024, layout), 3, 258)],
     ids=["direct_shm_seq", "burst_shm_stl"])
-def test_spectre_runs_per_read_class(monkeypatch, check, runs):
+def test_spectre_runs_per_read_class(monkeypatch, check, runs, served):
     """spectre_v1 over 1 024 states. Under seq no run reads the secret:
-    a0 = 8 is one class and a0 = 2 two (the public cell 0x1002). Burst's
-    stl window reads the secret when a0 = 8: 256 classes, plus the two."""
+    a0 = 8 is one class and a0 = 2 two (the public cell 0x1002), each its
+    own committed path. Burst's stl window reads the secret when a0 = 8:
+    256 classes, plus the two, served by the same three committed runs,
+    the other 255 classes deriving theirs and running only the window."""
     entry = load_entry("spectre_v1")
     layout = MemoryLayout(shared_range=(0x8000, 0xC000))
     assert SPECTRE_1024.size() == 1024
     calls = _count_runs(monkeypatch)
+    derived = _count_derived(monkeypatch)
     assert check(entry, layout).holds
     assert len(calls) == runs
+    assert len(calls) + len(derived) == served
     assert len({repr(state) for state in calls}) == runs
+    assert len(set(derived)) == len(derived)
 
 
 @pytest.mark.filterwarnings(
     "ignore::rmikit.contracts.SelfContainmentViolation")
 def test_verify_corpus_runs_each_state_once(monkeypatch):
     """The checks of a corpus entry share one exploration of its program,
-    space and layout: verify_corpus() runs each (program, state) at most
-    once, 25 of the 32 states of the corpus's spaces."""
+    space and layout: verify_corpus() serves each (program, state) at
+    most once, 25 of the 32 states of the corpus's spaces, and makes a
+    committed run for 23 of them: two states share a committed path
+    with a state served before them and run only their windows."""
     entries = load_corpus()
     ni._slot.clear()
     runs = []
@@ -328,16 +354,20 @@ def test_verify_corpus_runs_each_state_once(monkeypatch):
         runs.append((id(program), repr(state)))
         return contracts.simulate_committed(program, state, layout)
     monkeypatch.setattr(ni, "simulate_committed", counting)
+    derived = _count_derived(monkeypatch)
     assert verify_corpus(entries)["ok"]
     assert sum(entry.space.size() for entry in entries) == 32
-    assert len(runs) == len(set(runs)) == 25
+    assert len(runs) == len(set(runs)) == 23
+    assert len(derived) == len(set(derived)) == 2
 
 
 def test_stl_check_after_spec_check_runs_nothing(monkeypatch):
     """memcpy_right, direct (shm, spec) and then (shm, stl) over one space
     of two states that differ in a secret source byte: every stl window is
-    a spec window, so the second check makes no committed run. Both give
-    the verdicts of a cold exploration."""
+    a spec window, so the second check makes no committed run and
+    derives none. The first makes one committed run per state: the
+    states differ in a byte the committed path loads. Both give the
+    verdicts of a cold exploration."""
     entry = load_entry("memcpy_right")
     a2 = reg_num("a2")
     space = StateSpace(
@@ -353,18 +383,21 @@ def test_stl_check_after_spec_check_runs_nothing(monkeypatch):
         ni._slot.clear()
         cold.append(check().to_json())
     calls = _count_runs(monkeypatch)
+    derived = _count_derived(monkeypatch)
     assert checks[0]().to_json() == cold[0]
-    assert len(calls) == 2
+    assert (len(calls), len(derived)) == (2, 0)
     assert checks[1]().to_json() == cold[1]
-    assert len(calls) == 2
+    assert (len(calls), len(derived)) == (2, 0)
 
 
 def test_views_under_other_leakage_models_run_nothing(monkeypatch):
     """A branch on a0 guards a load of the private cell 0x1000. Direct
-    (ct, spec) runs three states; (arch, spec) and then (shm, stl) over
-    the same space derive their views from the kept runs and the raw
-    steps of their windows, and run none. Each gives the verdict of a
-    cold exploration."""
+    (ct, spec) serves three states: a0 = 1 and a0 = 0 each make a
+    committed run, and the second state with a0 = 0, whose window reads
+    another value of the cell, derives its run from that path. (arch,
+    spec) and then (shm, stl) over the same space derive their views
+    from the kept runs and the raw steps of their windows, and run and
+    derive none. Each gives the verdict of a cold exploration."""
     program = parse_program("beq a0, zero, skip\nlbu t0, 0(a1)\nskip:\n")
     space = StateSpace(base_state=ArchState(regs={A1: 0x1000}),
                        varying_registers=((A0, (0, 1)),),
@@ -377,12 +410,13 @@ def test_views_under_other_leakage_models_run_nothing(monkeypatch):
         cold.append(check().to_json())
     ni._slot.clear()
     calls = _count_runs(monkeypatch)
+    derived = _count_derived(monkeypatch)
     counts = []
     for check, want in zip(checks, cold):
-        before = len(calls)
+        before = len(calls), len(derived)
         assert check().to_json() == want
-        counts.append(len(calls) - before)
-    assert counts == [3, 0, 0]
+        counts.append((len(calls) - before[0], len(derived) - before[1]))
+    assert counts == [(2, 1), (0, 0), (0, 0)]
 
 
 # spectre_v1's gadget with a0 over 16 values, 4 in bounds, and a full
@@ -409,29 +443,32 @@ def _burst_stl(entry, space, layout):
                                   layout)
 
 
-@pytest.mark.parametrize("space, check, runs, pairs", [
-    (SPECTRE_2_20, _direct_seq, 271, (1 << 20) - 16 * 256),
-    (SPECTRE_2_20, _burst_stl, 526, (1 << 20) - 512),
-    (SPECTRE_2_36, _direct_seq, 16, (1 << 36) - 16),
-    (SPECTRE_2_36, _burst_stl, 1036, (1 << 36) - 257)],
+@pytest.mark.parametrize("space, check, runs, served, pairs", [
+    (SPECTRE_2_20, _direct_seq, 271, 271, (1 << 20) - 16 * 256),
+    (SPECTRE_2_20, _burst_stl, 271, 526, (1 << 20) - 512),
+    (SPECTRE_2_36, _direct_seq, 16, 16, (1 << 36) - 16),
+    (SPECTRE_2_36, _burst_stl, 16, 1036, (1 << 36) - 257)],
     ids=["2^20-direct_shm_seq", "2^20-burst_shm_stl",
          "2^36-direct_shm_seq", "2^36-burst_shm_stl"])
 def test_spectre_past_the_state_cap_runs_per_read_class(
-        monkeypatch, space, check, runs, pairs):
-    """The checks hold with one committed run per read class. Over 2^20
-    states under seq, a0 = 2 reads the public cell (256 classes), 0, 1
-    and 3 read cells that do not vary and the 12 out-of-bounds values
-    read a0 alone: 271 runs. Burst's stl window also reads the secret
-    when a0 = 8: 256 classes more, 526 runs. Over 2^36 states no
+        monkeypatch, space, check, runs, served, pairs):
+    """The checks hold with one state served per read class, and one
+    committed run per committed path. Over 2^20 states under seq, a0 = 2
+    reads the public cell (256 classes), 0, 1 and 3 read cells that do
+    not vary and the 12 out-of-bounds values read a0 alone: 271 runs.
+    Burst's stl window also reads the secret when a0 = 8: 256 classes
+    more, 526 served, on the same 271 paths. Over 2^36 states no
     in-bounds a0 reads a varying cell (16 runs under seq), and the stl
     windows of a0 = 8 to 11 each read one byte of the secret word: 1 036
-    runs."""
+    served on 16 paths."""
     entry = load_entry("spectre_v1")
     layout = MemoryLayout(shared_range=(0x8000, 0xC000))
     calls = _count_runs(monkeypatch)
+    derived = _count_derived(monkeypatch)
     verdict = check(entry, space, layout)
     assert verdict.to_json() == {"verdict": "holds", "pairs_checked": pairs}
     assert len(calls) == runs
+    assert len(calls) + len(derived) == served
 
 
 @pytest.mark.parametrize("check", [

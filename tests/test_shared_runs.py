@@ -3,9 +3,11 @@ a run read (ni._check). Every verdict must equal the tuple walk's, which
 walks every state in order and stays as the oracle (tests/ni_oracle.py):
 the tests patch `ni._check` with the oracle and compare `to_json()`
 byte for byte, or the class and message of the raised error, and the
-states run, check by check, each check on a cold exploration (the slot
-emptied first). The same checks run back to back on one exploration
-must give the cold outcomes and box splits. A further property replaces
+states served, check by check, each check on a cold exploration (the
+slot emptied first): a state is served by a committed run, or by a run
+derived from the committed path of a state served before it. The same
+checks run back to back on one exploration must give the cold outcomes
+and box splits. A further property replaces
 the oracle's shared-run memo with a per-state path, which runs every
 observed state.
 
@@ -84,15 +86,25 @@ def _outcome(check):
         return type(exc).__name__, str(exc)
 
 
-def _outcome_and_runs(check, engine):
-    """The check's outcome and the states it ran, in order."""
+def _outcome_and_runs(check, engine, space):
+    """The check's outcome and the states of `space` it served, in order:
+    those it ran, and under ni those whose runs it derived from a path
+    (ni._Path.derive)."""
     runs = []
+    derive = ni._Path.derive
 
     def recording(program, state, layout):
         runs.append(repr(state))
         return simulate_committed(program, state, layout)
 
-    with mock.patch.object(engine, "simulate_committed", recording):
+    def deriving(path, origin):
+        table = ni._components(space, LAYOUT)
+        runs.append(repr(ni._state(space.base_state, table, [
+            row[3][i] for row, i in zip(table, origin)])))
+        return derive(path, origin)
+
+    with mock.patch.object(engine, "simulate_committed", recording), \
+            mock.patch.object(ni._Path, "derive", deriving):
         return _outcome(check), runs
 
 
@@ -126,10 +138,10 @@ def _disjoint(box, other):
                in zip(*box, *other))
 
 
-def _recorded(check):
-    """The check's outcome, the states it ran, in order, and the split of
-    each box it popped: the boxes pushed back after it. Every split is a
-    disjoint union of boxes."""
+def _recorded(check, space):
+    """The check's outcome, the states it served, in order, and the split
+    of each box it popped: the boxes pushed back after it. Every split is
+    a disjoint union of boxes."""
     splits = []
 
     def pop(heap):
@@ -142,7 +154,7 @@ def _recorded(check):
 
     with mock.patch.object(ni, "heappop", pop), \
             mock.patch.object(ni, "heappush", push):
-        outcome, runs = _outcome_and_runs(check, ni)
+        outcome, runs = _outcome_and_runs(check, ni, space)
     for split in splits:
         assert all(_disjoint(a, b) for a, b in itertools.combinations(split, 2))
     return outcome, runs, splits
@@ -150,13 +162,14 @@ def _recorded(check):
 
 def _assert_cubes_match_oracle(program, policy, space, contract=(SHM, STL)):
     """Each check, on a cold exploration, gives the tuple walk's outcome
-    and runs the states the walk runs, in the same order. The walk may
+    and serves the states the walk runs, in the same order. The walk may
     run one state twice: it keeps no run of its last state, which its
     shrink can look up."""
     checks = _checks(program, policy, space, contract)
-    cubes = [_recorded(_cold(check)) for check in checks]
+    cubes = [_recorded(_cold(check), space) for check in checks]
     with mock.patch.object(ni, "_check", ni_oracle.check):
-        oracle = [_outcome_and_runs(check, ni_oracle) for check in checks]
+        oracle = [_outcome_and_runs(check, ni_oracle, space)
+                  for check in checks]
     for (got, runs, _), (want, oracle_runs) in zip(cubes, oracle):
         assert got == want
         assert runs == list(dict.fromkeys(oracle_runs))
@@ -166,14 +179,14 @@ def _assert_warm_matches_cold(program, policy, space, contract, shuffle):
     """The checks run back to back on one exploration, in the order
     `shuffle` gives them, twice over, give each the outcome and the box
     splits it gives on a cold exploration. Unless a check raises, which
-    leaves the slot empty, no state runs twice over the first time, and
-    the second time over runs nothing."""
+    leaves the slot empty, no state is served twice over the first time,
+    and the second time over serves nothing."""
     checks = _checks(program, policy, space, contract)
-    cold = [_recorded(_cold(check)) for check in checks]
+    cold = [_recorded(_cold(check), space) for check in checks]
     order = list(range(len(checks)))
     shuffle(order)
     ni._slot.clear()
-    warm = [(i, _recorded(checks[i])) for i in order + order]
+    warm = [(i, _recorded(checks[i], space)) for i in order + order]
     for i, (got, _, got_splits) in warm:
         want, _, want_splits = cold[i]
         assert got == want
@@ -181,7 +194,7 @@ def _assert_warm_matches_cold(program, policy, space, contract, shuffle):
     if all(isinstance(outcome, str) for outcome, _, _ in cold):
         first = [state for _, (_, runs, _) in warm[:len(checks)]
                  for state in runs]
-        assert len(set(first)) == len(first), "a state ran twice"
+        assert len(set(first)) == len(first), "a state was served twice"
         assert all(runs == [] for _, (_, runs, _) in warm[len(checks):])
 
 

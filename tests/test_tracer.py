@@ -56,8 +56,10 @@ def test_tracer_layers_resolve_install_and_uninstall():
     # the checkers walk tuples of values and never list the states
     assert counted["ni.enumerate_states.calls"] == 0
     assert counted["ni.states"] == 0
-    # one run per class of states that agree on what a run read: a0 = 2
-    # reads the public cell 0x1002, a0 = 8 the secret 0x1008 in the stl
-    # window; the witness is shrunk through the same classes
-    assert counted["contracts.simulate_committed.calls"] == 4
+    # one state served per class of states that agree on what a run
+    # read: a0 = 2 reads the public cell 0x1002, a0 = 8 the secret 0x1008
+    # in the stl window; the witness is shrunk through the same classes.
+    # A committed run per committed path: a0 = 2 makes two, a0 = 8 one,
+    # and its second class runs only its window
+    assert counted["contracts.simulate_committed.calls"] == 3
     assert counted["contracts.wrong_path_events.calls"] > 0
