@@ -150,16 +150,28 @@ def _events(steps, kind):
     """Events that (program index, effect, ...) steps contribute under the
     leakage model `kind`."""
     events = []
-    for index, effect, *_ in steps:
+    for step in steps:
         if kind in ("ct", "arch"):
-            events.append(("pc", index))
-        ev = effect.mem_event
+            events.append(("pc", step[0]))
+        ev = step[1].mem_event
         if ev is not None:
             if kind in ("ct", "arch", "mem") or ev.domain == "shared":
                 events.append(("addr", ev.address, ev.domain))
             if kind == "arch" and ev.kind == "load":
                 events.append(("val", ev.value))
     return tuple(events)
+
+
+def committed_words(steps, kind, options):
+    """The events under `kind` of the steps up to each decision point of
+    `options` (inclusive) and after the last: what `TraceDag.splice`
+    chains around the windows."""
+    words, start = [], 0
+    for pos, _ in options:
+        words.append(_events(steps[start:pos + 1], kind))
+        start = pos + 1
+    words.append(_events(steps[start:], kind))
+    return words
 
 
 class DecisionPoint(NamedTuple):
@@ -182,7 +194,7 @@ class CommittedRun:
     the path they build a run with the path's `steps`, no `resume` and
     no final state (None), and fill in `windows` themselves, each run
     from the path's snapshot with the state's own values in the slots
-    the path has neither read nor written before it."""
+    the path has neither read nor written before it patched in."""
     __slots__ = ("program", "layout", "steps", "resume", "final_state",
                  "windows", "words")
 
@@ -192,8 +204,16 @@ class CommittedRun:
         self.windows, self.words = {}, {}
 
     def decision_points(self, exec_model):
-        return decision_points(self.program, self.steps, self.resume,
-                               exec_model)
+        """The decision points under `exec_model`, in execution order."""
+        points = []
+        for pos in self.resume:
+            index, effect, burst_active = self.steps[pos]
+            targets = _mispredict_targets(self.program, index,
+                                          effect.next_pc, exec_model)
+            if targets:
+                points.append(DecisionPoint(pos, index, targets,
+                                            burst_active))
+        return points
 
     def window(self, step, target):
         """Raw steps of the wrong-path window at `target` after committed
@@ -214,20 +234,6 @@ class CommittedRun:
             word = self.words[key] = (_events(self.window(step, target), kind)
                                       + ROLLBACK)
         return word
-
-
-def decision_points(program, steps, controls, exec_model):
-    """The decision points of a run's committed `steps` under
-    `exec_model`, among the positions `controls` of its branches and
-    jalrs, in execution order."""
-    points = []
-    for pos in controls:
-        index, effect, burst_active = steps[pos]
-        targets = _mispredict_targets(program, index, effect.next_pc,
-                                      exec_model)
-        if targets:
-            points.append(DecisionPoint(pos, index, targets, burst_active))
-    return points
 
 
 class Projection(NamedTuple):
@@ -251,7 +257,7 @@ class Projection(NamedTuple):
 
     def __call__(self, dag, run):
         """The node of the run's traces under this view, in `dag`."""
-        return dag.splice(run, self.leak, self.options(run))
+        return dag.splice(run, self.leak.kind, self.options(run))
 
 
 # The Projection of each contract, made once, so that the checkers key
@@ -292,8 +298,9 @@ def read_walk(program, registers, cells):
             read.extend(sources[index])
             if index in loads:
                 address = step[1].mem_event.address
-                read.extend(cells[x] for x in range(
-                    address, address + loads[index]) if x in cells)
+                for x in range(address, address + loads[index]):
+                    if x in cells:
+                        read.append(cells[x])
         if target is not None:
             stop = steps[-1][1].next_pc if steps else target
             if len(steps) < SPEC_DEPTH and 0 <= stop < len(instructions):
@@ -371,7 +378,8 @@ def simulate_committed(program, state0, layout):
                         ArchState(pc, regs, mems[PRIVATE], mems[SHARED]))
 
 
-def wrong_path_events(program, resume_state, target, layout):
+def wrong_path_events(program, resume_state, target, layout, regs=None,
+                      overlay=None):
     """Raw (index, effect) steps of one mispredicted control transfer.
 
     Executes up to SPEC_DEPTH instructions starting at `target` on a copy
@@ -380,12 +388,15 @@ def wrong_path_events(program, resume_state, target, layout):
     they are forwarded to younger loads and never committed. Faults and
     out-of-range fetches squash silently. Writing the speculation CSR acts
     as a barrier in every execution model, so a window never crosses it.
+
+    `regs` ({reg number: value}) and `overlay` ({(domain, address):
+    byte}), left unmodified, patch the start (ni._Path.start).
     """
     table, kinds = decode(program)
     end = len(table)
     steps = []
-    overlay = {}
-    regs = dict(resume_state.regs)
+    overlay = dict(overlay) if overlay else {}
+    regs = {**resume_state.regs, **regs} if regs else dict(resume_state.regs)
     mems = {PRIVATE: resume_state.private_mem, SHARED: resume_state.shared_mem}
     pc = target
     for _ in range(SPEC_DEPTH):
@@ -479,32 +490,34 @@ class TraceDag:
                                       tuple(sorted(merged.items())))
         return unions[top]
 
-    def splice(self, run, leak, options):
-        """The node of the traces of the CommittedRun `run` over every
-        combination of choices.
+    def splice(self, run, kind, options, words=None):
+        """The node of the traces of the CommittedRun `run` under the
+        leakage model `kind` over every combination of choices.
 
         `options` pairs each decision point's committed step, in execution
         order, with its choices: None for a correct prediction, or a
-        mispredict target whose window is spliced in after that step. The
-        set is built right to left: the tail of the run, then for each
-        point the union over its choices of the choice's word followed by
-        the rest, then the committed segment before the point.
+        mispredict target whose window is spliced in after that step;
+        `words` are the committed words around them (`committed_words`,
+        made here when None). The set is built right to left: the last
+        word, then for each point the union over its choices of the
+        choice's word followed by the rest, after the word up to the point.
         """
         total = 1
         for _, choices in options:
             total *= len(choices)
             enforce_enum_cap(total, "traces")
-        kind = leak.kind
-        node, end = EMPTY_TRACE, len(run.steps)
-        for pos, choices in reversed(options):
-            node = self.chain(_events(run.steps[pos + 1:end], kind), node)
+        if words is None:
+            words = committed_words(run.steps, kind, options)
+        node = self.chain(words[-1], EMPTY_TRACE)
+        for i in range(len(options) - 1, -1, -1):
+            pos, choices = options[i]
             alternatives = [
                 node if target is None else self.chain(
                     run.window_word(pos, target, kind), node)
                 for target in choices]
-            node = functools.reduce(self.union, alternatives)
-            end = pos + 1
-        return self.chain(_events(run.steps[:end], kind), node)
+            node = self.chain(words[i], functools.reduce(self.union,
+                                                         alternatives))
+        return node
 
     def traces(self, node):
         """The trace set of `node`, walked depth-first with one prefix
@@ -554,7 +567,7 @@ def contract_trace(program, state0, layout, leak, exec_model, choice=()):
                 f"under {exec_model.kind}")
         options.append((point.step, (target,)))
     dag = TraceDag()
-    (trace,) = dag.traces(dag.splice(run, leak, options))
+    (trace,) = dag.traces(dag.splice(run, leak.kind, options))
     return trace
 
 

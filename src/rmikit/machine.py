@@ -6,7 +6,8 @@ instruction on a mutable core (a register dict and one memory dict per
 domain), updating it in place, or reading and writing a store-buffer
 overlay in place of memory on a wrong path. The table is the one copy of
 the opcode semantics, decoded once per program and dispatched once per
-step. `execute` runs one instruction of a program through its table, and
+step; `lbu` and `sb` classify one address, other widths a span.
+`execute` runs one instruction of a program through its table, and
 `step` is the functional wrapper over frozen `ArchState`s (copy in,
 execute, freeze out). This is the non-speculative base semantics every
 other execution model is built on: one instruction at a time, in order.
@@ -271,6 +272,32 @@ def _step_function(ins, pc, end):
             regs[rd] = (regs.get(rs1, 0) & MASK64) >> (imm & 63)
             return proceed
         return srli
+    if op == "lbu":
+        def lbu(layout, regs, mems, overlay=None):
+            address = (regs.get(rs1, 0) + imm) & MASK64
+            domain = layout.classify(address)
+            if domain is None:
+                raise OutOfRangeAccess(address)
+            value = overlay.get((domain, address)) if overlay else None
+            if value is None:
+                value = mems[domain].get(address, 0)
+            if rd:
+                regs[rd] = value
+            return StepEffect(pc + 1, MemEvent("load", address, domain, value))
+        return lbu
+    if op == "sb":
+        def sb(layout, regs, mems, overlay=None):
+            address = (regs.get(rs1, 0) + imm) & MASK64
+            domain = layout.classify(address)
+            if domain is None:
+                raise OutOfRangeAccess(address)
+            value = regs.get(rs2, 0) & 0xFF
+            if overlay is None:
+                mems[domain][address] = value
+            else:
+                overlay[domain, address] = value
+            return StepEffect(pc + 1, MemEvent("store", address, domain, value))
+        return sb
     if op in LOAD_SIZES:
         size = LOAD_SIZES[op]
         aligned = size - 1          # the low address bits that must be 0

@@ -27,42 +27,27 @@ the cubes, cut by the values of their unread public slots, exactly as
 the walk of every state would find them. The work therefore grows with
 the read classes and public patterns, not with the states: `ENUM_CAP`
 bounds the pieces a check forms, and only `enumerate_states` lists
-states. An ArchState is built only for a run or a witness.
+states. An ArchState is built only for a committed run or a witness.
 
 Consecutive checks share one exploration (`_Exploration`), in a slot
-that holds the exploration of the most recent check. It is keyed on the
-program (the same object), the layout, the component table and the base
-state (pc, registers and both memories, equal by value), and holds one
-contracts.TraceDag, the committed paths indexed by committed read class
-as they are made, each path with the kept runs that share it and each
-run with a cache from view (leak kind and options) to DAG node, and per
-check signature the cube walk's memo. Every contract and mode is a
-projection (contracts.Projection) of the same runs, derived in one
-place for a fresh run and a kept one, so a direct (shm, spec) check and
-a (shm, stl) check over one space share runs, and relative (shm, seq)
--> (shm, stl) and Burst mode share runs and (shm, stl) nodes. A run's
-read set for a check counts only the windows of that check's
-projections, so verdicts, cube splits and piece counts never depend on
-the checks before.
+that holds the exploration of the most recent check, keyed on the
+program (the same object), the layout, the component table and the
+base state (by value). Every contract and mode is a projection
+(contracts.Projection) of the same runs, so the checks of one space
+share runs and DAG nodes, and a run's read set for a check counts only
+the windows of that check's projections: verdicts, cube splits and
+piece counts never depend on the checks before.
 
 Every speculative trace is the committed run with wrong-path windows
-spliced in (Guarnieri et al., S&P 2021), so two states that agree on the
-committed read set share the whole committed run and differ only in
-their windows. A path record (`_Path`) keeps that run once: its steps,
-its snapshots at its control positions and its options per projection.
-A state of a known path that no kept run serves (its windows read other
-values) gets a run derived from the record: each snapshot is the path's
-with the state's own values in the slots the path has neither read nor
-written up to that step, which is exactly the state's own committed
-state by `read_walk`'s argument, and only its windows run. So
-`simulate_committed` runs once per committed path, in cold and warm
-checks alike. A kept run keeps the raw steps of its windows, so a view
-under any leakage model runs no state twice in one exploration, and
-holds no final state and no snapshot of its own; the slot keeps one
-exploration, so the memory of the checks is bounded by the largest
-exploration of one (program, space, layout). Trace sets are compared as
-node ids of the exploration's DAG, and listed only for a violation's
-witness detail.
+spliced in (Guarnieri et al., S&P 2021), so states that agree on the
+committed read set share the committed run and differ only in their
+windows. A path record (`_Path`) keeps that run once, with what depends
+on it alone. A state of a known path gets a run derived from the
+record, whose windows start on the path's snapshots with the state's
+values patched in and build no ArchState: `simulate_committed` runs
+once per committed path, and a derived run costs its windows and their
+splice. Trace sets are compared as node ids of the exploration's DAG,
+and listed only for a violation's witness detail.
 """
 
 from __future__ import annotations
@@ -74,9 +59,10 @@ from operator import itemgetter
 
 from .asm import STORE_SIZES
 from .contracts import (CONTRACT_VIEWS, CommittedRun, TraceDag,
-                        enforce_enum_cap, read_walk, simulate_committed,
-                        trace_set_to_json, wrong_path_events)
-from .machine import MASK64, PRIVATE, ArchState
+                        committed_words, enforce_enum_cap, read_walk,
+                        simulate_committed, trace_set_to_json,
+                        wrong_path_events)
+from .machine import MASK64, PRIVATE, SHARED, ArchState
 from .modes import check_start, hw_projection, runtime_escape, warn_escape
 
 
@@ -141,11 +127,14 @@ def _components(space, layout):
     return table
 
 
-def _state(base, table, values):
-    """The ArchState of the slot values `values`: `base`, owning copies of
-    its dicts, with each component of `table` set to its slot's value."""
-    fields = {"regs": dict(base.regs), "private_mem": dict(base.private_mem),
-              "shared_mem": dict(base.shared_mem)}
+def _state(base, table, values, copies=("regs", "private_mem", "shared_mem")):
+    """The ArchState of the slot values `values`: `base` with each
+    component of `table` set to its slot's value, in copies of the dicts
+    named in `copies` (each one a component lies in); it shares the rest."""
+    fields = {"regs": base.regs, "private_mem": base.private_mem,
+              "shared_mem": base.shared_mem}
+    for name in copies:
+        fields[name] = dict(fields[name])
     for (name, key, _, _), value in zip(table, values):
         fields[name][key] = value
     return ArchState(base.pc, **fields)
@@ -237,17 +226,17 @@ class _Path:
       tuple of domain indices); its `steps` are the path's, and its
       `resume` holds the path's snapshots, once per path.
     - `views` is None until the path has a second run, and then maps a
-      projection to its view on the path, (leak kind, options), computed
-      once per path: the runs of the path key their nodes by these
-      objects.
+      projection to its view on the path, (leak kind, options), and its
+      committed words once made: the runs of the path key their nodes
+      by these views.
     - `free` maps each control position to the slots that the path
       neither read nor wrote up to and including that step, or is None
       until a second state on the path needs a window.
+    - `escape` is modes.runtime_escape of the path, or False until needed.
     - `kept` lists the kept runs `(origin, run, cache)`, first run first:
       the state, its CommittedRun (the path's steps, its own windows, no
       final state, and no snapshots but the first run's), and a cache
-      from view to DAG node and from window (step, target) to the slots
-      the window read.
+      from view to its DAG node and the slots its windows read.
 
     The derivation is exact. A state that agrees with the first state on
     `committed` runs the same steps with the same effects: each step
@@ -256,13 +245,15 @@ class _Path:
     differ only in the slots that the path has neither read nor written
     so far, and the state's snapshot at a control position is the path's
     with its own values in those slots. Its run (`derive`) shares the
-    path's steps and runs only its windows, from those snapshots."""
-    __slots__ = ("first", "origin", "committed", "views", "free", "kept")
+    path's steps and runs only its windows, from those snapshots given
+    as the path's and a patch (`start`)."""
+    __slots__ = ("first", "origin", "committed", "views", "free", "escape",
+                 "kept")
 
     def __init__(self, run, committed, origin):
         run.final_state = None
         self.first, self.origin, self.committed = run, origin, committed
-        self.views = self.free = None
+        self.views, self.free, self.escape = None, None, False
         self.kept = [(origin, run, {})]
 
     def derive(self, origin):
@@ -277,21 +268,24 @@ class _Path:
             self.views = {}
         return kept
 
-    def snapshot(self, pos, origin, exploration):
-        """The committed state of `origin` after the control step `pos`:
-        the path's snapshot with the free slots set to its values."""
-        snapshot = self.first.resume[pos]
-        if origin is self.origin:
-            return snapshot
-        if self.free is None:
-            self.free = exploration.unwritten(self)
-        changed = [slot for slot in self.free[pos]
-                   if origin[slot] != self.origin[slot]]
-        if not changed:
-            return snapshot
-        table = exploration.table
-        return _state(snapshot, [table[slot] for slot in changed],
-                      [table[slot][3][origin[slot]] for slot in changed])
+    def start(self, pos, origin, exploration):
+        """Where the windows of `origin` after the control step `pos` start:
+        the path's snapshot, and a register patch and store overlay with
+        the state's values in the free slots that differ from the first
+        state's (contracts.wrong_path_events)."""
+        regs, overlay = {}, {}
+        if origin is not self.origin:
+            if self.free is None:
+                self.free = exploration.unwritten(self)
+            for slot in self.free[pos]:
+                if origin[slot] != self.origin[slot]:
+                    name, key, _, domain = exploration.table[slot]
+                    if name == "regs":
+                        regs[key] = domain[origin[slot]]
+                    else:
+                        overlay[PRIVATE if name == "private_mem" else SHARED,
+                                key] = domain[origin[slot]]
+        return self.first.resume[pos], regs, overlay
 
 
 class _Exploration:
@@ -307,12 +301,9 @@ class _Exploration:
       projection, {values on it: (key, value, escape)}), and to how many
       runs of each path are entered in that memo.
 
-    `simulate_committed` runs a state only when no path matches it. A
-    state that matches a path and that no kept run serves (its windows
-    read other values) gets a run derived from the path, and only its
-    windows run. A kept run keeps the raw steps of every window it ran,
-    so a view under any leakage model derives its words without running
-    the state again.
+    `simulate_committed` runs a state only when no path matches it, and a
+    kept run keeps the raw steps of every window it ran, so a view under
+    any leakage model derives its words without running a state again.
 
     It matches a check whose program is the same object and whose
     layout, component table and base state (pc, registers and both
@@ -345,11 +336,8 @@ class _Exploration:
         each step's instruction and the bytes of each store."""
         instructions, cells = self.program.instructions, self.cells
         free = set(range(len(self.table))).difference(path.committed)
-        controls = path.first.resume
         unwritten = {}
         for pos, (index, effect, _) in enumerate(path.first.steps):
-            if len(unwritten) == len(controls):
-                break
             ins = instructions[index]
             free.discard(self.registers.get(ins.rd))
             event = effect.mem_event
@@ -358,7 +346,7 @@ class _Exploration:
                     cells.get(x) for x in range(
                         event.address,
                         event.address + STORE_SIZES[ins.opcode]))
-            if pos in controls:
+            if pos in path.first.resume:
                 unwritten[pos] = tuple(sorted(free))
         return unwritten
 
@@ -408,10 +396,8 @@ def _check(program, space, layout, projections, detail_names, policy=None):
       state up to `t` is explored and `t` is the walk's first mismatch.
 
     Runs, nodes and memo entries come from the slot's exploration when
-    it matches. A run's read set for a check counts its committed path
-    and only the windows of this check's projections, so a kept run
-    serves exactly the states its own fresh run would, and the boxes,
-    pieces and outcome never depend on the checks before.
+    it matches; a kept run serves exactly the states its own fresh run
+    would.
 
     A state whose run raises is the least state of the box popped once
     every smaller state is explored, so a check raises where the walk
@@ -427,48 +413,59 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     burst = any(p is not None and p.burst_only for p in projections)
     warned = not burst
 
-    def state(lo):
-        return _state(base, table, [d[i] for d, i in zip(domains, lo)])
+    varied = {row[0] for row in table}
+
+    def state(lo, *copies):
+        return _state(base, table, [d[i] for d, i in zip(domains, lo)],
+                      *copies)
 
     def enter(path, kept, alone=False):
         """Derive the kept run's (key, value, escape) under this check's
         projections, running the windows of its views that it has not
         run, and enter it in the memo under its read set: its path's
         committed read set and the slots the windows of this check's
-        views read; or, when `alone`, for its own state alone."""
+        views read; or, when `alone`, for its own state alone. A view
+        equal to the one before (as in Burst) takes its node."""
         origin, run, cache = kept
         read = committed = path.committed
         nodes = []
+        last = None
         for projection in projections:
             if projection is None:
                 nodes.append(None)
                 continue
             views = path.views
-            view = None if views is None else views.get(projection)
-            if view is None:
-                view = (projection.leak.kind, projection.options(path.first))
+            entry = None if views is None else views.get(projection)
+            if entry is None:
+                entry = [(projection.leak.kind,
+                          projection.options(path.first)), None]
                 if views is not None:
-                    views[projection] = view
-            options = view[1]
-            node = cache.get(view)
-            if node is None:
-                windows = run.windows
+                    views[projection] = entry
+            view = entry[0]
+            if view == last:
+                nodes.append(nodes[-1])
+                continue
+            last = view
+            derived = cache.get(view)
+            if derived is None:
+                options, windows, slots = view[1], run.windows, []
                 for pos, choices in options:
                     if (pos, choices[1]) in windows:
                         continue    # a point runs all its windows at once
-                    snapshot = path.snapshot(pos, origin, exploration)
+                    snapshot, regs, overlay = path.start(pos, origin,
+                                                         exploration)
                     for target in choices[1:]:
                         windows[pos, target] = wrong_path_events(
-                            program, snapshot, target, layout)
-                node = cache[view] = dag.splice(run, projection.leak, options)
-            nodes.append(node)
-            for pos, choices in reversed(options):
-                for target in choices[1:]:
-                    slots = cache.get((pos, target))
-                    if slots is None:
-                        slots = cache[pos, target] = tuple(
-                            reads(run.windows[pos, target], target))
-                    read += slots
+                            program, snapshot, target, layout, regs, overlay)
+                for pos, choices in reversed(options):
+                    for target in choices[1:]:
+                        slots += reads(windows[pos, target], target)
+                if entry[1] is None:
+                    entry[1] = committed_words(path.first.steps, *view)
+                derived = cache[view] = (
+                    dag.splice(run, view[0], options, entry[1]), tuple(slots))
+            nodes.append(derived[0])
+            read += derived[1]
         if alone:
             read_set = tuple(range(len(origin)))
         elif len(read) > len(committed):
@@ -478,8 +475,9 @@ def _check(program, space, layout, projections, detail_names, policy=None):
         if read_set not in memo:
             memo[read_set] = (_projection(read_set), {})
         at, results = memo[read_set]
-        result = results[at(origin)] = (
-            *nodes, runtime_escape(run) if burst else None)
+        if burst and path.escape is False:
+            path.escape = runtime_escape(path.first)
+        result = results[at(origin)] = (*nodes, path.escape if burst else None)
         return result, read_set
 
     def explore(lo, hi=None):
@@ -503,7 +501,8 @@ def _check(program, space, layout, projections, detail_names, policy=None):
             else:
                 path = None
             if path is None:
-                run = simulate_committed(program, state(lo), layout)
+                # simulate_committed copies what it shares with the base
+                run = simulate_committed(program, state(lo, varied), layout)
                 committed = tuple(dict.fromkeys(reads(run.steps)))
                 if committed not in runs:
                     runs[committed] = (_projection(committed), {})

@@ -8,7 +8,8 @@ and test_warm_exploration_matches_cold, which runs the same checks back
 to back on one exploration, compares them with the cold ones and serves
 no state twice; test_derived_runs_match_committed_runs in
 test_exploration.py, which checks every run derived from a committed
-path, its snapshots and its windows, against simulate_committed over
+path, the starts of its windows and its windows, against
+simulate_committed over
 tests/snippetgen.py programs, jalr ones under spec included, and
 random spaces; and
 those of test_llc.py, among them test_cache_matches_list_model, which

@@ -264,3 +264,50 @@ def test_concurrent_decodes_never_pair_a_program_with_another_table():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+# the default ranges, and a private range that ends where the shared one
+# starts, so one byte past it lies in the other domain
+EDGE_LAYOUTS = (LAYOUT, MemoryLayout(private_range=(0x1000, 0x2000),
+                                     shared_range=(0x2000, 0x2100)))
+
+
+def _edges(layout):
+    """Per mapped range: one byte before it, its first and last bytes, and
+    one byte past it."""
+    return [address for lo, hi in (layout.private_range, layout.shared_range)
+            for address in (lo - 1, lo, hi - 1, hi)]
+
+
+@pytest.mark.parametrize("layout", EDGE_LAYOUTS, ids=["apart", "adjacent"])
+@pytest.mark.parametrize("source", [
+    "lbu t0, 0(a0)", "lbu zero, 0(a0)", "lbu t0, 1(a1)", "sb t1, 0(a0)",
+    "sb zero, 0(a0)", "sb t1, 1(a1)"])
+@pytest.mark.parametrize("overlay", ["none", "empty", "edges"])
+def test_byte_kernels_at_range_edges(layout, source, overlay):
+    """`lbu` and `sb` run through their byte-wide step functions, which
+    classify one address instead of a span: at each range's edges, one
+    byte inside and one outside, with and without an overlay and with x0
+    as rd or rs2, each gives the oracle's effect and core, or raises the
+    oracle's error at the oracle's address with the core unchanged."""
+    program = parse_program(source)
+    assert decode(program).steps[0].__name__ == source.split()[0]
+    edges = _edges(layout)
+    for address in edges:
+        regs = {reg_num("a0"): address, reg_num("a1"): (address - 1) & MASK64,
+                reg_num("t0"): 7, reg_num("t1"): 0x1A5}
+        mems = {domain: {x: (x * 7 + 1) & 0xFF for x in edges
+                         if layout.classify(x) == domain}
+                for domain in (PRIVATE, SHARED)}
+        state = ArchState(regs=regs, private_mem=mems[PRIVATE],
+                          shared_mem=mems[SHARED])
+        cells = {(layout.classify(x), x): 0xEE for x in edges
+                 if layout.classify(x)}
+        start = {"none": None, "empty": {}, "edges": cells}[overlay]
+        core, want_core = _core(state, start), _core(state, start)
+        want = _outcome(step_oracle.execute, program, layout, 0, *want_core)
+        got = _outcome(execute, program, layout, 0, *core)
+        assert got == want
+        assert core == want_core
+        if want[0] == "raised":
+            assert core == _core(state, start)

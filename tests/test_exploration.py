@@ -4,8 +4,9 @@ table and base state are equal, it is never shared by two threads, a
 check that raises leaves it empty, and it keeps no earlier program
 alive. A burst check warns of an escaping run also when its runs and
 nodes come from the exploration. A kept run holds only what a later view
-can read, and a run derived from a committed path has the snapshots and
-windows that simulate_committed gives its state."""
+can read, and a run derived from a committed path starts its windows on
+the snapshots that simulate_committed gives its state, and runs the same
+windows."""
 
 import gc
 import itertools
@@ -30,8 +31,8 @@ from rmikit.contracts import (LEAK_KINDS, SEQ, SHM, SPEC, STL, ContractError,
                               ExecModel, FuelExhausted, LeakageModel,
                               SelfContainmentViolation, simulate_committed)
 from rmikit.corpus import load_entry
-from rmikit.machine import (ArchState, MachineError, MemoryLayout,
-                            OutOfRangeAccess)
+from rmikit.machine import (PRIVATE, SHARED, ArchState, MachineError,
+                            MemoryLayout, OutOfRangeAccess)
 from rmikit.modes import BURST
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
                        check_hw_satisfies_one, check_relative_ni)
@@ -255,7 +256,7 @@ def test_kept_runs_hold_only_what_a_view_reads():
         assert run.steps is path.first.steps
         assert run.final_state is None
         assert {pos for pos, _ in run.windows} == set(path.first.resume)
-    views = list(path.views.values())
+    views = [view for view, _ in path.views.values()]
     for _, run, cache in path.kept[1:]:
         assert run.resume is None
         keys = [key for key in cache if isinstance(key[0], str)]
@@ -266,14 +267,27 @@ CONTRACTS = [(LeakageModel(leak), ExecModel(kind))
              for leak in LEAK_KINDS for kind in ("stl", "spec")]
 
 
+def _start(path, pos, origin, exploration):
+    """The state a window of `origin` after the control step `pos` starts
+    from, as ni._Path.start gives it: the path's snapshot with the
+    register patch set and the overlay's cells stored."""
+    snapshot, regs, overlay = path.start(pos, origin, exploration)
+    mems = {PRIVATE: dict(snapshot.private_mem),
+            SHARED: dict(snapshot.shared_mem)}
+    for (domain, address), byte in overlay.items():
+        mems[domain][address] = byte
+    return ArchState(snapshot.pc, {**snapshot.regs, **regs}, mems[PRIVATE],
+                     mems[SHARED])
+
+
 def _assert_kept_runs_match_committed_runs(program, space):
     """Every kept run of the slot's exploration, derived ones included:
-    its steps, its snapshot at each control position (the path's own, or
-    patched for a derived run) and the raw steps of each window it ran
-    equal those of simulate_committed from its state. So does the
-    snapshot the path would patch for every other state of the space
-    that agrees with it on its committed read set. Returns the number of
-    derived runs."""
+    its steps, the start of its windows at each control position (the
+    path's snapshot, patched for a derived run) and the raw steps of each
+    window it ran equal simulate_committed's steps, snapshots and windows
+    from its state. So does the start that the path would give every
+    other state of the space that agrees with it on its committed read
+    set. Returns the number of derived runs."""
     (exploration,) = ni._slot
     table = exploration.table
     paths = [path for _, paths in exploration.runs.values()
@@ -288,13 +302,13 @@ def _assert_kept_runs_match_committed_runs(program, space):
             if all(origin[i] == path.origin[i] for i in path.committed):
                 fresh = committed_run(origin)
                 assert fresh.steps == path.first.steps
-                assert {pos: path.snapshot(pos, origin, exploration)
+                assert {pos: _start(path, pos, origin, exploration)
                         for pos in fresh.resume} == fresh.resume
     for path in paths:
         for origin, run, _ in path.kept:
             fresh = committed_run(origin)
             assert run.steps is path.first.steps
-            assert {pos: path.snapshot(pos, origin, exploration)
+            assert {pos: _start(path, pos, origin, exploration)
                     for pos in fresh.resume} == fresh.resume
             assert run.windows == {key: fresh.window(*key)
                                    for key in run.windows}
@@ -385,30 +399,39 @@ def test_derived_runs_match_committed_runs(case):
 
 # a1 and the cell 0x1000 vary, and both are overwritten before the branch,
 # which is always taken: its window reads them, and so loads from 0x8007
-# in every state
+# in every state. It also reads a3 and the cell 0x1001, which vary and
+# which nothing writes, and loads from their sum.
 WRITTEN_BEFORE_THE_WINDOW = parse_program(
     "li a1, 0x8000\nli t0, 7\nsb t0, 0(a2)\nbeq zero, zero, skip\n"
-    "lbu t1, 0(a2)\nadd t2, a1, t1\nlbu t3, 0(t2)\nskip:\n")
+    "lbu t1, 0(a2)\nadd t2, a1, t1\nlbu t3, 0(t2)\n"
+    "lbu t4, 1(a2)\nadd t5, a3, t4\nlbu t6, 0(t5)\nskip:\n")
 
 
 def test_derived_snapshot_keeps_earlier_writes(monkeypatch):
     """The committed path reads no varying slot, so every state shares it;
-    the window reads the cell and a1, so each state but the first derives
-    its run. The snapshot of a derived run keeps what the path wrote
-    before the branch, the `li` to a1 and the `sb` to the cell, and
-    patches neither: the check holds, as the tuple walk says, and every
-    derived snapshot and window equals a committed run's."""
+    the window reads every varying slot, so each state but the first
+    derives its run. The start of a derived window keeps what the path
+    wrote before the branch, the `li` to a1 and the `sb` to the cell
+    0x1000, and patches neither, while it patches a3 and the cell 0x1001
+    with the state's values: with those two public, the check holds, as
+    the tuple walk says, and every derived window's start and steps
+    equal a committed run's."""
+    a3 = reg_num("a3")
     space = StateSpace(base_state=ArchState(regs={reg_num("a2"): 0x1000}),
-                       varying_registers=((reg_num("a1"), (0x8000, 0x8010)),),
-                       varying_cells=((0x1000, (7, 9)),))
+                       varying_registers=((reg_num("a1"), (0x8000, 0x8010)),
+                                          (a3, (0x8000, 0x8040))),
+                       varying_cells=((0x1000, (7, 9)), (0x1001, (1, 2))))
+    policy = Policy(public_regs=frozenset({a3}),
+                    public_private_cells=frozenset({0x1001}))
     derived = _count_derived(monkeypatch)
     ni._slot.clear()
-    verdict = check_direct_ni(WRITTEN_BEFORE_THE_WINDOW, (SHM, STL), Policy(),
+    verdict = check_direct_ni(WRITTEN_BEFORE_THE_WINDOW, (SHM, STL), policy,
                               space, LAYOUT)
-    assert [origin for _, origin in derived] == [(0, 1), (1, 0), (1, 1)]
+    assert [origin for _, origin in derived] == list(
+        itertools.product(range(2), repeat=4))[1:]
     assert _assert_kept_runs_match_committed_runs(
-        WRITTEN_BEFORE_THE_WINDOW, space) == 3
-    assert verdict.to_json() == {"verdict": "holds", "pairs_checked": 3}
+        WRITTEN_BEFORE_THE_WINDOW, space) == 15
+    assert verdict.to_json() == {"verdict": "holds", "pairs_checked": 12}
     monkeypatch.setattr(ni, "_check", ni_oracle.check)
     assert _json(check_direct_ni(WRITTEN_BEFORE_THE_WINDOW, (SHM, STL),
-                                 Policy(), space, LAYOUT)) == _json(verdict)
+                                 policy, space, LAYOUT)) == _json(verdict)

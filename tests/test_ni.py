@@ -490,23 +490,107 @@ def test_violated_check_past_the_state_cap_matches_tuple_walk(
     assert json.loads(cubes)["verdict"] == "violated"
 
 
-def test_holding_check_builds_only_the_states_it_runs(monkeypatch):
-    """Over spectre_v1's 1 024 states, a holding direct (shm, seq) check
-    builds an ArchState only for each of its 3 committed runs: every
-    other state stays a tuple of values."""
-    entry = load_entry("spectre_v1")
-    layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+def _count_built(monkeypatch):
+    """The ArchStates that ni builds from here on."""
     built = []
 
     def counting(*args, **kwargs):
         built.append(ArchState(*args, **kwargs))
         return built[-1]
     monkeypatch.setattr(ni, "ArchState", counting)
+    return built
+
+
+def test_holding_check_builds_only_the_states_it_runs(monkeypatch):
+    """Over spectre_v1's 1 024 states, a holding direct (shm, seq) check
+    builds an ArchState only for each of its 3 committed runs: every
+    other state stays a tuple of values."""
+    entry = load_entry("spectre_v1")
+    layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    built = _count_built(monkeypatch)
     calls = _count_runs(monkeypatch)
     assert check_direct_ni(entry.program, (SHM, SEQ), entry.policy,
                            SPECTRE_1024, layout).holds
     assert len(built) == 3
     assert [id(state) for state in built] == [id(state) for state in calls]
+
+
+@pytest.mark.parametrize("space, runs, derived_runs", [
+    (SPECTRE_2_20, 271, 255), (SPECTRE_2_36, 16, 1020)],
+    ids=["2^20", "2^36"])
+def test_derived_runs_build_no_state(monkeypatch, space, runs, derived_runs):
+    """Burst mode over 2^20 and 2^36 spectre_v1 states: ni builds one
+    ArchState per committed run and none for the 255 and 1 020 runs
+    derived from those paths, whose windows start on the path's
+    snapshot with a register patch and a store overlay."""
+    entry = load_entry("spectre_v1")
+    layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    built = _count_built(monkeypatch)
+    calls = _count_runs(monkeypatch)
+    derived = _count_derived(monkeypatch)
+    assert _burst_stl(entry, space, layout).holds
+    assert (len(calls), len(derived)) == (runs, derived_runs)
+    assert [id(state) for state in built] == [id(state) for state in calls]
+
+
+# GADGET behind a store to each memory, and a base state with something
+# in each of its three dicts
+STORING_GADGET = parse_program("""\
+li t5, 0x8100
+sb a0, 0(t5)
+li t6, 0x1100
+sb a0, 0(t6)
+li t0, 4
+bgeu a0, t0, done
+li t1, 0x1000
+add t1, t1, a0
+lbu t2, 0(t1)
+slli t2, t2, 6
+li t3, 0x8000
+add t3, t3, t2
+lbu t4, 0(t3)
+done:
+""")
+# a0 varies, or only the secret does: then a run's state shares the
+# base's register dict, and in both its shared memory
+STORING_VARIED = [((A0, (2, 8)),), ()]
+
+
+@pytest.mark.parametrize("registers", STORING_VARIED, ids=["a0", "secret"])
+@pytest.mark.parametrize("check, holds", [
+    (lambda s: check_direct_ni(STORING_GADGET, (SHM, SEQ), GADGET_POLICY, s,
+                               LAYOUT), True),
+    (lambda s: check_direct_ni(STORING_GADGET, (SHM, SPEC), GADGET_POLICY,
+                               s, LAYOUT), False),
+    (lambda s: check_relative_ni(STORING_GADGET, (SHM, SEQ), (SHM, SEQ), s,
+                                 LAYOUT), True),
+    (lambda s: check_relative_ni(STORING_GADGET, (SHM, SEQ), (SHM, STL), s,
+                                 LAYOUT), False),
+    (lambda s: check_hw_satisfies_one(STORING_GADGET, SAFE, (SHM, SEQ), s,
+                                      LAYOUT), True),
+    (lambda s: check_hw_satisfies_one(STORING_GADGET, INSECURE, (SHM, SEQ),
+                                      s, LAYOUT), False)],
+    ids=["direct-holds", "direct-violated", "relative-holds",
+         "relative-violated", "hw-holds", "hw-violated"])
+def test_checks_leave_the_base_state_unchanged(registers, check, holds):
+    """Every checker, holding and violated, with the program storing to
+    both memories and writing registers: the three dicts of the space's
+    base state are the same objects after the check, with the same
+    contents. A committed run's state shares the base's dicts that no
+    varying component lies in, so simulate_committed's copy is what
+    keeps them unchanged."""
+    ni._slot.clear()
+    base = ArchState(regs={A0: 8, A1: 3}, private_mem={0x1100: 9},
+                     shared_mem={0x8100: 9})
+    space = StateSpace(base_state=base, varying_registers=registers,
+                       varying_cells=((0x1008, (0, 1)),))
+    dicts = (base.regs, base.private_mem, base.shared_mem)
+    before = [dict(d) for d in dicts]
+    assert check(space).holds == holds
+    assert (base.regs, base.private_mem, base.shared_mem) == dicts
+    assert all(a is b for a, b in zip(
+        (base.regs, base.private_mem, base.shared_mem), dicts))
+    assert [dict(d) for d in dicts] == before
 
 
 def test_verdict_json_shape():
