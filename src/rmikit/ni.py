@@ -127,14 +127,11 @@ def _components(space, layout):
     return table
 
 
-def _state(base, table, values, copies=("regs", "private_mem", "shared_mem")):
-    """The ArchState of the slot values `values`: `base` with each
-    component of `table` set to its slot's value, in copies of the dicts
-    named in `copies` (each one a component lies in); it shares the rest."""
-    fields = {"regs": base.regs, "private_mem": base.private_mem,
-              "shared_mem": base.shared_mem}
-    for name in copies:
-        fields[name] = dict(fields[name])
+def _state(base, table, values):
+    """The ArchState of the slot values `values`: `base`, owning copies of
+    its dicts, with each component of `table` set to its slot's value."""
+    fields = {"regs": dict(base.regs), "private_mem": dict(base.private_mem),
+              "shared_mem": dict(base.shared_mem)}
     for (name, key, _, _), value in zip(table, values):
         fields[name][key] = value
     return ArchState(base.pc, **fields)
@@ -336,8 +333,11 @@ class _Exploration:
         each step's instruction and the bytes of each store."""
         instructions, cells = self.program.instructions, self.cells
         free = set(range(len(self.table))).difference(path.committed)
+        controls = path.first.resume
         unwritten = {}
         for pos, (index, effect, _) in enumerate(path.first.steps):
+            if len(unwritten) == len(controls):
+                break
             ins = instructions[index]
             free.discard(self.registers.get(ins.rd))
             event = effect.mem_event
@@ -346,7 +346,7 @@ class _Exploration:
                     cells.get(x) for x in range(
                         event.address,
                         event.address + STORE_SIZES[ins.opcode]))
-            if pos in path.first.resume:
+            if pos in controls:
                 unwritten[pos] = tuple(sorted(free))
         return unwritten
 
@@ -413,23 +413,18 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     burst = any(p is not None and p.burst_only for p in projections)
     warned = not burst
 
-    varied = {row[0] for row in table}
-
-    def state(lo, *copies):
-        return _state(base, table, [d[i] for d, i in zip(domains, lo)],
-                      *copies)
+    def state(lo):
+        return _state(base, table, [d[i] for d, i in zip(domains, lo)])
 
     def enter(path, kept, alone=False):
         """Derive the kept run's (key, value, escape) under this check's
         projections, running the windows of its views that it has not
         run, and enter it in the memo under its read set: its path's
         committed read set and the slots the windows of this check's
-        views read; or, when `alone`, for its own state alone. A view
-        equal to the one before (as in Burst) takes its node."""
+        views read; or, when `alone`, for its own state alone."""
         origin, run, cache = kept
         read = committed = path.committed
         nodes = []
-        last = None
         for projection in projections:
             if projection is None:
                 nodes.append(None)
@@ -442,10 +437,6 @@ def _check(program, space, layout, projections, detail_names, policy=None):
                 if views is not None:
                     views[projection] = entry
             view = entry[0]
-            if view == last:
-                nodes.append(nodes[-1])
-                continue
-            last = view
             derived = cache.get(view)
             if derived is None:
                 options, windows, slots = view[1], run.windows, []
@@ -501,8 +492,7 @@ def _check(program, space, layout, projections, detail_names, policy=None):
             else:
                 path = None
             if path is None:
-                # simulate_committed copies what it shares with the base
-                run = simulate_committed(program, state(lo, varied), layout)
+                run = simulate_committed(program, state(lo), layout)
                 committed = tuple(dict.fromkeys(reads(run.steps)))
                 if committed not in runs:
                     runs[committed] = (_projection(committed), {})

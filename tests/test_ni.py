@@ -551,8 +551,8 @@ add t3, t3, t2
 lbu t4, 0(t3)
 done:
 """)
-# a0 varies, or only the secret does: then a run's state shares the
-# base's register dict, and in both its shared memory
+# a0 varies, or only the secret does: then no varying component lies
+# in the register dict, and in both none lies in the shared memory
 STORING_VARIED = [((A0, (2, 8)),), ()]
 
 
@@ -576,9 +576,7 @@ def test_checks_leave_the_base_state_unchanged(registers, check, holds):
     """Every checker, holding and violated, with the program storing to
     both memories and writing registers: the three dicts of the space's
     base state are the same objects after the check, with the same
-    contents. A committed run's state shares the base's dicts that no
-    varying component lies in, so simulate_committed's copy is what
-    keeps them unchanged."""
+    contents, whichever dicts the varying components lie in."""
     ni._slot.clear()
     base = ArchState(regs={A0: 8, A1: 3}, private_mem={0x1100: 9},
                      shared_mem={0x8100: 9})
