@@ -146,6 +146,51 @@ class Program:
         return frozenset(index for on, off in self.burst_regions
                          for index in range(on, off + 1))
 
+    @cached_property
+    def observed_labels(self):
+        """The initial values that can reach an observation, as a pair of
+        label bitmasks: under every leakage model, and under arch, which
+        also observes loaded values. Bit r stands for register xr, and
+        bit 0 for all of initial memory (x0 is constant, never a label).
+
+        A flow-insensitive dependence slice (Weiser, ICSE 1981) over every
+        instruction, so over every committed path and wrong-path window:
+        `flows[label]` holds the labels that can flow into it. An ALU op,
+        addi, mv, slli or srli adds its sources' to its rd, a load its
+        base's and memory's, and a store its rs2's to memory; li, jal and
+        jalr write constants. Observed are the base of every load, store
+        and jalr and both operands of every branch: what decides the
+        addresses, the control flow and the faults of a run."""
+        flows = [1 << label for label in range(32)]
+        edges, observed = [], []
+        for ins in self.instructions:
+            op = ins.opcode
+            rs1 = (ins.rs1,) if ins.rs1 else ()
+            rs2 = (ins.rs2,) if ins.rs2 else ()
+            if op in BRANCHES:
+                observed += rs1 + rs2
+            elif op in LOADS or op in STORES or op == "jalr":
+                observed += rs1
+            if op in STORES:
+                edges.append((0, rs2))
+            elif ins.rd and (op in R_OPS or op in I_OPS or op == "mv"):
+                edges.append((ins.rd, rs1 + rs2))
+            elif ins.rd and op in LOADS:
+                edges.append((ins.rd, rs1 + (0,)))
+        changed = True
+        while changed:
+            changed = False
+            for dst, sources in edges:
+                new = flows[dst]
+                for src in sources:
+                    new |= flows[src]
+                if new != flows[dst]:
+                    flows[dst], changed = new, True
+        seen = 0
+        for reg in observed:
+            seen |= flows[reg]
+        return seen, seen | flows[0]
+
 
 def reg_num(name):
     """Canonical register number for 'x5', 'a0', 'zero', ..."""

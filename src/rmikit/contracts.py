@@ -17,23 +17,27 @@ after mispredicted control transfers. `simulate_committed` explores a
 state after each control instruction, and each wrong-path window, run on
 first use; `read_walk` lists, by their slots in a state's tuple of
 varying values, which components of the initial state a run may have
-read, so that one run can serve every state that agrees on them (ni.py).
-Contracts and hardware modes (modes.py) are projections of that run
-(`Projection`): a leakage model filters events (ct, arch, mem, shm), and
-an execution model chooses decision points (seq: none, stl: taken
-branches, spec: every branch arm and jalr target). The Projection of
-each contract is made once (`CONTRACT_VIEWS`); the two models are
-one-field named tuples, so a projection hashes in C. The NI checks keep
-the runs, and a node per projection, of one (program, space, layout)
-between checks: one slot holds the exploration of the most recent
-check, keyed on the program object, the layout, the space's component
-table and its base state, so its memory is bounded by one exploration
-(ni.py). There the states that agree on what a committed path read
-share one record of it, its steps and its snapshots, and a state whose
-windows read other values gets a CommittedRun derived from the record:
-the path's steps, no snapshots of its own, and only its windows run.
-A kept CommittedRun keeps the raw steps of its windows, so a projection
-under another leakage model never runs the state again.
+read, so that one run can serve every state that agrees on them (ni.py),
+and `relevant_slots` which of them can reach an observation under a
+leakage model at all, by a static dependence slice of the program
+(`asm.Program.observed_labels`), so that a run serves every state that
+agrees on the relevant ones. Contracts and hardware modes (modes.py)
+are projections of that run (`Projection`): a leakage model filters
+events (ct, arch, mem, shm), and an execution model chooses decision
+points (seq: none, stl: taken branches, spec: every branch arm and
+jalr target). The Projection of each contract is made once
+(`CONTRACT_VIEWS`); the two models are one-field named tuples, so a
+projection hashes in C. The NI checks keep the runs, and a node per
+projection, of one (program, space, layout) between checks: one slot
+holds the exploration of the most recent check, keyed on the program
+object, the layout, the space's component table and its base state, so
+its memory is bounded by one exploration (ni.py). There the states that
+agree on what a committed path read share one record of it, its steps
+and its snapshots, and a state whose windows read other values gets a
+CommittedRun derived from the record: the path's steps, no snapshots of
+its own, and only its windows run. A kept CommittedRun keeps the raw
+steps of its windows, so a projection under another leakage model never
+runs the state again.
 
 A trace set is the finite language seg0 W0 seg1 W1 ... tail, where each
 W is the set of choices at one decision point. `TraceDag.splice` builds
@@ -308,6 +312,25 @@ def read_walk(program, registers, cells):
         return read
 
     return reads
+
+
+def relevant_slots(program, registers, cells, kind):
+    """The components among `registers` and `cells` (as `read_walk` takes
+    them) whose initial values can reach an observation of `program`
+    under the leakage model `kind`, as a frozenset of their indices: a
+    register whose label `program.observed_labels` holds, and every cell
+    when it holds the label of memory.
+
+    Two states that agree on these, and on every component outside
+    `registers` and `cells`, run in lockstep: the same instructions, with
+    the same addresses, faults and jalr targets, on the committed path
+    and in every window, and under arch the same loaded values. So every
+    projection under `kind` gives both the same trace set."""
+    observed = program.observed_labels[kind == "arch"]
+    slots = [i for reg, i in registers.items() if observed >> reg & 1]
+    if observed & 1:
+        slots += cells.values()
+    return frozenset(slots)
 
 
 def _mispredict_targets(program, index, actual, exec_model):

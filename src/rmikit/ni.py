@@ -29,6 +29,22 @@ the read classes and public patterns, not with the states: `ENUM_CAP`
 bounds the pieces a check forms, and only `enumerate_states` lists
 states. An ArchState is built only for a committed run or a witness.
 
+A cube fixes only the read slots that are relevant to the check: those
+whose values can reach an address, a branch operand or a jalr operand,
+and under arch a loaded value (contracts.relevant_slots, a static
+dependence slice of the program in the manner of Weiser, ICSE 1981,
+used as the taint classes of Schwartz, Avgerinos and Brumley, S&P
+2010). So a secret that a program only moves through memory and
+registers splits nothing. This is sound: two states that agree on
+every relevant slot run in lockstep on the same control flow. Their
+addresses, faults, jalr targets, runtime burst escape and, under arch,
+loaded values are equal, on the committed path and in every window, so
+every projection gives both states the same node. The relevant slots
+are computed once per exploration and leakage class and kept beside
+each signature's memo; where every slot is relevant, read sets are
+used as they are. Paths stay keyed by their full committed read
+values, so a derived run is still exact.
+
 Consecutive checks share one exploration (`_Exploration`), in a slot
 that holds the exploration of the most recent check, keyed on the
 program (the same object), the layout, the component table and the
@@ -60,8 +76,8 @@ from operator import itemgetter
 from .asm import STORE_SIZES
 from .contracts import (CONTRACT_VIEWS, CommittedRun, TraceDag,
                         committed_words, enforce_enum_cap, read_walk,
-                        simulate_committed, trace_set_to_json,
-                        wrong_path_events)
+                        relevant_slots, simulate_committed,
+                        trace_set_to_json, wrong_path_events)
 from .machine import MASK64, PRIVATE, SHARED, ArchState
 from .modes import check_start, hw_projection, runtime_escape, warn_escape
 
@@ -225,7 +241,8 @@ class _Path:
     - `views` is None until the path has a second run, and then maps a
       projection to its view on the path, (leak kind, options), and its
       committed words once made: the runs of the path key their nodes
-      by these views.
+      by these views. Until then, the splice of the first run makes its
+      own words, which nothing else would reuse.
     - `free` maps each control position to the slots that the path
       neither read nor wrote up to and including that step, or is None
       until a second state on the path needs a window.
@@ -295,8 +312,13 @@ class _Exploration:
       the slots it read: committed read set -> (its projection, {values
       on it: path}).
     - `memos` maps a signature to the memo from read set to (its
-      projection, {values on it: (key, value, escape)}), and to how many
-      runs of each path are entered in that memo.
+      projection, {values on it: (key, value, escape)}), to how many
+      runs of each path are entered in that memo, and to the slots
+      relevant to its projections (`relevant`).
+    - `relevant` maps True (arch) and False (every other leakage model:
+      they share one slice) to the relevant slots
+      (contracts.relevant_slots), made on first use, or None when every
+      slot is relevant.
 
     `simulate_committed` runs a state only when no path matches it, and a
     kept run keeps the raw steps of every window it ran, so a view under
@@ -308,7 +330,7 @@ class _Exploration:
     its checks explored, so its memory is bounded by them and by its
     DAG, and the slot keeps one exploration."""
     __slots__ = ("program", "layout", "table", "base", "dag", "registers",
-                 "cells", "reads", "runs", "memos")
+                 "cells", "reads", "relevant", "runs", "memos")
 
     def __init__(self, program, layout, table, base):
         self.program, self.layout, self.table = program, layout, table
@@ -319,7 +341,22 @@ class _Exploration:
         for i, (name, key, _, _) in enumerate(table):
             (self.registers if name == "regs" else self.cells)[key] = i
         self.reads = read_walk(program, self.registers, self.cells)
-        self.runs, self.memos = {}, {}
+        self.relevant, self.runs, self.memos = {}, {}, {}
+
+    def memo(self, projections):
+        """The memo, entered counts and relevant slots of the signature
+        `projections`; None for the slots when every slot is relevant."""
+        found = self.memos.get(projections)
+        if found is None:
+            arch = any(p is not None and p.leak.kind == "arch"
+                       for p in projections)
+            if arch not in self.relevant:
+                slots = relevant_slots(self.program, self.registers,
+                                       self.cells, "arch" if arch else "shm")
+                self.relevant[arch] = (slots if len(slots) < len(self.table)
+                                       else None)
+            found = self.memos[projections] = ({}, {}, self.relevant[arch])
+        return found
 
     def matches(self, program, layout, table, base):
         return (program is self.program and layout == self.layout
@@ -385,10 +422,11 @@ def _check(program, space, layout, projections, detail_names, policy=None):
       explored cube.
     - The run of a box's least state, or a kept run whose read set it
       agrees with, serves the cube of the box with the read slots fixed
-      to its values. The rest of the box is pushed back, split
-      DPLL-style: per read slot, the earlier read slots fixed and this
-      one past the run's value. A box of one state is its own cube, and
-      its run is entered for that state alone, with no read set.
+      to its values; a read set holds only the slots relevant to the
+      check. The rest of the box is pushed back, split DPLL-style: per
+      read slot, the earlier read slots fixed and this one past the
+      run's value. A box of one state is its own cube, and its run is
+      entered for that state alone, with no read set.
     - A cube is cut into pieces by the values of its free public slots,
       so each piece lies in one group. A group keeps its least state and
       its least state with another value, its first violator. Once the
@@ -409,7 +447,7 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     public = () if policy is None else _public(table, policy)
     base, dag, reads = space.base_state, exploration.dag, exploration.reads
     runs = exploration.runs
-    memo, entered = exploration.memos.setdefault(projections, ({}, {}))
+    memo, entered, relevant = exploration.memo(projections)
     burst = any(p is not None and p.burst_only for p in projections)
     warned = not burst
 
@@ -419,9 +457,10 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     def enter(path, kept, alone=False):
         """Derive the kept run's (key, value, escape) under this check's
         projections, running the windows of its views that it has not
-        run, and enter it in the memo under its read set: its path's
-        committed read set and the slots the windows of this check's
-        views read; or, when `alone`, for its own state alone."""
+        run, and enter it in the memo under its read set: the slots of
+        its path's committed read set and of what the windows of this
+        check's views read that are relevant to the check; or, when
+        `alone`, for its own state alone."""
         origin, run, cache = kept
         read = committed = path.committed
         nodes = []
@@ -451,7 +490,7 @@ def _check(program, space, layout, projections, detail_names, policy=None):
                 for pos, choices in reversed(options):
                     for target in choices[1:]:
                         slots += reads(windows[pos, target], target)
-                if entry[1] is None:
+                if views is not None and entry[1] is None:
                     entry[1] = committed_words(path.first.steps, *view)
                 derived = cache[view] = (
                     dag.splice(run, view[0], options, entry[1]), tuple(slots))
@@ -459,10 +498,14 @@ def _check(program, space, layout, projections, detail_names, policy=None):
             read += derived[1]
         if alone:
             read_set = tuple(range(len(origin)))
-        elif len(read) > len(committed):
-            read_set = tuple(dict.fromkeys(read))
         else:
-            read_set = committed
+            if len(read) > len(committed):
+                read_set = tuple(dict.fromkeys(read))
+            else:
+                read_set = committed
+            if relevant is not None:
+                read_set = tuple([slot for slot in read_set
+                                  if slot in relevant])
         if read_set not in memo:
             memo[read_set] = (_projection(read_set), {})
         at, results = memo[read_set]

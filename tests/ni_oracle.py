@@ -4,15 +4,21 @@
 space in order, the product of the domains with the last slot varying
 fastest, comparing each state with its group's first state. One
 committed run serves every tuple that agrees with an explored one on
-each slot the run read (`_shared_runs`). Tests patch `ni._check` with
-`check`, so the three public checkers run on either engine, and patch
-`_shared_runs` with a per-state path to check the memo itself.
+each slot the run read (`_shared_runs`). `sliced_check` keys that memo
+on the read slots relevant to the check's projections
+(contracts.relevant_slots), as ni._check's cubes are, so it serves the
+states the cube walk serves; `check` keys it on every read slot. Tests
+patch `ni._check` with either, so the three public checkers run on
+either engine, and patch `_shared_runs` with a per-state path to check
+the memo itself.
 """
 
+import functools
 import itertools
 
 from rmikit.contracts import (TraceDag, enforce_enum_cap, read_walk,
-                              simulate_committed, trace_set_to_json)
+                              relevant_slots, simulate_committed,
+                              trace_set_to_json)
 from rmikit.ni import NiVerdict, _components, _public, _state
 
 
@@ -37,9 +43,18 @@ def _shrink(a, b, table, observe):
     return a, b
 
 
-def _shared_runs(program, base, table, layout, derive):
+def _slots(table):
+    """The ({register: slot}, {address: slot}) of a component table."""
+    registers, cells = {}, {}
+    for i, (name, key, _, _) in enumerate(table):
+        (registers if name == "regs" else cells)[key] = i
+    return registers, cells
+
+
+def _shared_runs(program, base, table, layout, derive, relevant=None):
     """`derive(run)` of the committed run of each observed tuple, where one
-    run serves every tuple that agrees on the slots it read.
+    run serves every tuple that agrees on the slots it read, or on those
+    of them in `relevant` unless it is None.
 
     A deterministic run depends only on the components of the initial
     state it reads, and `contracts.read_walk` lists their slots once
@@ -48,10 +63,7 @@ def _shared_runs(program, base, table, layout, derive):
     tuple of a check's walk is never entered: no later tuple of the walk
     can probe it.
     """
-    registers, cells = {}, {}
-    for i, (name, key, _, _) in enumerate(table):
-        (registers if name == "regs" else cells)[key] = i
-    reads = read_walk(program, registers, cells)
+    reads = read_walk(program, *_slots(table))
     last = tuple(domain[-1] for *_, domain in table)
     memo = {}
 
@@ -63,9 +75,11 @@ def _shared_runs(program, base, table, layout, derive):
         run = simulate_committed(program, _state(base, table, values), layout)
         result = derive(run)
         if values != last:
-            read_set = tuple(dict.fromkeys(reads(run.steps) + [
-                slot for (_, target), steps in run.windows.items()
-                for slot in reads(steps, target)]))
+            read_set = tuple(slot for slot in dict.fromkeys(
+                reads(run.steps) + [slot for (_, target), steps
+                                    in run.windows.items()
+                                    for slot in reads(steps, target)])
+                if relevant is None or slot in relevant)
             memo.setdefault(read_set, {})[
                 tuple([values[i] for i in read_set])] = result
         return result
@@ -73,18 +87,22 @@ def _shared_runs(program, base, table, layout, derive):
     return observe
 
 
-def check(program, space, layout, projections, detail_names, policy=None):
+def check(program, space, layout, projections, detail_names, policy=None,
+          sliced=False):
     """The tuple walk: every state in order, grouped by its run's key plus,
     for direct NI, its public projection; the first state whose value
     differs from its group's first state's ends the walk, and the pair,
     shrunk, is the witness. Spaces of more than ENUM_CAP states are
-    refused."""
+    refused. A `sliced` walk keys its memo on the relevant read slots."""
     enforce_enum_cap(space.size(), "states")
     table = _components(space, layout)
     slots = () if policy is None else _public(table, policy)
     base, dag = space.base_state, TraceDag()
+    relevant = frozenset().union(*(
+        relevant_slots(program, *_slots(table), p.leak.kind)
+        for p in projections if p is not None)) if sliced else None
     run_result = _shared_runs(program, base, table, layout, lambda run: tuple(
-        None if p is None else p(dag, run) for p in projections))
+        None if p is None else p(dag, run) for p in projections), relevant)
 
     def observe(values):
         key, value = run_result(values)
@@ -109,3 +127,6 @@ def check(program, space, layout, projections, detail_names, policy=None):
                                 name_b: trace_set_to_json(dag.traces(value_b))},
                 pairs_checked=pairs)
     return NiVerdict(holds=True, pairs_checked=pairs)
+
+
+sliced_check = functools.partial(check, sliced=True)

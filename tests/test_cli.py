@@ -108,6 +108,22 @@ def test_ni_command_past_the_state_cap(capsys, tmp_path):
                                "pairs_checked": (1 << 20) - 16 * 256}
 
 
+def test_ni_command_private_copy_of_full_secret_bytes(capsys, tmp_path):
+    """memcpy_right copying 8 full secret bytes between private buffers,
+    2^64 states, is decided: no copied byte reaches an address, a branch
+    or a jalr, so it holds under (shm, spec)."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "base_state": {"pc": 0, "regs": {"a0": 0x1800, "a1": 0x1000, "a2": 8}},
+        "varying_cells": [[hex(0x1000 + i), list(range(256))]
+                          for i in range(8)]}))
+    code, out = run_cli(["ni", f"{CORPUS}/memcpy_right.s", "--space",
+                         str(space), "--direct", "shm:spec", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "holds",
+                               "pairs_checked": (1 << 64) - 1}
+
+
 def test_ni_witness_stays_in_the_space(capsys, tmp_path):
     """The witness shrink resets a slot to its base value only when that
     value is in the slot's domain. a2's base, 0, is not: resetting it

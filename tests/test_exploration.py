@@ -27,9 +27,10 @@ from test_ni import _count_derived
 from test_shared_runs import _programs
 from rmikit import ni
 from rmikit.asm import parse_program, reg_num
-from rmikit.contracts import (LEAK_KINDS, SEQ, SHM, SPEC, STL, ContractError,
-                              ExecModel, FuelExhausted, LeakageModel,
-                              SelfContainmentViolation, simulate_committed)
+from rmikit.contracts import (ARCH, LEAK_KINDS, SEQ, SHM, SPEC, STL,
+                              ContractError, ExecModel, FuelExhausted,
+                              LeakageModel, SelfContainmentViolation,
+                              simulate_committed)
 from rmikit.corpus import load_entry
 from rmikit.machine import (PRIVATE, SHARED, ArchState, MachineError,
                             MemoryLayout, OutOfRangeAccess)
@@ -234,19 +235,23 @@ def test_warm_burst_check_still_warns_of_escape(monkeypatch, warm_up):
 def test_kept_runs_hold_only_what_a_view_reads():
     """memcpy_right copies 4 bytes, and only the wrong path of its last
     branch loads the byte past them, which varies: the three states share
-    one committed path. After a direct (shm, spec) check, the path keeps
-    its snapshots once, in its first run; the other two runs are derived
-    from it. The three share its `steps` object, none holds a final
-    state, and every run has run the window of every branch (under spec,
-    every branch has one). The derived runs key their nodes by the
-    path's own view objects."""
+    one committed path. Under arch the loaded byte is observed, so
+    relative NI of (arch, spec) with itself, which holds, serves all
+    three (under shm the byte, only copied, splits nothing, and one run
+    serves them). After that check, the path keeps its snapshots once,
+    in its first run; the other two runs are derived from it. The three
+    share its `steps` object, none holds a final state, and every run
+    has run the window of every branch (under spec, every branch has
+    one). The derived runs key their nodes by the path's own view
+    objects."""
     entry = load_entry("memcpy_right")
     a1, a2 = reg_num("a1"), reg_num("a2")
     space = StateSpace(
         base_state=ArchState(regs={A0: 0x8000, a1: 0x1100, a2: 4},
                              private_mem={0x1100 + i: i for i in range(4)}),
         varying_cells=((0x1104, (3, 200, 7)),))
-    check_direct_ni(entry.program, (SHM, SPEC), Policy(), space, entry.layout)
+    assert check_relative_ni(entry.program, (ARCH, SPEC), (ARCH, SPEC), space,
+                             entry.layout).holds
     (exploration,) = ni._slot
     (path,) = [path for _, paths in exploration.runs.values()
                for path in paths.values()]

@@ -343,9 +343,24 @@ def test_spectre_runs_per_read_class(monkeypatch, check, runs, served):
 def test_verify_corpus_runs_each_state_once(monkeypatch):
     """The checks of a corpus entry share one exploration of its program,
     space and layout: verify_corpus() serves each (program, state) at
-    most once, 25 of the 32 states of the corpus's spaces, and makes a
-    committed run for 23 of them: two states share a committed path
-    with a state served before them and run only their windows."""
+    most once, 16 of the 32 states of the corpus's spaces, and makes a
+    committed run for 14 of them: two states share a committed path
+    with a state served before them and run only their windows. Every
+    check is under shm, so a slot splits the space only where its value
+    can reach an address, a branch or a jalr. Entry by entry (runs +
+    derived of states):
+    - memcpy_left, 3 + 1 of 4: a1 and a2 are addresses;
+    - memcpy_right, 3 of 4: with a2 = 0 no path reads a1;
+    - jal_far_away, 1 of 2: the secret word is loaded into a0, which
+      nothing reads;
+    - spectre_v1, 3 + 1 of 8: a0 is a bound and an index, and the loaded
+      byte an index;
+    - straightline_arith, 1 of 6: no access and no branch, so no slot
+      is relevant;
+    - shared_streaming, 1 of 4: the two shared bytes are only summed and
+      stored;
+    - tensor_double_deref, 2 of 4: a loaded word is an address, so both
+      cells are relevant, and the runs read the one at 0x8000."""
     entries = load_corpus()
     ni._slot.clear()
     runs = []
@@ -357,17 +372,19 @@ def test_verify_corpus_runs_each_state_once(monkeypatch):
     derived = _count_derived(monkeypatch)
     assert verify_corpus(entries)["ok"]
     assert sum(entry.space.size() for entry in entries) == 32
-    assert len(runs) == len(set(runs)) == 23
+    assert len(runs) == len(set(runs)) == 3 + 3 + 1 + 3 + 1 + 1 + 2
     assert len(derived) == len(set(derived)) == 2
 
 
 def test_stl_check_after_spec_check_runs_nothing(monkeypatch):
-    """memcpy_right, direct (shm, spec) and then (shm, stl) over one space
-    of two states that differ in a secret source byte: every stl window is
-    a spec window, so the second check makes no committed run and
-    derives none. The first makes one committed run per state: the
-    states differ in a byte the committed path loads. Both give the
-    verdicts of a cold exploration."""
+    """memcpy_right, direct (spec) and then (stl) over one space of two
+    states that differ in a secret source byte: every stl window is a
+    spec window, so the second check makes no committed run and derives
+    none. Under shm the byte is only copied, so it splits nothing: the
+    first check makes one committed run for both states. Under arch,
+    which observes loaded values, it makes one per state: the states
+    differ in a byte the committed path loads. Each check gives the
+    verdict of a cold exploration."""
     entry = load_entry("memcpy_right")
     a2 = reg_num("a2")
     space = StateSpace(
@@ -375,35 +392,45 @@ def test_stl_check_after_spec_check_runs_nothing(monkeypatch):
                              private_mem={0x1100 + i: i for i in range(8)}),
         varying_cells=((0x1104, (3, 200)),))
     policy = Policy(public_regs=frozenset({A0, A1, a2}))
-    checks = [lambda c=c: check_direct_ni(entry.program, (SHM, c), policy,
-                                          space, entry.layout)
-              for c in (SPEC, STL)]
-    cold = []
-    for check in checks:
-        ni._slot.clear()
-        cold.append(check().to_json())
+    checks = {leak: [lambda c=(leak, e): check_direct_ni(
+        entry.program, c, policy, space, entry.layout) for e in (SPEC, STL)]
+        for leak in (SHM, ARCH)}
+    cold = {}
+    for leak, pair in checks.items():
+        for check in pair:
+            ni._slot.clear()
+            cold.setdefault(leak, []).append(check().to_json())
     calls = _count_runs(monkeypatch)
     derived = _count_derived(monkeypatch)
-    assert checks[0]().to_json() == cold[0]
-    assert (len(calls), len(derived)) == (2, 0)
-    assert checks[1]().to_json() == cold[1]
-    assert (len(calls), len(derived)) == (2, 0)
+    for leak, runs in ((SHM, 1), (ARCH, 2)):
+        ni._slot.clear()
+        del calls[:]
+        assert checks[leak][0]().to_json() == cold[leak][0]
+        assert (len(calls), len(derived)) == (runs, 0)
+        assert checks[leak][1]().to_json() == cold[leak][1]
+        assert (len(calls), len(derived)) == (runs, 0)
 
 
 def test_views_under_other_leakage_models_run_nothing(monkeypatch):
-    """A branch on a0 guards a load of the private cell 0x1000. Direct
-    (ct, spec) serves three states: a0 = 1 and a0 = 0 each make a
-    committed run, and the second state with a0 = 0, whose window reads
-    another value of the cell, derives its run from that path. (arch,
-    spec) and then (shm, stl) over the same space derive their views
-    from the kept runs and the raw steps of their windows, and run and
-    derive none. Each gives the verdict of a cold exploration."""
+    """A branch on a0 guards a load of the private cell 0x1000. Relative
+    NI of (arch, spec) with itself, which observes the loaded value and
+    holds, serves all four states: a0 = 0 makes a committed run, and the
+    second state with a0 = 0, whose window reads another value of the
+    cell, derives its run from that path; a0 = 1 loads the cell on its
+    committed path, so each of its states makes a committed run. Direct
+    (ct, spec) and then (shm, stl) over the same space, under which the
+    cell's value splits nothing, derive their views from the kept runs
+    and the raw steps of their windows, and run and derive none. Each
+    gives the verdict of a cold exploration."""
     program = parse_program("beq a0, zero, skip\nlbu t0, 0(a1)\nskip:\n")
     space = StateSpace(base_state=ArchState(regs={A1: 0x1000}),
                        varying_registers=((A0, (0, 1)),),
                        varying_cells=((0x1000, (3, 4)),))
-    checks = [lambda c=c: check_direct_ni(program, c, Policy(), space, LAYOUT)
-              for c in ((CT, SPEC), (ARCH, SPEC), (SHM, STL))]
+    checks = [lambda: check_relative_ni(program, (ARCH, SPEC), (ARCH, SPEC),
+                                        space, LAYOUT)]
+    checks += [lambda c=c: check_direct_ni(program, c, Policy(), space,
+                                           LAYOUT)
+               for c in ((CT, SPEC), (SHM, STL))]
     cold = []
     for check in checks:
         ni._slot.clear()
@@ -416,7 +443,72 @@ def test_views_under_other_leakage_models_run_nothing(monkeypatch):
         before = len(calls), len(derived)
         assert check().to_json() == want
         counts.append((len(calls) - before[0], len(derived) - before[1]))
-    assert counts == [(2, 1), (0, 0), (0, 0)]
+    assert counts == [(3, 1), (0, 0), (0, 0)]
+
+
+def _private_copy(values):
+    """memcpy_right copying 8 private bytes from 0x1000 to 0x1800, each
+    byte over `values`, and every register fixed."""
+    return StateSpace(
+        base_state=ArchState(regs={A0: 0x1800, A1: 0x1000, reg_num("a2"): 8}),
+        varying_cells=tuple((0x1000 + i, tuple(values)) for i in range(8)))
+
+
+# 8 full secret bytes: 2^64 states; and 8 bits of them: 256 states
+COPY_2_64, COPY_256 = _private_copy(range(256)), _private_copy((0, 0xA5))
+
+COPY_CHECKS = {
+    "direct_shm_seq": lambda program, space: check_direct_ni(
+        program, (SHM, SEQ), Policy(), space, LAYOUT),
+    "direct_shm_spec": lambda program, space: check_direct_ni(
+        program, (SHM, SPEC), Policy(), space, LAYOUT),
+    "relative_seq_stl": lambda program, space: check_relative_ni(
+        program, (SHM, SEQ), (SHM, STL), space, LAYOUT),
+    "safe": lambda program, space: check_hw_satisfies_one(
+        program, SAFE, (SHM, SEQ), space, LAYOUT),
+    "burst": lambda program, space: check_hw_satisfies_one(
+        program, BURST, (SHM, STL), space, LAYOUT),
+    "direct_arch_seq": lambda program, space: check_direct_ni(
+        program, (ARCH, SEQ), Policy(), space, LAYOUT)}
+
+
+@pytest.mark.parametrize("check", list(COPY_CHECKS)[:-1])
+def test_private_copy_of_full_secret_bytes_holds_in_one_run(monkeypatch,
+                                                            check):
+    """A copy moves secrets through private cells and never uses them as
+    an address, a branch operand or a jalr target, so under shm no copied
+    byte is relevant: one committed run decides every check over 2^64
+    states, and derives none."""
+    calls = _count_runs(monkeypatch)
+    derived = _count_derived(monkeypatch)
+    verdict = COPY_CHECKS[check](load_entry("memcpy_right").program, COPY_2_64)
+    assert verdict.to_json() == {"verdict": "holds",
+                                 "pairs_checked": (1 << 64) - 1}
+    assert (len(calls), len(derived)) == (1, 0)
+
+
+def test_private_copy_is_violated_under_arch():
+    """arch observes the loaded bytes: the first two states, which differ
+    in the last byte, are the first pair and a violation."""
+    ni._slot.clear()
+    verdict = COPY_CHECKS["direct_arch_seq"](load_entry("memcpy_right").program,
+                                             COPY_2_64)
+    assert not verdict.holds and verdict.pairs_checked == 1
+
+
+@pytest.mark.filterwarnings(
+    "ignore::rmikit.contracts.SelfContainmentViolation")
+def test_private_copy_matches_tuple_walk(monkeypatch):
+    """Over 256 states, every check of the copy gives the tuple walk's
+    outcome, byte for byte."""
+    program = load_entry("memcpy_right").program
+    got = []
+    for check in COPY_CHECKS.values():
+        ni._slot.clear()
+        got.append(json.dumps(check(program, COPY_256).to_json()))
+    monkeypatch.setattr(ni, "_check", ni_oracle.check)
+    assert got == [json.dumps(check(program, COPY_256).to_json())
+                   for check in COPY_CHECKS.values()]
 
 
 # spectre_v1's gadget with a0 over 16 values, 4 in bounds, and a full

@@ -1,11 +1,14 @@
-"""The NI checkers decide a check by cubes of states that agree on what
-a run read (ni._check). Every verdict must equal the tuple walk's, which
-walks every state in order and stays as the oracle (tests/ni_oracle.py):
-the tests patch `ni._check` with the oracle and compare `to_json()`
-byte for byte, or the class and message of the raised error, and the
-states served, check by check, each check on a cold exploration (the
-slot emptied first): a state is served by a committed run, or by a run
-derived from the committed path of a state served before it. The same
+"""The NI checkers decide a check by cubes of states that agree on the
+relevant slots of what a run read (ni._check). Every verdict must equal
+the tuple walk's, which walks every state in order and stays as the
+oracle (tests/ni_oracle.py): the tests patch `ni._check` with the oracle
+and compare `to_json()` byte for byte, or the class and message of the
+raised error, with the plain walk, whose memo keys on every read slot.
+They compare the states served, check by check, each check on a cold
+exploration (the slot emptied first), with the sliced walk, whose memo
+keys on the relevant read slots as the cubes do: a state is served by a
+committed run, or by a run derived from the committed path of a state
+served before it. The same
 checks run back to back on one exploration must give the cold outcomes
 and box splits. A further property replaces
 the oracle's shared-run memo with a per-state path, which runs every
@@ -13,10 +16,11 @@ observed state.
 
 The generated programs go past tests/snippetgen.py: branches on varying
 registers, loads through a varying base that fault inside windows, jalr
-to a varying target, window stores forwarded to loads, and varying
-private and shared cells. Wide spaces give a slot 3 to 6 values and add
-a register no program reads, public or secret, so cubes keep free slots
-and public wildcard slots."""
+to a varying target, window stores forwarded to loads, register ops
+of every kind the dependence slice follows, shared loads indexed by a
+byte of a register, and varying private and shared cells. Wide spaces give a slot 3 to 6 values and add a register
+no program reads, public or secret, so cubes keep free slots and public
+wildcard slots."""
 
 import heapq
 import itertools
@@ -63,7 +67,7 @@ FAULTING = ((0x40, 0x8000), (0x8001, 0x8008), (0x8000, 0x40))
 CELLS = (0x1000, 0x1001, 0x1004, 0x8000, 0x8001, 0x8004)
 
 
-def _pass_through(program, base, table, layout, derive):
+def _pass_through(program, base, table, layout, derive, relevant=None):
     """The per-state path: every observed tuple runs, from a state built
     as a chain of with_regs and with_store calls on the base state rather
     than by ni's own builder."""
@@ -161,17 +165,20 @@ def _recorded(check, space):
 
 
 def _assert_cubes_match_oracle(program, policy, space, contract=(SHM, STL)):
-    """Each check, on a cold exploration, gives the tuple walk's outcome
-    and serves the states the walk runs, in the same order. The walk may
-    run one state twice: it keeps no run of its last state, which its
-    shrink can look up."""
+    """Each check, on a cold exploration, gives the plain tuple walk's
+    outcome, and serves the states the sliced walk runs, in the same
+    order, for the same outcome. The walk may run one state twice: it
+    keeps no run of its last state, which its shrink can look up."""
     checks = _checks(program, policy, space, contract)
     cubes = [_recorded(_cold(check), space) for check in checks]
     with mock.patch.object(ni, "_check", ni_oracle.check):
-        oracle = [_outcome_and_runs(check, ni_oracle, space)
+        plain = [_outcome(check) for check in checks]
+    with mock.patch.object(ni, "_check", ni_oracle.sliced_check):
+        sliced = [_outcome_and_runs(check, ni_oracle, space)
                   for check in checks]
-    for (got, runs, _), (want, oracle_runs) in zip(cubes, oracle):
-        assert got == want
+    for (got, runs, _), want, (outcome, oracle_runs) in zip(cubes, plain,
+                                                            sliced):
+        assert got == want == outcome
         assert runs == list(dict.fromkeys(oracle_runs))
 
 
@@ -214,7 +221,7 @@ def _item(draw, bases):
     """One instruction, or a short pattern, of a generated program, whose
     memory accesses go through one of `bases`."""
     kind = draw(st.sampled_from(
-        ("load", "load", "store", "forward", "alu", "li")))
+        ("load", "load", "store", "forward", "alu", "index", "li")))
     dst, src = draw(st.sampled_from(TEMPS)), draw(st.sampled_from(DATA))
     base = draw(st.sampled_from(bases))
     if kind == "load":
@@ -227,8 +234,17 @@ def _item(draw, bases):
     if kind == "forward":       # a store forwarded to a younger load
         offset = draw(st.sampled_from((0, 1)))
         return [f"sb {src}, {offset}({base})", f"lbu {dst}, {offset}({base})"]
+    if kind == "index":     # a shared load indexed by the low byte of src
+        address = draw(st.sampled_from([t for t in TEMPS if t != dst]))
+        return [f"slli {dst}, {src}, 56", f"srli {dst}, {dst}, 56",
+                f"add {address}, {dst}, a4", f"lbu {dst}, 0({address})"]
     if kind == "alu":
-        op = draw(st.sampled_from(("add", "xor", "sub", "and")))
+        op = draw(st.sampled_from(("add", "xor", "sub", "and", "addi",
+                                   "slli", "srli", "mv")))
+        if op == "mv":
+            return [f"mv {dst}, {src}"]
+        if op in ("addi", "slli", "srli"):
+            return [f"{op} {dst}, {src}, {draw(st.sampled_from((1, 4)))}"]
         return [f"{op} {dst}, {src}, {draw(st.sampled_from(DATA))}"]
     value = draw(st.sampled_from((0, 1, 4, 0x1000, 0x8000, 0x40)))
     return [f"li {dst}, {value}"]
