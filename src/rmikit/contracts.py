@@ -188,9 +188,9 @@ class DecisionPoint(NamedTuple):
 class CommittedRun:
     """The exploration of one (program, state): its committed `steps`
     ((index, effect, burst flag) each), `resume`, from the position of
-    each branch and jalr to the committed state after it, and its
-    `final_state`; and the raw steps of each wrong-path window and its
-    word per leakage model, made on first use.
+    each branch and jalr to the committed state after it, its
+    `final_state`, and the raw steps of each wrong-path window, run on
+    first use (`windows`).
 
     simulate_committed builds one by running the committed path. The NI
     checks (ni._Path) keep one per committed path with its snapshots,
@@ -200,12 +200,12 @@ class CommittedRun:
     from the path's snapshot with the state's own values in the slots
     the path has neither read nor written before it patched in."""
     __slots__ = ("program", "layout", "steps", "resume", "final_state",
-                 "windows", "words")
+                 "windows")
 
     def __init__(self, program, layout, steps, resume, final_state):
         self.program, self.layout = program, layout
         self.steps, self.resume, self.final_state = steps, resume, final_state
-        self.windows, self.words = {}, {}
+        self.windows = {}
 
     def decision_points(self, exec_model):
         """The decision points under `exec_model`, in execution order."""
@@ -227,17 +227,6 @@ class CommittedRun:
             self.windows[key] = wrong_path_events(
                 self.program, self.resume[step], target, self.layout)
         return self.windows[key]
-
-    def window_word(self, step, target, kind):
-        """The events of that window under the leakage model `kind`,
-        closed by the rollback: the word `TraceDag.splice` splices in,
-        made on first use."""
-        key = (step, target, kind)
-        word = self.words.get(key)
-        if word is None:
-            word = self.words[key] = (_events(self.window(step, target), kind)
-                                      + ROLLBACK)
-        return word
 
 
 class Projection(NamedTuple):
@@ -523,7 +512,8 @@ class TraceDag:
         `words` are the committed words around them (`committed_words`,
         made here when None). The set is built right to left: the last
         word, then for each point the union over its choices of the
-        choice's word followed by the rest, after the word up to the point.
+        choice's window events closed by the rollback (none for None)
+        followed by the rest, after the word up to the point.
         """
         total = 1
         for _, choices in options:
@@ -536,7 +526,7 @@ class TraceDag:
             pos, choices = options[i]
             alternatives = [
                 node if target is None else self.chain(
-                    run.window_word(pos, target, kind), node)
+                    _events(run.window(pos, target), kind) + ROLLBACK, node)
                 for target in choices]
             node = self.chain(words[i], functools.reduce(self.union,
                                                          alternatives))

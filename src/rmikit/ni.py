@@ -45,6 +45,14 @@ each signature's memo; where every slot is relevant, read sets are
 used as they are. Paths stay keyed by their full committed read
 values, so a derived run is still exact.
 
+Every run enters a check's memo one way: under its read set, the
+relevant slots of its path's committed read set and of what the
+windows of the check's projections read. A box's least state either
+hits the memo, or finds or runs its path and enters the path's runs,
+first run first, until one serves it, deriving a run of its own when
+none does. A box of one state takes the same way; its read set splits
+nothing.
+
 Consecutive checks share one exploration (`_Exploration`), in a slot
 that holds the exploration of the most recent check, keyed on the
 program (the same object), the layout, the component table and the
@@ -58,12 +66,13 @@ Every speculative trace is the committed run with wrong-path windows
 spliced in (Guarnieri et al., S&P 2021), so states that agree on the
 committed read set share the committed run and differ only in their
 windows. A path record (`_Path`) keeps that run once, with what depends
-on it alone. A state of a known path gets a run derived from the
+on it alone: per projection its view and committed words, and its
+runtime burst escape. A state of a known path gets a run derived from the
 record, whose windows start on the path's snapshots with the state's
 values patched in and build no ArchState: `simulate_committed` runs
-once per committed path, and a derived run costs its windows and their
-splice. Trace sets are compared as node ids of the exploration's DAG,
-and listed only for a violation's witness detail.
+once per committed path, and a derived run costs its windows and one
+splice per view. Trace sets are compared as node ids of the
+exploration's DAG, and listed only for a violation's witness detail.
 """
 
 from __future__ import annotations
@@ -238,15 +247,17 @@ class _Path:
     - `first` is the CommittedRun of the path's first state, `origin` (a
       tuple of domain indices); its `steps` are the path's, and its
       `resume` holds the path's snapshots, once per path.
-    - `views` is None until the path has a second run, and then maps a
-      projection to its view on the path, (leak kind, options), and its
-      committed words once made: the runs of the path key their nodes
-      by these views. Until then, the splice of the first run makes its
-      own words, which nothing else would reuse.
+    - `views` maps a projection, and the view it has on the path, (leak
+      kind, options), to that view and the committed words around its
+      decision points (contracts.committed_words), made together on
+      first use and shared by the projections with an equal view: every
+      run of the path keys its nodes by the view and splices them with
+      the words.
     - `free` maps each control position to the slots that the path
       neither read nor wrote up to and including that step, or is None
       until a second state on the path needs a window.
-    - `escape` is modes.runtime_escape of the path, or False until needed.
+    - `escape` is modes.runtime_escape of the path, or False until a
+      burst check needs it.
     - `kept` lists the kept runs `(origin, run, cache)`, first run first:
       the state, its CommittedRun (the path's steps, its own windows, no
       final state, and no snapshots but the first run's), and a cache
@@ -267,7 +278,7 @@ class _Path:
     def __init__(self, run, committed, origin):
         run.final_state = None
         self.first, self.origin, self.committed = run, origin, committed
-        self.views, self.free, self.escape = None, None, False
+        self.views, self.free, self.escape = {}, None, False
         self.kept = [(origin, run, {})]
 
     def derive(self, origin):
@@ -278,8 +289,6 @@ class _Path:
         kept = (origin, CommittedRun(first.program, first.layout, first.steps,
                                      None, None), {})
         self.kept.append(kept)
-        if self.views is None:
-            self.views = {}
         return kept
 
     def start(self, pos, origin, exploration):
@@ -313,8 +322,10 @@ class _Exploration:
       on it: path}).
     - `memos` maps a signature to the memo from read set to (its
       projection, {values on it: (key, value, escape)}), to how many
-      runs of each path are entered in that memo, and to the slots
-      relevant to its projections (`relevant`).
+      runs of each path, counted in the path's order, are entered in
+      that memo, and to the slots relevant to its projections
+      (`relevant`). A later check of another signature enters the runs
+      that earlier checks kept before it derives a new one.
     - `relevant` maps True (arch) and False (every other leakage model:
       they share one slice) to the relevant slots
       (contracts.relevant_slots), made on first use, or None when every
@@ -322,7 +333,7 @@ class _Exploration:
 
     `simulate_committed` runs a state only when no path matches it, and a
     kept run keeps the raw steps of every window it ran, so a view under
-    any leakage model derives its words without running a state again.
+    any leakage model splices its windows without running a state again.
 
     It matches a check whose program is the same object and whose
     layout, component table and base state (pc, registers and both
@@ -425,8 +436,7 @@ def _check(program, space, layout, projections, detail_names, policy=None):
       to its values; a read set holds only the slots relevant to the
       check. The rest of the box is pushed back, split DPLL-style: per
       read slot, the earlier read slots fixed and this one past the
-      run's value. A box of one state is its own cube, and its run is
-      entered for that state alone, with no read set.
+      run's value.
     - A cube is cut into pieces by the values of its free public slots,
       so each piece lies in one group. A group keeps its least state and
       its least state with another value, its first violator. Once the
@@ -434,8 +444,11 @@ def _check(program, space, layout, projections, detail_names, policy=None):
       state up to `t` is explored and `t` is the walk's first mismatch.
 
     Runs, nodes and memo entries come from the slot's exploration when
-    it matches; a kept run serves exactly the states its own fresh run
-    would.
+    it matches. Every run enters the memo the one way (`enter`), under
+    the read set of its own committed path and windows, so a kept run
+    serves exactly the states its own fresh run would. Under burst mode
+    the first runtime escape met warns SelfContainmentViolation once,
+    from the caller's frame, when the check returns.
 
     A state whose run raises is the least state of the box popped once
     every smaller state is explored, so a check raises where the walk
@@ -449,33 +462,31 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     runs = exploration.runs
     memo, entered, relevant = exploration.memo(projections)
     burst = any(p is not None and p.burst_only for p in projections)
-    warned = not burst
+    escape = None   # the first runtime escape met
 
     def state(lo):
         return _state(base, table, [d[i] for d, i in zip(domains, lo)])
 
-    def enter(path, kept, alone=False):
+    def enter(path, kept):
         """Derive the kept run's (key, value, escape) under this check's
         projections, running the windows of its views that it has not
         run, and enter it in the memo under its read set: the slots of
         its path's committed read set and of what the windows of this
-        check's views read that are relevant to the check; or, when
-        `alone`, for its own state alone."""
+        check's views read that are relevant to the check. Returns the
+        read set, its projection and the entry."""
         origin, run, cache = kept
-        read = committed = path.committed
-        nodes = []
+        read, nodes = path.committed, []
         for projection in projections:
             if projection is None:
                 nodes.append(None)
                 continue
-            views = path.views
-            entry = None if views is None else views.get(projection)
+            entry = path.views.get(projection)
             if entry is None:
-                entry = [(projection.leak.kind,
-                          projection.options(path.first)), None]
-                if views is not None:
-                    views[projection] = entry
-            view = entry[0]
+                view = (projection.leak.kind, projection.options(path.first))
+                entry = path.views.get(view) or (
+                    view, committed_words(path.first.steps, *view))
+                path.views[projection] = path.views[view] = entry
+            view, words = entry
             derived = cache.get(view)
             if derived is None:
                 options, windows, slots = view[1], run.windows, []
@@ -490,80 +501,54 @@ def _check(program, space, layout, projections, detail_names, policy=None):
                 for pos, choices in reversed(options):
                     for target in choices[1:]:
                         slots += reads(windows[pos, target], target)
-                if views is not None and entry[1] is None:
-                    entry[1] = committed_words(path.first.steps, *view)
                 derived = cache[view] = (
-                    dag.splice(run, view[0], options, entry[1]), tuple(slots))
+                    dag.splice(run, view[0], options, words), tuple(slots))
             nodes.append(derived[0])
             read += derived[1]
-        if alone:
-            read_set = tuple(range(len(origin)))
-        else:
-            if len(read) > len(committed):
-                read_set = tuple(dict.fromkeys(read))
-            else:
-                read_set = committed
-            if relevant is not None:
-                read_set = tuple([slot for slot in read_set
-                                  if slot in relevant])
+        read_set = tuple(dict.fromkeys(read))
+        if relevant is not None:
+            read_set = tuple([slot for slot in read_set if slot in relevant])
         if read_set not in memo:
             memo[read_set] = (_projection(read_set), {})
         at, results = memo[read_set]
         if burst and path.escape is False:
             path.escape = runtime_escape(path.first)
         result = results[at(origin)] = (*nodes, path.escape if burst else None)
-        return result, read_set
+        return read_set, at, result
 
-    def explore(lo, hi=None):
+    def explore(lo):
         """The (key, value, escape) of the state `lo` and the read set its
-        run shares. A miss finds the path that `lo` runs, enters those of
-        its kept runs that are not yet entered, and when none of them
-        serves `lo`, keeps a run of `lo` derived from the path; only a
-        state that no path matches runs its committed path. The run of a
-        box `(lo, hi)` of one state is entered for `lo` alone."""
-        nonlocal warned
+        run shares. A miss finds the path that `lo` runs, running `lo`
+        when no path matches, and enters the path's runs that are not yet
+        in the memo, first run first, until one serves `lo`; when none
+        does, it keeps and enters a run of `lo` derived from the path."""
+        nonlocal escape
         for read_set, (at, results) in memo.items():
             found = results.get(at(lo))
             if found is not None:
                 break
         else:
-            found = None
             for at, paths in runs.values():
                 path = paths.get(at(lo))
                 if path is not None:
                     break
             else:
-                path = None
-            if path is None:
                 run = simulate_committed(program, state(lo), layout)
                 committed = tuple(dict.fromkeys(reads(run.steps)))
                 if committed not in runs:
                     runs[committed] = (_projection(committed), {})
                 at, paths = runs[committed]
                 path = paths[at(lo)] = _Path(run, committed, lo)
-                kept = path.kept[0]
-            else:
-                kept_runs = path.kept
-                n = entered.get(path, 0)
-                while found is None and n < len(kept_runs):
-                    kept = kept_runs[n]
-                    n += 1
-                    result, read_set = enter(path, kept)
-                    at = memo[read_set][0]
-                    if at(lo) == at(kept[0]):
-                        found = result
-                entered[path] = n
-                if found is None:
-                    kept = path.derive(lo)
-            if found is None:
-                # every earlier run of the path is entered in this memo
-                entered[path] = len(path.kept)
-                # every slot of a box is at least one value wide
-                found, read_set = enter(path, kept, hi is not None and (
-                    sum(hi) - sum(lo) == len(lo)))
-        if not warned and found[2] is not None:
-            warn_escape(found[2], stacklevel=4)
-            warned = True
+            n = entered.get(path, 0)
+            while True:
+                kept = path.kept[n] if n < len(path.kept) else path.derive(lo)
+                n += 1
+                read_set, at, found = enter(path, kept)
+                if at(lo) == at(kept[0]):
+                    break
+            entered[path] = n
+        if escape is None:
+            escape = found[2]
         return found, read_set
 
     project = _projection(public)
@@ -573,7 +558,7 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     pieces = 0
     while heap and (t is None or heap[0][0] < t[2]):
         lo, hi = heappop(heap)
-        (key, value, _), read_set = explore(lo, hi)
+        (key, value, _), read_set = explore(lo)
         hi = list(hi)
         for r in read_set:
             if lo[r] + 1 < hi[r]:
@@ -599,28 +584,33 @@ def _check(program, space, layout, projections, detail_names, policy=None):
             if group[2] is not None and (t is None or group[2] < t[2]):
                 t = group
     if t is None:
-        _slot[:] = (exploration,)
-        return NiVerdict(holds=True, pairs_checked=space.size() - len(groups))
-    violator = t[2]
-    rank = 0
-    for domain, i in zip(domains, violator):
-        rank = rank * len(domain) + i
-    resets = [domain.index(base_value) if base_value in domain else None
-              for (_, _, base_value, domain) in table]
+        verdict = NiVerdict(holds=True, pairs_checked=space.size() - len(groups))
+    else:
+        violator = t[2]
+        rank = 0
+        for domain, i in zip(domains, violator):
+            rank = rank * len(domain) + i
+        resets = [domain.index(base_value) if base_value in domain else None
+                  for (_, _, base_value, domain) in table]
 
-    def observe(lo):
-        (key, value, _), _ = explore(lo)
-        return (project(lo), key), value
+        def observe(lo):
+            (key, value, _), _ = explore(lo)
+            return (project(lo), key), value
 
-    (a, value_a), (b, value_b) = _shrink(t[:2], t[2:], resets, observe)
-    name_a, name_b = detail_names
+        (a, value_a), (b, value_b) = _shrink(t[:2], t[2:], resets, observe)
+        name_a, name_b = detail_names
+        verdict = NiVerdict(
+            holds=False, witness=(state(a), state(b)),
+            witness_detail={name_a: trace_set_to_json(dag.traces(value_a)),
+                            name_b: trace_set_to_json(dag.traces(value_b))},
+            # the states up to t, less the first state of each group below t
+            pairs_checked=rank + 1 - sum(g[0] < violator
+                                         for g in groups.values()))
     _slot[:] = (exploration,)
-    return NiVerdict(
-        holds=False, witness=(state(a), state(b)),
-        witness_detail={name_a: trace_set_to_json(dag.traces(value_a)),
-                        name_b: trace_set_to_json(dag.traces(value_b))},
-        # the states up to t, less the first state of each group below t
-        pairs_checked=rank + 1 - sum(g[0] < violator for g in groups.values()))
+    if escape is not None:
+        # check_hw_satisfies_one calls _check: warn at its caller
+        warn_escape(escape, stacklevel=3)
+    return verdict
 
 
 def _view(contract):

@@ -238,6 +238,7 @@ def test_first_faulty_operand_is_reported(statement, error, fault):
     assert fault in str(err.value)
 
 
+@pytest.mark.filterwarnings("ignore::rmikit.asm.DirectiveWarning")
 @settings(max_examples=300)
 @given(st.binary(max_size=200))
 def test_never_panics_on_arbitrary_bytes(data):
@@ -248,6 +249,7 @@ def test_never_panics_on_arbitrary_bytes(data):
     assert isinstance(result, Program)
 
 
+@pytest.mark.filterwarnings("ignore::rmikit.asm.DirectiveWarning")
 @settings(max_examples=200)
 @given(st.text(max_size=200))
 def test_never_panics_on_arbitrary_text(text):

@@ -29,12 +29,13 @@ from rmikit import ni
 from rmikit.asm import parse_program, reg_num
 from rmikit.contracts import (ARCH, LEAK_KINDS, SEQ, SHM, SPEC, STL,
                               ContractError, ExecModel, FuelExhausted,
-                              LeakageModel, SelfContainmentViolation,
+                              LeakageModel, Projection,
+                              SelfContainmentViolation, committed_words,
                               simulate_committed)
 from rmikit.corpus import load_entry
 from rmikit.machine import (PRIVATE, SHARED, ArchState, MachineError,
                             MemoryLayout, OutOfRangeAccess)
-from rmikit.modes import BURST
+from rmikit.modes import BURST, hw_trace_set
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
                        check_hw_satisfies_one, check_relative_ni)
 
@@ -232,6 +233,69 @@ def test_warm_burst_check_still_warns_of_escape(monkeypatch, warm_up):
 
 
 
+# With a0 = 5 the run takes `body`, whose branch jumps over the load, and
+# leaves the burst region by its csrwi; with a0 = 0 it jumps to `out`,
+# past the region's end, with the flag on. The check is violated with
+# witness a0 = 5, and the escaping run a0 = 0 is first met while the
+# witness is shrunk.
+ESCAPE_IN_SHRINK = parse_program("""
+    csrwi MSPEC, BURST_ON
+    bne a0, zero, body
+    jal zero, out
+body:
+    beq zero, zero, skip
+    lbu t0, 0(a2)
+skip:
+    csrwi MSPEC, BURST_OFF
+out:
+""")
+
+
+FAR_AWAY = load_entry("jal_far_away")
+
+
+def _burst_far_away():
+    return check_hw_satisfies_one(FAR_AWAY.program, BURST, (SHM, STL),
+                                  FAR_AWAY.space, FAR_AWAY.layout)
+
+
+def _escape_in_shrink():
+    space = StateSpace(base_state=ArchState(), varying_registers=(
+        (A0, (5, 0)), (reg_num("a2"), (0x8000, 0x8001))))
+    verdict = check_hw_satisfies_one(ESCAPE_IN_SHRINK, BURST, (SHM, SEQ),
+                                     space, LAYOUT)
+    assert not verdict.holds and verdict.witness[0].reg(A0) == 5
+    return verdict
+
+
+def _hw_trace_set_far_away():
+    return hw_trace_set(FAR_AWAY.program, FAR_AWAY.space.base_state,
+                        FAR_AWAY.layout, BURST)
+
+
+@pytest.mark.parametrize("warm, check", [
+    (False, _burst_far_away), (True, _burst_far_away),
+    (False, _escape_in_shrink), (False, _hw_trace_set_far_away)],
+    ids=["cold", "warm_memo_hit", "escape_in_shrink", "hw_trace_set"])
+def test_escape_warning_points_at_the_caller(monkeypatch, warm, check):
+    """A check's one SelfContainmentViolation names the line that called
+    the check, wherever the escape is first met: on a cold check, on a
+    warm check that every state's memo entry serves, while the witness
+    is shrunk, and in modes.hw_trace_set."""
+    ni._slot.clear()
+    if warm:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SelfContainmentViolation)
+            check()
+    runs = _count_runs(monkeypatch)
+    with pytest.warns(SelfContainmentViolation) as record:
+        check()
+    assert len(record) == 1
+    assert record[0].filename == __file__
+    if warm:
+        assert runs == []
+
+
 def test_kept_runs_hold_only_what_a_view_reads():
     """memcpy_right copies 4 bytes, and only the wrong path of its last
     branch loads the byte past them, which varies: the three states share
@@ -243,7 +307,8 @@ def test_kept_runs_hold_only_what_a_view_reads():
     share its `steps` object, none holds a final state, and every run
     has run the window of every branch (under spec, every branch has
     one). The derived runs key their nodes by the path's own view
-    objects."""
+    objects. No kept run caches window words, and every path, one with
+    a single run too, holds each view with its committed words."""
     entry = load_entry("memcpy_right")
     a1, a2 = reg_num("a1"), reg_num("a2")
     space = StateSpace(
@@ -266,6 +331,27 @@ def test_kept_runs_hold_only_what_a_view_reads():
         assert run.resume is None
         keys = [key for key in cache if isinstance(key[0], str)]
         assert keys and all(any(key is view for view in views) for key in keys)
+    # A kept run carries no cache of window words: each (run, view) is
+    # spliced once. A path holds each view with its committed words, made
+    # together, also while it has a single run.
+    for _, run, _ in path.kept:
+        assert not hasattr(run, "words")
+    single = StateSpace(base_state=space.base_state,
+                        varying_cells=((0x1104, (3,)),))
+    assert check_relative_ni(entry.program, (ARCH, SPEC), (ARCH, SPEC),
+                             single, entry.layout).holds
+    (lone,) = [lone for _, paths in ni._slot[0].runs.values()
+               for lone in paths.values()]
+    assert len(lone.kept) == 1
+    for held in (path, lone):
+        assert held.views
+        for key, (view, words) in held.views.items():
+            if isinstance(key, Projection):
+                assert view == (key.leak.kind, key.options(held.first))
+                assert held.views[view] is held.views[key]
+            else:
+                assert key == view
+            assert words == committed_words(held.first.steps, *view)
 
 
 CONTRACTS = [(LeakageModel(leak), ExecModel(kind))
