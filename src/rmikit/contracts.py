@@ -35,17 +35,21 @@ its memory is bounded by one exploration (ni.py). There the states that
 agree on what a committed path read share one record of it, its steps
 and its snapshots, and a state whose windows read other values gets a
 CommittedRun derived from the record: the path's steps, no snapshots of
-its own, and only its windows run. A kept CommittedRun keeps the raw
-steps of its windows, so a projection under another leakage model never
-runs the state again.
+its own, and only its windows run, each once, listing the slots it reads
+as it runs (`wrong_path_events` with a `ReadWalk`). A kept CommittedRun
+keeps the raw steps of its windows, so a projection under another
+leakage model never runs the state again.
 
 A trace set is the finite language seg0 W0 seg1 W1 ... tail, where each
 W is the set of choices at one decision point. `TraceDag.splice` builds
 it right to left as a node of a hash-consed minimal acyclic DFA, never
 listing the product of choices: two sets built in one table are equal
-exactly when their node ids are, so checks compare ids. The traces of a
-node are walked out only for output (`contract_trace_set`,
-`contract_trace`, `modes.hw_trace_set` and a violation's witness).
+exactly when their node ids are, so checks compare ids. What the runs of
+one committed path share under one view, its committed words and the
+node of its tail, is made once (`TraceDag.parts`), so a run's splice
+adds only its windows. The traces of a node are walked out only for
+output (`contract_trace_set`, `contract_trace`, `modes.hw_trace_set` and
+a violation's witness).
 
 `simulate_committed` is the one loop that runs a program to its end,
 which its pc reaches at `len(program)` (a state already there gives the
@@ -60,7 +64,6 @@ forms (ni._check) and the states of a listed state space.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -153,15 +156,18 @@ def mispredict(target):
 def _events(steps, kind):
     """Events that (program index, effect, ...) steps contribute under the
     leakage model `kind`."""
+    pcs = kind == "ct" or kind == "arch"
+    every = kind != "shm"
+    values = kind == "arch"
     events = []
     for step in steps:
-        if kind in ("ct", "arch"):
+        if pcs:
             events.append(("pc", step[0]))
         ev = step[1].mem_event
         if ev is not None:
-            if kind in ("ct", "arch", "mem") or ev.domain == "shared":
+            if every or ev.domain == SHARED:
                 events.append(("addr", ev.address, ev.domain))
-            if kind == "arch" and ev.kind == "load":
+            if values and ev.kind == "load":
                 events.append(("val", ev.value))
     return tuple(events)
 
@@ -261,30 +267,43 @@ CONTRACT_VIEWS = {(leak, exec_model): Projection(leak, exec_model)
 
 
 def read_walk(program, registers, cells):
-    """The function `reads(steps, target=None)` that lists the components
-    of an initial state among `registers` ({register number: index}) and
-    `cells` ({address: index}) that the steps of a run of `program` may
-    have read, as their indices in the order read, with repeats: the
-    committed steps of a CommittedRun, or, with `target`, the steps of
-    one of its windows, run from `target`.
+    """The ReadWalk of `program` over `registers` ({register number:
+    index}) and `cells` ({address: index})."""
+    return ReadWalk(program, registers, cells)
 
-    Listed are the rs1 and rs2 of every step, every byte in the span of
-    every load, and for a window, the rs1 and rs2 of the instruction at
-    which it stopped short: it faulted, and its operands decided that the
-    window ends there. A register counts even where an earlier step wrote
-    it, so no write is tracked: a state that agrees with the run's
+
+class ReadWalk:
+    """Lists the components of an initial state among its `registers` and
+    `cells` that the steps of a run of a program may have read, as their
+    indices in the order read, with repeats: called on the committed
+    steps of a CommittedRun, or, with `target`, on the steps of one of
+    its windows, run from `target`; `wrong_path_events` lists them for a
+    window while it runs it.
+
+    Listed are the rs1 and rs2 of every step (`sources`, by program
+    index), every byte in the span of every load (`loads`: size by
+    program index), and for a window, the rs1 and rs2 of the instruction
+    at which it stopped short: it faulted, and its operands decided that
+    the window ends there. A register counts even where an earlier step
+    wrote it, so no write is tracked: a state that agrees with the run's
     initial state on every component listed for its committed steps and
     some of its windows, and on every component outside `registers` and
     `cells`, runs the same committed steps, and the same steps in each of
     those windows.
     """
-    instructions = program.instructions
-    sources = [tuple(registers[r] for r in (ins.rs1, ins.rs2) if r in registers)
-               for ins in instructions]
-    loads = {i: LOAD_SIZES[ins.opcode] for i, ins in enumerate(instructions)
-             if cells and ins.opcode in LOAD_SIZES}
+    __slots__ = ("sources", "loads", "cells")
 
-    def reads(steps, target=None):
+    def __init__(self, program, registers, cells):
+        instructions = program.instructions
+        self.sources = [tuple(registers[r] for r in (ins.rs1, ins.rs2)
+                              if r in registers) for ins in instructions]
+        self.loads = {i: LOAD_SIZES[ins.opcode]
+                      for i, ins in enumerate(instructions)
+                      if cells and ins.opcode in LOAD_SIZES}
+        self.cells = cells
+
+    def __call__(self, steps, target=None):
+        sources, loads, cells = self.sources, self.loads, self.cells
         read = []
         for step in steps:
             index = step[0]
@@ -296,11 +315,9 @@ def read_walk(program, registers, cells):
                         read.append(cells[x])
         if target is not None:
             stop = steps[-1][1].next_pc if steps else target
-            if len(steps) < SPEC_DEPTH and 0 <= stop < len(instructions):
+            if len(steps) < SPEC_DEPTH and 0 <= stop < len(sources):
                 read.extend(sources[stop])
         return read
-
-    return reads
 
 
 def relevant_slots(program, registers, cells, kind):
@@ -391,7 +408,7 @@ def simulate_committed(program, state0, layout):
 
 
 def wrong_path_events(program, resume_state, target, layout, regs=None,
-                      overlay=None):
+                      overlay=None, walk=None):
     """Raw (index, effect) steps of one mispredicted control transfer.
 
     Executes up to SPEC_DEPTH instructions starting at `target` on a copy
@@ -402,25 +419,42 @@ def wrong_path_events(program, resume_state, target, layout, regs=None,
     as a barrier in every execution model, so a window never crosses it.
 
     `regs` ({reg number: value}) and `overlay` ({(domain, address):
-    byte}), left unmodified, patch the start (ni._Path.start).
+    byte}), left unmodified, patch the start (ni._Path.start). With a
+    ReadWalk `walk`, the result is the pair of the steps and the slots
+    that `walk(steps, target)` lists, collected as each step runs.
     """
     table, kinds = decode(program)
     end = len(table)
     steps = []
+    append = steps.append
     overlay = dict(overlay) if overlay else {}
     regs = {**resume_state.regs, **regs} if regs else dict(resume_state.regs)
     mems = {PRIVATE: resume_state.private_mem, SHARED: resume_state.shared_mem}
-    pc = target
+    if walk is not None:
+        read, sources, loads, cells = [], walk.sources, walk.loads, walk.cells
+    # a step's next pc is at most `end`, so only the target is range-checked
+    pc = target if 0 <= target < end else end
     for _ in range(SPEC_DEPTH):
-        if not 0 <= pc < end or kinds[pc] in _BARRIERS:
+        if pc == end or kinds[pc] in _BARRIERS:
             break
         try:
             effect = table[pc](layout, regs, mems, overlay)
         except MachineError:
             break
-        steps.append((pc, effect))
+        append((pc, effect))
+        if walk is not None:
+            read.extend(sources[pc])
+            if pc in loads:
+                address = effect.mem_event.address
+                for x in range(address, address + loads[pc]):
+                    if x in cells:
+                        read.append(cells[x])
         pc = effect.next_pc
-    return tuple(steps)
+    if walk is None:
+        return tuple(steps)
+    if len(steps) < SPEC_DEPTH and pc < end:
+        read.extend(sources[pc])
+    return tuple(steps), read
 
 
 # The node of {()}, the set holding only the empty trace, in every TraceDag.
@@ -502,34 +536,54 @@ class TraceDag:
                                       tuple(sorted(merged.items())))
         return unions[top]
 
-    def splice(self, run, kind, options, words=None):
+    def parts(self, steps, kind, options):
+        """What every splice of a committed path under the leakage model
+        `kind` and `options` shares: the path's committed words
+        (`committed_words`) and the node of the last, the suffix after
+        the last decision point. Refuses options whose product of choice
+        counts exceeds ENUM_CAP, reporting the first partial product
+        past it."""
+        total = 1
+        for _, choices in options:
+            total *= len(choices)
+            if total > ENUM_CAP:
+                break
+        enforce_enum_cap(total, "traces")
+        words = committed_words(steps, kind, options)
+        return words, self.chain(words[-1], EMPTY_TRACE)
+
+    def splice(self, run, kind, options, parts=None):
         """The node of the traces of the CommittedRun `run` under the
         leakage model `kind` over every combination of choices.
 
         `options` pairs each decision point's committed step, in execution
         order, with its choices: None for a correct prediction, or a
-        mispredict target whose window is spliced in after that step;
-        `words` are the committed words around them (`committed_words`,
-        made here when None). The set is built right to left: the last
-        word, then for each point the union over its choices of the
-        choice's window events closed by the rollback (none for None)
-        followed by the rest, after the word up to the point.
+        mispredict target whose window is spliced in after that step.
+        `parts` are what every run of its committed path shares under this
+        view (`parts`, made here when None), so a run adds only its
+        windows. From the suffix node, right to left, each point's node is
+        the union over its choices of the node after it (None) and of each
+        window's events closed by the rollback followed by that node,
+        folded as the transitions of one node, behind the committed word
+        up to the point.
         """
-        total = 1
-        for _, choices in options:
-            total *= len(choices)
-            enforce_enum_cap(total, "traces")
-        if words is None:
-            words = committed_words(run.steps, kind, options)
-        node = self.chain(words[-1], EMPTY_TRACE)
+        words, node = parts or self.parts(run.steps, kind, options)
+        nodes, chain, union = self.nodes, self.chain, self.union
         for i in range(len(options) - 1, -1, -1):
             pos, choices = options[i]
-            alternatives = [
-                node if target is None else self.chain(
-                    _events(run.window(pos, target), kind) + ROLLBACK, node)
-                for target in choices]
-            node = self.chain(words[i], functools.reduce(self.union,
-                                                         alternatives))
+            final, moves = False, {}
+            for target in choices:
+                if target is None:
+                    final, pairs = nodes[node]
+                else:
+                    word = _events(run.window(pos, target), kind) + ROLLBACK
+                    pairs = ((word[0], chain(word[1:], node)),)
+                for event, child in pairs:
+                    other = moves.get(event)
+                    moves[event] = child if other is None else union(other,
+                                                                      child)
+            node = chain(words[i], self._node(final,
+                                              tuple(sorted(moves.items()))))
         return node
 
     def traces(self, node):

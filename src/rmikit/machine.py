@@ -213,8 +213,9 @@ def decode(program):
     instructions = program.instructions
     end = len(instructions)
     decoded = Decoded(
-        tuple(_step_function(ins, pc, end) for pc, ins in enumerate(instructions)),
-        tuple(_kind(ins) for ins in instructions))
+        tuple([_step_function(ins, pc, end)
+               for pc, ins in enumerate(instructions)]),
+        tuple([_kind(ins) for ins in instructions]))
     _last = (program, decoded)
     return decoded
 
@@ -235,6 +236,7 @@ def _step_function(ins, pc, end):
     op, rd, imm, target = ins.opcode, ins.rd, ins.imm, ins.target
     rs1, rs2 = ins.rs1 or None, ins.rs2 or None
     proceed = StepEffect(pc + 1)
+    new = tuple.__new__     # skips the named tuples' Python-level __new__
 
     if op in ("label", "csrwi") or (op in _REGISTER_OPS and not rd):
         def nop(layout, regs, mems, overlay=None):
@@ -283,7 +285,8 @@ def _step_function(ins, pc, end):
                 value = mems[domain].get(address, 0)
             if rd:
                 regs[rd] = value
-            return StepEffect(pc + 1, MemEvent("load", address, domain, value))
+            return new(StepEffect, (pc + 1, new(MemEvent, (
+                "load", address, domain, value))))
         return lbu
     if op == "sb":
         def sb(layout, regs, mems, overlay=None):
@@ -296,7 +299,8 @@ def _step_function(ins, pc, end):
                 mems[domain][address] = value
             else:
                 overlay[domain, address] = value
-            return StepEffect(pc + 1, MemEvent("store", address, domain, value))
+            return new(StepEffect, (pc + 1, new(MemEvent, (
+                "store", address, domain, value))))
         return sb
     if op in LOAD_SIZES:
         size = LOAD_SIZES[op]
@@ -319,7 +323,8 @@ def _step_function(ins, pc, end):
                 value = (value - (1 << 32)) & MASK64
             if rd:
                 regs[rd] = value
-            return StepEffect(pc + 1, MemEvent("load", address, domain, value))
+            return new(StepEffect, (pc + 1, new(MemEvent, (
+                "load", address, domain, value))))
         return load
     if op in STORE_SIZES:
         size = STORE_SIZES[op]
@@ -338,7 +343,8 @@ def _step_function(ins, pc, end):
                 mems[domain].update(data)
             else:
                 overlay.update(((domain, x), byte) for x, byte in data)
-            return StepEffect(pc + 1, MemEvent("store", address, domain, value))
+            return new(StepEffect, (pc + 1, new(MemEvent, (
+                "store", address, domain, value))))
         return store
     if op in BRANCHES:
         taken = _TAKEN[op]

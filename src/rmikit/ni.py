@@ -65,13 +65,17 @@ piece counts never depend on the checks before.
 Every speculative trace is the committed run with wrong-path windows
 spliced in (Guarnieri et al., S&P 2021), so states that agree on the
 committed read set share the committed run and differ only in their
-windows. A path record (`_Path`) keeps that run once, with what depends
-on it alone: per projection its view and committed words, and its
-runtime burst escape. A state of a known path gets a run derived from the
-record, whose windows start on the path's snapshots with the state's
-values patched in and build no ArchState: `simulate_committed` runs
-once per committed path, and a derived run costs its windows and one
-splice per view. Trace sets are compared as node ids of the
+windows. A path record (`_Path`) keeps that run once, with its runtime
+burst escape and, per view (`_View`), what every run of the path
+shares: the options, their ENUM_CAP product checked, the committed
+words and the node after the last decision point. A check keeps the
+relevant slots of each path's committed read set. A state of a known
+path gets a run derived from the record that adds only its windows:
+each runs once from the path's snapshot with the state's values patched
+in, listing the slots it reads as it runs; its events are folded into
+nodes on the view's parts and its slots extend the committed prefix.
+So `simulate_committed` runs once per committed path, and a derived
+run builds no ArchState. Trace sets are compared as node ids of the
 exploration's DAG, and listed only for a violation's witness detail.
 """
 
@@ -84,9 +88,9 @@ from operator import itemgetter
 
 from .asm import STORE_SIZES
 from .contracts import (CONTRACT_VIEWS, CommittedRun, TraceDag,
-                        committed_words, enforce_enum_cap, read_walk,
-                        relevant_slots, simulate_committed,
-                        trace_set_to_json, wrong_path_events)
+                        enforce_enum_cap, read_walk, relevant_slots,
+                        simulate_committed, trace_set_to_json,
+                        wrong_path_events)
 from .machine import MASK64, PRIVATE, SHARED, ArchState
 from .modes import check_start, hw_projection, runtime_escape, warn_escape
 
@@ -239,6 +243,22 @@ def _pieces(lo, hi, public):
     return firsts
 
 
+class _View:
+    """A path's record of one `view` (leak kind, options), made once: its
+    `parts` (contracts.TraceDag.parts, which checks the options' ENUM_CAP
+    product) and its `points`, each decision point's step and window
+    targets, last point first. It unpacks as (view, committed words)."""
+    __slots__ = ("view", "parts", "points")
+
+    def __init__(self, view, parts):
+        self.view, self.parts = view, parts
+        self.points = tuple([(pos, choices[1:])
+                             for pos, choices in reversed(view[1])])
+
+    def __iter__(self):
+        return iter((self.view, self.parts[0]))
+
+
 class _Path:
     """One committed path of an exploration, and the kept runs that share
     it: every state that agrees with its first state on the `committed`
@@ -248,20 +268,21 @@ class _Path:
       tuple of domain indices); its `steps` are the path's, and its
       `resume` holds the path's snapshots, once per path.
     - `views` maps a projection, and the view it has on the path, (leak
-      kind, options), to that view and the committed words around its
-      decision points (contracts.committed_words), made together on
-      first use and shared by the projections with an equal view: every
-      run of the path keys its nodes by the view and splices them with
-      the words.
+      kind, options), to the path's record of that view (`_View`), made
+      on first use and shared by the projections with an equal view:
+      every run of the path keys its nodes by the view and builds them on
+      the record's parts.
     - `free` maps each control position to the slots that the path
-      neither read nor wrote up to and including that step, or is None
-      until a second state on the path needs a window.
+      neither read nor wrote up to and including that step, each with
+      where its value goes in a patch (_Exploration.unwritten), or is
+      None until a second state on the path needs a window.
     - `escape` is modes.runtime_escape of the path, or False until a
       burst check needs it.
     - `kept` lists the kept runs `(origin, run, cache)`, first run first:
       the state, its CommittedRun (the path's steps, its own windows, no
       final state, and no snapshots but the first run's), and a cache
-      from view to its DAG node and the slots its windows read.
+      from each view to its DAG node and the slots its windows read, and
+      from each window `(pos, target)` to the slots that window read.
 
     The derivation is exact. A state that agrees with the first state on
     `committed` runs the same steps with the same effects: each step
@@ -271,7 +292,8 @@ class _Path:
     so far, and the state's snapshot at a control position is the path's
     with its own values in those slots. Its run (`derive`) shares the
     path's steps and runs only its windows, from those snapshots given
-    as the path's and a patch (`start`)."""
+    as the path's and a patch (`start`), and its node under a view adds
+    only those windows to the view's parts (`splice`)."""
     __slots__ = ("first", "origin", "committed", "views", "free", "escape",
                  "kept")
 
@@ -280,6 +302,39 @@ class _Path:
         self.first, self.origin, self.committed = run, origin, committed
         self.views, self.free, self.escape = {}, None, False
         self.kept = [(origin, run, {})]
+
+    def view(self, projection, dag):
+        """The record of the view that `projection` has on the path, made
+        in `dag` when no projection with an equal view has one yet."""
+        view = (projection.leak.kind, projection.options(self.first))
+        record = self.views.get(view)
+        if record is None:
+            record = self.views[view] = _View(
+                view, dag.parts(self.first.steps, *view))
+        self.views[projection] = record
+        return record
+
+    def splice(self, kept, record, exploration):
+        """The kept run's node under the view of `record` and the slots its
+        windows read, cached under the view. Each window runs once, and
+        lists its slots as it runs; a point runs all its windows at once.
+        A view without decision points has the suffix node itself."""
+        origin, run, cache = kept
+        windows, slots = run.windows, []
+        for pos, targets in record.points:
+            if (pos, targets[0]) not in windows:
+                snapshot, regs, overlay = self.start(pos, origin, exploration)
+                for target in targets:
+                    windows[pos, target], cache[pos, target] = (
+                        wrong_path_events(exploration.program, snapshot,
+                                          target, exploration.layout, regs,
+                                          overlay, exploration.reads))
+            for target in targets:
+                slots += cache[pos, target]
+        node = exploration.dag.splice(run, *record.view, record.parts) if (
+            record.points) else record.parts[1]
+        derived = cache[record.view] = (node, tuple(slots))
+        return derived
 
     def derive(self, origin):
         """The kept run of the state `origin`, which agrees with the first
@@ -300,14 +355,10 @@ class _Path:
         if origin is not self.origin:
             if self.free is None:
                 self.free = exploration.unwritten(self)
-            for slot in self.free[pos]:
-                if origin[slot] != self.origin[slot]:
-                    name, key, _, domain = exploration.table[slot]
-                    if name == "regs":
-                        regs[key] = domain[origin[slot]]
-                    else:
-                        overlay[PRIVATE if name == "private_mem" else SHARED,
-                                key] = domain[origin[slot]]
+            first = self.origin
+            for slot, register, key, domain in self.free[pos]:
+                if origin[slot] != first[slot]:
+                    (regs if register else overlay)[key] = domain[origin[slot]]
         return self.first.resume[pos], regs, overlay
 
 
@@ -321,9 +372,10 @@ class _Exploration:
       the slots it read: committed read set -> (its projection, {values
       on it: path}).
     - `memos` maps a signature to the memo from read set to (its
-      projection, {values on it: (key, value, escape)}), to how many
-      runs of each path, counted in the path's order, are entered in
-      that memo, and to the slots relevant to its projections
+      projection, {values on it: (key, value, escape)}), to a map from
+      each path to how many of its runs, counted in the path's order,
+      are entered in that memo and the relevant slots of its committed
+      read set, and to the slots relevant to its projections
       (`relevant`). A later check of another signature enters the runs
       that earlier checks kept before it derives a new one.
     - `relevant` maps True (arch) and False (every other leakage model:
@@ -355,7 +407,7 @@ class _Exploration:
         self.relevant, self.runs, self.memos = {}, {}, {}
 
     def memo(self, projections):
-        """The memo, entered counts and relevant slots of the signature
+        """The memo, entered paths and relevant slots of the signature
         `projections`; None for the slots when every slot is relevant."""
         found = self.memos.get(projections)
         if found is None:
@@ -378,8 +430,13 @@ class _Exploration:
     def unwritten(self, path):
         """Per control position of `path`, the slots outside its committed
         read set that no step up to and including it wrote: the `rd` of
-        each step's instruction and the bytes of each store."""
+        each step's instruction and the bytes of each store. Each slot is
+        given as (slot, whether it is a register, its register or its
+        overlay key (domain, address), its domain of values)."""
         instructions, cells = self.program.instructions, self.cells
+        rows = [(slot, name == "regs", key if name == "regs" else (
+            PRIVATE if name == "private_mem" else SHARED, key), domain)
+            for slot, (name, key, _, domain) in enumerate(self.table)]
         free = set(range(len(self.table))).difference(path.committed)
         controls = path.first.resume
         unwritten = {}
@@ -395,7 +452,7 @@ class _Exploration:
                         event.address,
                         event.address + STORE_SIZES[ins.opcode]))
             if pos in controls:
-                unwritten[pos] = tuple(sorted(free))
+                unwritten[pos] = tuple([rows[slot] for slot in sorted(free)])
         return unwritten
 
 
@@ -467,50 +524,34 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     def state(lo):
         return _state(base, table, [d[i] for d, i in zip(domains, lo)])
 
-    def enter(path, kept):
+    def enter(path, kept, prefix):
         """Derive the kept run's (key, value, escape) under this check's
         projections, running the windows of its views that it has not
-        run, and enter it in the memo under its read set: the slots of
-        its path's committed read set and of what the windows of this
-        check's views read that are relevant to the check. Returns the
-        read set, its projection and the entry."""
+        run, and enter it in the memo under its read set: `prefix`, the
+        relevant slots of its path's committed read set, then those of
+        what the windows of this check's views read. Returns the read
+        set, its projection and the entry."""
         origin, run, cache = kept
-        read, nodes = path.committed, []
+        nodes, slots, last = [], [], None
         for projection in projections:
             if projection is None:
                 nodes.append(None)
                 continue
-            entry = path.views.get(projection)
-            if entry is None:
-                view = (projection.leak.kind, projection.options(path.first))
-                entry = path.views.get(view) or (
-                    view, committed_words(path.first.steps, *view))
-                path.views[projection] = path.views[view] = entry
-            view, words = entry
-            derived = cache.get(view)
-            if derived is None:
-                options, windows, slots = view[1], run.windows, []
-                for pos, choices in options:
-                    if (pos, choices[1]) in windows:
-                        continue    # a point runs all its windows at once
-                    snapshot, regs, overlay = path.start(pos, origin,
-                                                         exploration)
-                    for target in choices[1:]:
-                        windows[pos, target] = wrong_path_events(
-                            program, snapshot, target, layout, regs, overlay)
-                for pos, choices in reversed(options):
-                    for target in choices[1:]:
-                        slots += reads(windows[pos, target], target)
-                derived = cache[view] = (
-                    dag.splice(run, view[0], options, words), tuple(slots))
+            record = path.views.get(projection) or path.view(projection, dag)
+            if record is not last:  # two projections can share a view
+                last = record
+                derived = cache.get(record.view) or path.splice(
+                    kept, record, exploration)
+                slots += derived[1]
             nodes.append(derived[0])
-            read += derived[1]
-        read_set = tuple(dict.fromkeys(read))
-        if relevant is not None:
-            read_set = tuple([slot for slot in read_set if slot in relevant])
-        if read_set not in memo:
-            memo[read_set] = (_projection(read_set), {})
-        at, results = memo[read_set]
+        read_set = prefix
+        for slot in slots:
+            if slot not in read_set and (relevant is None or slot in relevant):
+                read_set += (slot,)
+        entry = memo.get(read_set)
+        if entry is None:
+            entry = memo[read_set] = (_projection(read_set), {})
+        at, results = entry
         if burst and path.escape is False:
             path.escape = runtime_escape(path.first)
         result = results[at(origin)] = (*nodes, path.escape if burst else None)
@@ -539,14 +580,17 @@ def _check(program, space, layout, projections, detail_names, policy=None):
                     runs[committed] = (_projection(committed), {})
                 at, paths = runs[committed]
                 path = paths[at(lo)] = _Path(run, committed, lo)
-            n = entered.get(path, 0)
+            n, prefix = entered.get(path) or (0, path.committed)
+            if n == 0 and relevant is not None:
+                prefix = tuple([slot for slot in prefix if slot in relevant])
             while True:
                 kept = path.kept[n] if n < len(path.kept) else path.derive(lo)
                 n += 1
-                read_set, at, found = enter(path, kept)
-                if at(lo) == at(kept[0]):
+                read_set, at, found = enter(path, kept, prefix)
+                # a run kept for `lo` itself serves it
+                if kept[0] is lo or at(lo) == at(kept[0]):
                     break
-            entered[path] = n
+            entered[path] = (n, prefix)
         if escape is None:
             escape = found[2]
         return found, read_set

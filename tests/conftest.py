@@ -9,9 +9,10 @@ and test_warm_exploration_matches_cold, which runs the same checks back
 to back on one exploration, compares them with the cold ones and serves
 no state twice; test_derived_runs_match_committed_runs in
 test_exploration.py, which checks every run derived from a committed
-path, the starts of its windows and its windows, against
-simulate_committed over tests/snippetgen.py programs, jalr ones under
-spec included, and random spaces;
+path, the starts of its windows, its windows, and per view its cached
+node and read slots, against simulate_committed (and a splice and a
+read walk of its run) over tests/snippetgen.py programs, jalr ones
+under spec included, and random spaces;
 test_states_that_differ_only_in_irrelevant_slots_share_every_node in
 test_slice.py, which runs pairs of states that differ only in slots
 outside the dependence slice and compares their nodes under every

@@ -403,7 +403,32 @@ def _assert_kept_runs_match_committed_runs(program, space):
                     for pos in fresh.resume} == fresh.resume
             assert run.windows == {key: fresh.window(*key)
                                    for key in run.windows}
+    _assert_kept_nodes_match_committed_runs(exploration, paths, committed_run)
     return sum(len(path.kept) - 1 for path in paths)
+
+
+def _assert_kept_nodes_match_committed_runs(exploration, paths,
+                                            committed_run):
+    """Every kept run, derived ones included, and every view in its cache:
+    the cached node is the exploration DAG's splice of simulate_committed's
+    run from its state under the view's kind and options, and the cached
+    read slots are what `reads` lists over that run's windows of the view,
+    last decision point first, as are the slots cached for each window."""
+    reads, dag = exploration.reads, exploration.dag
+    for path in paths:
+        for origin, _, cache in path.kept:
+            fresh = committed_run(origin)
+            for key, cached in cache.items():
+                if isinstance(key[0], str):
+                    kind, options = key
+                    node, slots = cached
+                    assert node == dag.splice(fresh, kind, options)
+                    assert list(slots) == [
+                        slot for pos, choices in reversed(options)
+                        for target in choices[1:]
+                        for slot in reads(fresh.window(pos, target), target)]
+                else:
+                    assert list(cached) == reads(fresh.window(*key), key[1])
 
 
 MAPPED_BASES = (0x1000, 0x1008, 0x1010, 0x8000, 0x8008)

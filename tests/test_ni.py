@@ -338,6 +338,40 @@ def test_spectre_runs_per_read_class(monkeypatch, check, runs, served):
     assert len(set(derived)) == len(derived)
 
 
+def test_spectre_burst_check_builds_each_path_view_once(monkeypatch):
+    """The Burst check of test_spectre_runs_per_read_class, on a cold slot:
+    three committed runs, one window per a0 = 8 class (256), and the
+    trace-set cap check and the committed words of each (path, view)
+    pair made once, not once per run of the path: three pairs, the two
+    paths of a0 = 2, whose branch has no window under stl, and the path
+    of a0 = 8. The contract's view and Burst's are equal on every path."""
+    entry = load_entry("spectre_v1")
+    layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    runs = _count_runs(monkeypatch)
+    counted = {"windows": 0, "caps": 0, "words": 0}
+
+    def counting(name, original, unit=None):
+        def count(*args, **kwargs):
+            if unit is None or args[1] == unit:
+                counted[name] += 1
+            return original(*args, **kwargs)
+        for module in (contracts, ni):
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, count)
+    counting("windows", contracts.wrong_path_events)
+    counting("caps", contracts.enforce_enum_cap, "traces")
+    counting("words", contracts.committed_words)
+    assert check_hw_satisfies_one(entry.program, BURST, (SHM, STL),
+                                  SPECTRE_1024, layout).holds
+    (exploration,) = ni._slot
+    pairs = {(id(path), key) for _, paths in exploration.runs.values()
+             for path in paths.values() for key in path.views
+             if isinstance(key[0], str)}
+    assert (len(runs), counted["windows"]) == (3, 256)
+    assert len(pairs) == 3
+    assert counted["caps"] <= len(pairs) and counted["words"] <= len(pairs)
+
+
 @pytest.mark.filterwarnings(
     "ignore::rmikit.contracts.SelfContainmentViolation")
 def test_verify_corpus_runs_each_state_once(monkeypatch):
