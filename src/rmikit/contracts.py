@@ -13,43 +13,45 @@ Speculation" (IEEE S&P 2021). Traces are tuples of tagged event tuples:
 Speculation never changes architectural results here, so every trace is
 the committed trace with self-contained wrong-path windows spliced in
 after mispredicted control transfers. `simulate_committed` explores a
-(program, state) once: the committed steps with their burst flag, the
-state after each control instruction, and each wrong-path window, run on
-first use; `read_walk` lists, by their slots in a state's tuple of
-varying values, which components of the initial state a run may have
-read, so that one run can serve every state that agrees on them (ni.py),
-and `relevant_slots` which of them can reach an observation under a
-leakage model at all, by a static dependence slice of the program
-(`asm.Program.observed_labels`), so that a run serves every state that
-agrees on the relevant ones. Contracts and hardware modes (modes.py)
-are projections of that run (`Projection`): a leakage model filters
-events (ct, arch, mem, shm), and an execution model chooses decision
-points (seq: none, stl: taken branches, spec: every branch arm and
-jalr target). The Projection of each contract is made once
-(`CONTRACT_VIEWS`); the two models are one-field named tuples, so a
-projection hashes in C. The NI checks keep the runs, and a node per
-projection, of one (program, space, layout) between checks: one slot
-holds the exploration of the most recent check, keyed on the program
-object, the layout, the space's component table and its base state, so
-its memory is bounded by one exploration (ni.py). There the states that
-agree on what a committed path read share one record of it, its steps
-and its snapshots, and a state whose windows read other values gets a
-CommittedRun derived from the record: the path's steps, no snapshots of
-its own, and only its windows run, each once, listing the slots it reads
-as it runs (`wrong_path_events` with a `ReadWalk`). A kept CommittedRun
-keeps the raw steps of its windows, so a projection under another
-leakage model never runs the state again.
+(program, state) once: the committed steps with their burst flag and
+the state after each control instruction. A window is one record
+everywhere, the pair of its raw steps and the slots it read, as
+`wrong_path_events` runs it from such a state; a `ReadWalk` lists, by
+their slots in a state's tuple of varying values, which components of
+the initial state a run may have read, so that one run can serve every
+state that agrees on them (ni.py), and `relevant_slots` which of them
+can reach an observation under a leakage model at all, by a static
+dependence slice of the program (`asm.Program.observed_labels`), so
+that a run serves every state that agrees on the relevant ones.
+Contracts and hardware modes (modes.py) are projections of that run
+(`Projection`): a leakage model filters events (ct, arch, mem, shm), and
+an execution model chooses decision points (seq: none, stl: taken
+branches, spec: every branch arm and jalr target). The Projection of
+each contract is made once (`CONTRACT_VIEWS`); the two models are
+one-field named tuples, so a projection hashes in C. The NI checks keep
+the runs, and a node per projection, of one (program, space, layout)
+between checks: one slot holds the exploration of the most recent check,
+keyed on the program object, the layout, the space's component table and
+its base state, so its memory is bounded by one exploration (ni.py).
+There the states that agree on what a committed path read share one
+CommittedRun of it, and every other state of the path keeps only its own
+map of windows, each run once from the path's snapshot with the state's
+values patched in.
 
 A trace set is the finite language seg0 W0 seg1 W1 ... tail, where each
 W is the set of choices at one decision point. `TraceDag.splice` builds
-it right to left as a node of a hash-consed minimal acyclic DFA, never
-listing the product of choices: two sets built in one table are equal
-exactly when their node ids are, so checks compare ids. What the runs of
-one committed path share under one view, its committed words and the
-node of its tail, is made once (`TraceDag.parts`), so a run's splice
-adds only its windows. The traces of a node are walked out only for
-output (`contract_trace_set`, `contract_trace`, `modes.hw_trace_set` and
-a violation's witness).
+it right to left from a map of windows, `{(step, target): window}`, as a
+node of a hash-consed minimal acyclic DFA, never listing the product of
+choices: two sets built in one table are equal exactly when their node
+ids are, so checks compare ids. What the runs of one committed path
+share under one view, its committed words and the node of its tail, is
+made once (`TraceDag.parts`), so a run's splice adds only its windows.
+`trace_node` is the one builder of a run's node outside the NI checks
+(`Projection`, `contract_trace`, `contract_trace_set` and
+`modes.hw_trace_set`): it checks the cap, runs each window once and
+splices. The traces of a node are walked out only for output
+(`contract_trace_set`, `contract_trace`, `modes.hw_trace_set` and a
+violation's witness).
 
 `simulate_committed` is the one loop that runs a program to its end,
 which its pc reaches at `len(program)` (a state already there gives the
@@ -192,26 +194,19 @@ class DecisionPoint(NamedTuple):
 
 
 class CommittedRun:
-    """The exploration of one (program, state): its committed `steps`
-    ((index, effect, burst flag) each), `resume`, from the position of
-    each branch and jalr to the committed state after it, its
-    `final_state`, and the raw steps of each wrong-path window, run on
-    first use (`windows`).
+    """The exploration of one (program, state) along its committed path:
+    its committed `steps` ((index, effect, burst flag) each), `resume`,
+    from the position of each branch and jalr to the committed state
+    after it, where its wrong-path windows start, and its `final_state`.
 
     simulate_committed builds one by running the committed path. The NI
-    checks (ni._Path) keep one per committed path with its snapshots,
-    and drop its final state (None). For each other state that shares
-    the path they build a run with the path's `steps`, no `resume` and
-    no final state (None), and fill in `windows` themselves, each run
-    from the path's snapshot with the state's own values in the slots
-    the path has neither read nor written before it patched in."""
-    __slots__ = ("program", "layout", "steps", "resume", "final_state",
-                 "windows")
+    checks (ni._Path) keep one per committed path, with its snapshots,
+    and drop its final state (None)."""
+    __slots__ = ("program", "layout", "steps", "resume", "final_state")
 
     def __init__(self, program, layout, steps, resume, final_state):
         self.program, self.layout = program, layout
         self.steps, self.resume, self.final_state = steps, resume, final_state
-        self.windows = {}
 
     def decision_points(self, exec_model):
         """The decision points under `exec_model`, in execution order."""
@@ -224,15 +219,6 @@ class CommittedRun:
                 points.append(DecisionPoint(pos, index, targets,
                                             burst_active))
         return points
-
-    def window(self, step, target):
-        """Raw steps of the wrong-path window at `target` after committed
-        step `step`, run on first use."""
-        key = (step, target)
-        if key not in self.windows:
-            self.windows[key] = wrong_path_events(
-                self.program, self.resume[step], target, self.layout)
-        return self.windows[key]
 
 
 class Projection(NamedTuple):
@@ -256,7 +242,7 @@ class Projection(NamedTuple):
 
     def __call__(self, dag, run):
         """The node of the run's traces under this view, in `dag`."""
-        return dag.splice(run, self.leak.kind, self.options(run))
+        return trace_node(dag, run, self.leak.kind, self.options(run))
 
 
 # The Projection of each contract, made once, so that the checkers key
@@ -264,12 +250,6 @@ class Projection(NamedTuple):
 CONTRACT_VIEWS = {(leak, exec_model): Projection(leak, exec_model)
                   for leak in (CT, ARCH, MEM, SHM)
                   for exec_model in (SEQ, STL, SPEC)}
-
-
-def read_walk(program, registers, cells):
-    """The ReadWalk of `program` over `registers` ({register number:
-    index}) and `cells` ({address: index})."""
-    return ReadWalk(program, registers, cells)
 
 
 class ReadWalk:
@@ -321,7 +301,7 @@ class ReadWalk:
 
 
 def relevant_slots(program, registers, cells, kind):
-    """The components among `registers` and `cells` (as `read_walk` takes
+    """The components among `registers` and `cells` (as `ReadWalk` takes
     them) whose initial values can reach an observation of `program`
     under the leakage model `kind`, as a frozenset of their indices: a
     register whose label `program.observed_labels` holds, and every cell
@@ -407,9 +387,11 @@ def simulate_committed(program, state0, layout):
                         ArchState(pc, regs, mems[PRIVATE], mems[SHARED]))
 
 
-def wrong_path_events(program, resume_state, target, layout, regs=None,
-                      overlay=None, walk=None):
-    """Raw (index, effect) steps of one mispredicted control transfer.
+def wrong_path_events(program, resume_state, target, layout, walk, regs=None,
+                      overlay=None):
+    """One mispredicted control transfer's window: the pair of its raw
+    (index, effect) steps and the slots that the ReadWalk `walk` lists
+    for them (`walk(steps, target)`), collected as each step runs.
 
     Executes up to SPEC_DEPTH instructions starting at `target` on a copy
     of the committed post-instruction registers. Loads read the committed
@@ -419,19 +401,16 @@ def wrong_path_events(program, resume_state, target, layout, regs=None,
     as a barrier in every execution model, so a window never crosses it.
 
     `regs` ({reg number: value}) and `overlay` ({(domain, address):
-    byte}), left unmodified, patch the start (ni._Path.start). With a
-    ReadWalk `walk`, the result is the pair of the steps and the slots
-    that `walk(steps, target)` lists, collected as each step runs.
+    byte}), left unmodified, patch the start (ni._Path.start).
     """
     table, kinds = decode(program)
     end = len(table)
-    steps = []
+    steps, read = [], []
     append = steps.append
+    sources, loads, cells = walk.sources, walk.loads, walk.cells
     overlay = dict(overlay) if overlay else {}
     regs = {**resume_state.regs, **regs} if regs else dict(resume_state.regs)
     mems = {PRIVATE: resume_state.private_mem, SHARED: resume_state.shared_mem}
-    if walk is not None:
-        read, sources, loads, cells = [], walk.sources, walk.loads, walk.cells
     # a step's next pc is at most `end`, so only the target is range-checked
     pc = target if 0 <= target < end else end
     for _ in range(SPEC_DEPTH):
@@ -442,16 +421,13 @@ def wrong_path_events(program, resume_state, target, layout, regs=None,
         except MachineError:
             break
         append((pc, effect))
-        if walk is not None:
-            read.extend(sources[pc])
-            if pc in loads:
-                address = effect.mem_event.address
-                for x in range(address, address + loads[pc]):
-                    if x in cells:
-                        read.append(cells[x])
+        read.extend(sources[pc])
+        if pc in loads:
+            address = effect.mem_event.address
+            for x in range(address, address + loads[pc]):
+                if x in cells:
+                    read.append(cells[x])
         pc = effect.next_pc
-    if walk is None:
-        return tuple(steps)
     if len(steps) < SPEC_DEPTH and pc < end:
         read.extend(sources[pc])
     return tuple(steps), read
@@ -552,22 +528,22 @@ class TraceDag:
         words = committed_words(steps, kind, options)
         return words, self.chain(words[-1], EMPTY_TRACE)
 
-    def splice(self, run, kind, options, parts=None):
-        """The node of the traces of the CommittedRun `run` under the
-        leakage model `kind` over every combination of choices.
+    def splice(self, windows, kind, options, parts):
+        """The node of the traces of a committed run under the leakage
+        model `kind` over every combination of choices.
 
         `options` pairs each decision point's committed step, in execution
         order, with its choices: None for a correct prediction, or a
-        mispredict target whose window is spliced in after that step.
-        `parts` are what every run of its committed path shares under this
-        view (`parts`, made here when None), so a run adds only its
-        windows. From the suffix node, right to left, each point's node is
-        the union over its choices of the node after it (None) and of each
-        window's events closed by the rollback followed by that node,
-        folded as the transitions of one node, behind the committed word
-        up to the point.
+        mispredict target whose window, `windows[step, target]` (a
+        `wrong_path_events` pair), is spliced in after that step. `parts`
+        are what every run of its committed path shares under this view
+        (`parts`), so a run adds only its windows. From the suffix node,
+        right to left, each point's node is the union over its choices of
+        the node after it (None) and of each window's events closed by the
+        rollback followed by that node, folded as the transitions of one
+        node, behind the committed word up to the point.
         """
-        words, node = parts or self.parts(run.steps, kind, options)
+        words, node = parts
         nodes, chain, union = self.nodes, self.chain, self.union
         for i in range(len(options) - 1, -1, -1):
             pos, choices = options[i]
@@ -576,7 +552,7 @@ class TraceDag:
                 if target is None:
                     final, pairs = nodes[node]
                 else:
-                    word = _events(run.window(pos, target), kind) + ROLLBACK
+                    word = _events(windows[pos, target][0], kind) + ROLLBACK
                     pairs = ((word[0], chain(word[1:], node)),)
                 for event, child in pairs:
                     other = moves.get(event)
@@ -604,6 +580,22 @@ class TraceDag:
                 yield tuple(prefix)
             depth = len(prefix)
             stack += [(depth, e, child) for e, child in moves]
+
+
+def trace_node(dag, run, kind, options):
+    """The node in `dag` of the traces of the CommittedRun `run` under the
+    leakage model `kind` and `options` (`TraceDag.splice`). The cap is
+    checked first (`TraceDag.parts`), so a refused set runs no window;
+    then each window runs once, from its snapshot in `run.resume`, with
+    a walk over no components: it lists no slots."""
+    parts = dag.parts(run.steps, kind, options)
+    program, resume, layout = run.program, run.resume, run.layout
+    walk = ReadWalk(program, {}, {})
+    windows = {(pos, target): wrong_path_events(program, resume[pos], target,
+                                                layout, walk)
+               for pos, choices in options for target in choices
+               if target is not None}
+    return dag.splice(windows, kind, options, parts)
 
 
 def contract_trace(program, state0, layout, leak, exec_model, choice=()):
@@ -634,7 +626,7 @@ def contract_trace(program, state0, layout, leak, exec_model, choice=()):
                 f"under {exec_model.kind}")
         options.append((point.step, (target,)))
     dag = TraceDag()
-    (trace,) = dag.traces(dag.splice(run, leak.kind, options))
+    (trace,) = dag.traces(trace_node(dag, run, leak.kind, options))
     return trace
 
 

@@ -19,7 +19,7 @@ state, in the spirit of the input classes of Oleksenko et al., Revizor
 run (contracts.simulate_committed), and a deterministic run depends only
 on the components of its initial state that it reads: every state that
 agrees with a run's state on each slot the run may have read
-(contracts.read_walk) has the same run, and so the same key and value.
+(contracts.ReadWalk) has the same run, and so the same key and value.
 The space is split DPLL-style (Davis, Logemann and Loveland, CACM 1962)
 along the read sets of the runs, least state first, into such cubes, and
 the groups, `pairs_checked` and the first mismatching pair follow from
@@ -69,13 +69,14 @@ windows. A path record (`_Path`) keeps that run once, with its runtime
 burst escape and, per view (`_View`), what every run of the path
 shares: the options, their ENUM_CAP product checked, the committed
 words and the node after the last decision point. A check keeps the
-relevant slots of each path's committed read set. A state of a known
-path gets a run derived from the record that adds only its windows:
-each runs once from the path's snapshot with the state's values patched
-in, listing the slots it reads as it runs; its events are folded into
-nodes on the view's parts and its slots extend the committed prefix.
-So `simulate_committed` runs once per committed path, and a derived
-run builds no ArchState. Trace sets are compared as node ids of the
+relevant slots of each path's committed read set. A kept run of the
+path is its state, its map of windows and its nodes: each window, the
+(steps, read slots) record of contracts.wrong_path_events, runs once
+from the path's snapshot with the state's values patched in, listing
+the slots it reads as it runs; per view, its windows are spliced onto
+the view's parts and their slots extend the committed prefix. So
+`simulate_committed` runs once per committed path, and a derived run
+builds no ArchState. Trace sets are compared as node ids of the
 exploration's DAG, and listed only for a violation's witness detail.
 """
 
@@ -87,10 +88,9 @@ from heapq import heappop, heappush
 from operator import itemgetter
 
 from .asm import STORE_SIZES
-from .contracts import (CONTRACT_VIEWS, CommittedRun, TraceDag,
-                        enforce_enum_cap, read_walk, relevant_slots,
-                        simulate_committed, trace_set_to_json,
-                        wrong_path_events)
+from .contracts import (CONTRACT_VIEWS, ReadWalk, TraceDag, enforce_enum_cap,
+                        relevant_slots, simulate_committed,
+                        trace_set_to_json, wrong_path_events)
 from .machine import MASK64, PRIVATE, SHARED, ArchState
 from .modes import check_start, hw_projection, runtime_escape, warn_escape
 
@@ -247,7 +247,7 @@ class _View:
     """A path's record of one `view` (leak kind, options), made once: its
     `parts` (contracts.TraceDag.parts, which checks the options' ENUM_CAP
     product) and its `points`, each decision point's step and window
-    targets, last point first. It unpacks as (view, committed words)."""
+    targets, last point first."""
     __slots__ = ("view", "parts", "points")
 
     def __init__(self, view, parts):
@@ -255,18 +255,15 @@ class _View:
         self.points = tuple([(pos, choices[1:])
                              for pos, choices in reversed(view[1])])
 
-    def __iter__(self):
-        return iter((self.view, self.parts[0]))
-
 
 class _Path:
     """One committed path of an exploration, and the kept runs that share
     it: every state that agrees with its first state on the `committed`
-    read set runs its steps (contracts.read_walk).
+    read set runs its steps (contracts.ReadWalk).
 
     - `first` is the CommittedRun of the path's first state, `origin` (a
-      tuple of domain indices); its `steps` are the path's, and its
-      `resume` holds the path's snapshots, once per path.
+      tuple of domain indices), with no final state: its `steps` are the
+      path's, and its `resume` holds the path's snapshots, once per path.
     - `views` maps a projection, and the view it has on the path, (leak
       kind, options), to the path's record of that view (`_View`), made
       on first use and shared by the projections with an equal view:
@@ -278,11 +275,10 @@ class _Path:
       None until a second state on the path needs a window.
     - `escape` is modes.runtime_escape of the path, or False until a
       burst check needs it.
-    - `kept` lists the kept runs `(origin, run, cache)`, first run first:
-      the state, its CommittedRun (the path's steps, its own windows, no
-      final state, and no snapshots but the first run's), and a cache
-      from each view to its DAG node and the slots its windows read, and
-      from each window `(pos, target)` to the slots that window read.
+    - `kept` lists the kept runs `(origin, windows, nodes)`, first run
+      first: the state, its windows, `{(pos, target): (steps, read
+      slots)}` (contracts.wrong_path_events), and a map from each view
+      to its DAG node and the slots its windows read.
 
     The derivation is exact. A state that agrees with the first state on
     `committed` runs the same steps with the same effects: each step
@@ -290,10 +286,10 @@ class _Path:
     earlier step wrote, equal in both. So after any step the two states
     differ only in the slots that the path has neither read nor written
     so far, and the state's snapshot at a control position is the path's
-    with its own values in those slots. Its run (`derive`) shares the
-    path's steps and runs only its windows, from those snapshots given
-    as the path's and a patch (`start`), and its node under a view adds
-    only those windows to the view's parts (`splice`)."""
+    with its own values in those slots. Its kept run (`derive`) runs
+    only its windows, from those snapshots given as the path's and a
+    patch (`start`), and its node under a view adds only those windows
+    to the view's parts (`splice`)."""
     __slots__ = ("first", "origin", "committed", "views", "free", "escape",
                  "kept")
 
@@ -301,7 +297,7 @@ class _Path:
         run.final_state = None
         self.first, self.origin, self.committed = run, origin, committed
         self.views, self.free, self.escape = {}, None, False
-        self.kept = [(origin, run, {})]
+        self.kept = [(origin, {}, {})]
 
     def view(self, projection, dag):
         """The record of the view that `projection` has on the path, made
@@ -316,33 +312,29 @@ class _Path:
 
     def splice(self, kept, record, exploration):
         """The kept run's node under the view of `record` and the slots its
-        windows read, cached under the view. Each window runs once, and
+        windows read, kept under the view. Each window runs once, and
         lists its slots as it runs; a point runs all its windows at once.
         A view without decision points has the suffix node itself."""
-        origin, run, cache = kept
-        windows, slots = run.windows, []
+        origin, windows, nodes = kept
+        slots = []
         for pos, targets in record.points:
             if (pos, targets[0]) not in windows:
                 snapshot, regs, overlay = self.start(pos, origin, exploration)
                 for target in targets:
-                    windows[pos, target], cache[pos, target] = (
-                        wrong_path_events(exploration.program, snapshot,
-                                          target, exploration.layout, regs,
-                                          overlay, exploration.reads))
+                    windows[pos, target] = wrong_path_events(
+                        exploration.program, snapshot, target,
+                        exploration.layout, exploration.reads, regs, overlay)
             for target in targets:
-                slots += cache[pos, target]
-        node = exploration.dag.splice(run, *record.view, record.parts) if (
+                slots += windows[pos, target][1]
+        node = exploration.dag.splice(windows, *record.view, record.parts) if (
             record.points) else record.parts[1]
-        derived = cache[record.view] = (node, tuple(slots))
+        derived = nodes[record.view] = (node, tuple(slots))
         return derived
 
     def derive(self, origin):
         """The kept run of the state `origin`, which agrees with the first
-        state on the committed read set: the path's steps and no window
-        yet."""
-        first = self.first
-        kept = (origin, CommittedRun(first.program, first.layout, first.steps,
-                                     None, None), {})
+        state on the committed read set: no window and no node yet."""
+        kept = (origin, {}, {})
         self.kept.append(kept)
         return kept
 
@@ -384,8 +376,8 @@ class _Exploration:
       slot is relevant.
 
     `simulate_committed` runs a state only when no path matches it, and a
-    kept run keeps the raw steps of every window it ran, so a view under
-    any leakage model splices its windows without running a state again.
+    kept run keeps every window it ran, so a view under any leakage model
+    splices its windows without running a state again.
 
     It matches a check whose program is the same object and whose
     layout, component table and base state (pc, registers and both
@@ -403,7 +395,7 @@ class _Exploration:
         self.registers, self.cells = {}, {}
         for i, (name, key, _, _) in enumerate(table):
             (self.registers if name == "regs" else self.cells)[key] = i
-        self.reads = read_walk(program, self.registers, self.cells)
+        self.reads = ReadWalk(program, self.registers, self.cells)
         self.relevant, self.runs, self.memos = {}, {}, {}
 
     def memo(self, projections):
@@ -531,7 +523,7 @@ def _check(program, space, layout, projections, detail_names, policy=None):
         relevant slots of its path's committed read set, then those of
         what the windows of this check's views read. Returns the read
         set, its projection and the entry."""
-        origin, run, cache = kept
+        origin, _, cached = kept
         nodes, slots, last = [], [], None
         for projection in projections:
             if projection is None:
@@ -540,7 +532,7 @@ def _check(program, space, layout, projections, detail_names, policy=None):
             record = path.views.get(projection) or path.view(projection, dag)
             if record is not last:  # two projections can share a view
                 last = record
-                derived = cache.get(record.view) or path.splice(
+                derived = cached.get(record.view) or path.splice(
                     kept, record, exploration)
                 slots += derived[1]
             nodes.append(derived[0])

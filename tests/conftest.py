@@ -8,11 +8,12 @@ tests/ni_oracle.py, and the states it serves with the sliced walk's,
 and test_warm_exploration_matches_cold, which runs the same checks back
 to back on one exploration, compares them with the cold ones and serves
 no state twice; test_derived_runs_match_committed_runs in
-test_exploration.py, which checks every run derived from a committed
-path, the starts of its windows, its windows, and per view its cached
-node and read slots, against simulate_committed (and a splice and a
-read walk of its run) over tests/snippetgen.py programs, jalr ones
-under spec included, and random spaces;
+test_exploration.py, which checks every run kept on a committed path,
+the starts of its windows, each window's steps and read slots, and per
+view its node and read slots, against simulate_committed, with each
+window run by tests/step_oracle.py from its snapshot (and a splice of
+those windows and a read walk of them) over tests/snippetgen.py
+programs, jalr ones under spec included, and random spaces;
 test_states_that_differ_only_in_irrelevant_slots_share_every_node in
 test_slice.py, which runs pairs of states that differ only in slots
 outside the dependence slice and compares their nodes under every

@@ -16,10 +16,12 @@ the memo itself.
 import functools
 import itertools
 
-from rmikit.contracts import (TraceDag, enforce_enum_cap, read_walk,
+from rmikit.contracts import (ReadWalk, TraceDag, enforce_enum_cap,
                               relevant_slots, simulate_committed,
                               trace_set_to_json)
 from rmikit.ni import NiVerdict, _components, _public, _state
+
+import step_oracle
 
 
 def _shrink(a, b, table, observe):
@@ -51,21 +53,34 @@ def _slots(table):
     return registers, cells
 
 
-def _shared_runs(program, base, table, layout, derive, relevant=None):
+def _shared_runs(program, base, table, layout, projections, derive,
+                 relevant=None):
     """`derive(run)` of the committed run of each observed tuple, where one
     run serves every tuple that agrees on the slots it read, or on those
     of them in `relevant` unless it is None.
 
     A deterministic run depends only on the components of the initial
-    state it reads, and `contracts.read_walk` lists their slots once
-    `derive` has forced the check's windows. The memo maps each distinct
-    read set to a dict from the values on it to the result. The last
-    tuple of a check's walk is never entered: no later tuple of the walk
-    can probe it.
+    state it reads, and `contracts.ReadWalk` lists their slots: those of
+    its committed steps and of each window of the options of
+    `projections` (None for a constant), run by the step oracle
+    (tests/step_oracle.py). The memo maps each distinct read set to a
+    dict from the values on it to the result. The last tuple of a
+    check's walk is never entered: no later tuple of the walk can probe
+    it.
     """
-    reads = read_walk(program, *_slots(table))
+    reads = ReadWalk(program, *_slots(table))
     last = tuple(domain[-1] for *_, domain in table)
     memo = {}
+
+    def window_reads(run):
+        windows = dict.fromkeys(
+            (pos, target) for projection in projections
+            if projection is not None
+            for pos, choices in projection.options(run)
+            for target in choices[1:])
+        return [slot for pos, target in windows
+                for slot in reads(step_oracle.window(
+                    program, run.resume[pos], target, layout), target)]
 
     def observe(values):
         for read_set, results in memo.items():
@@ -76,9 +91,7 @@ def _shared_runs(program, base, table, layout, derive, relevant=None):
         result = derive(run)
         if values != last:
             read_set = tuple(slot for slot in dict.fromkeys(
-                reads(run.steps) + [slot for (_, target), steps
-                                    in run.windows.items()
-                                    for slot in reads(steps, target)])
+                reads(run.steps) + window_reads(run))
                 if relevant is None or slot in relevant)
             memo.setdefault(read_set, {})[
                 tuple([values[i] for i in read_set])] = result
@@ -101,8 +114,9 @@ def check(program, space, layout, projections, detail_names, policy=None,
     relevant = frozenset().union(*(
         relevant_slots(program, *_slots(table), p.leak.kind)
         for p in projections if p is not None)) if sliced else None
-    run_result = _shared_runs(program, base, table, layout, lambda run: tuple(
-        None if p is None else p(dag, run) for p in projections), relevant)
+    run_result = _shared_runs(
+        program, base, table, layout, projections, lambda run: tuple(
+            None if p is None else p(dag, run) for p in projections), relevant)
 
     def observe(values):
         key, value = run_result(values)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmikit import contracts
 from rmikit.asm import parse_program, reg_num
 from rmikit.contracts import (ARCH, CT, ENUM_CAP, MEM, SEQ, SHM, SPEC,
                               SPEC_DEPTH, STL, EnumerationCapExceeded,
@@ -12,6 +13,7 @@ from rmikit.contracts import (ARCH, CT, ENUM_CAP, MEM, SEQ, SHM, SPEC,
                               contract_trace_set, mispredict,
                               simulate_committed)
 from rmikit.machine import ArchState, MemoryLayout, step
+from rmikit.modes import INSECURE, hw_trace_set
 
 LAYOUT = MemoryLayout()
 A0, A1, A2, A4 = (reg_num(r) for r in ("a0", "a1", "a2", "a4"))
@@ -165,7 +167,7 @@ def test_csrwi_is_wrong_path_barrier():
     assert trace == (("rollback",),)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     source = "\n".join(f"beq a0, a0, l{i}\nli a1, {i}\nl{i}:" for i in range(20))
     program = parse_program(source)
     # every branch is taken, so stl has 20 decision points of two choices
@@ -175,6 +177,17 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded) as exc:
         contract_trace_set(program, ArchState(), LAYOUT, SHM, STL)
     assert exc.value.needed > ENUM_CAP
+    # the cap refuses before any window runs, for a contract and for the
+    # insecure mode's (shm, spec) view alike
+    windows = []
+    monkeypatch.setattr(contracts, "wrong_path_events",
+                        lambda *args: windows.append(args))
+    for trace_set in (
+            lambda: contract_trace_set(program, ArchState(), LAYOUT, SHM, STL),
+            lambda: hw_trace_set(program, ArchState(), LAYOUT, INSECURE)):
+        with pytest.raises(EnumerationCapExceeded):
+            trace_set()
+    assert windows == []
 
 
 _SMALL_STATES = st.fixed_dictionaries({

@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmikit.asm import parse_program, reg_num
-from rmikit.contracts import SPEC, simulate_committed
+from rmikit.contracts import (SPEC, ReadWalk, simulate_committed,
+                              wrong_path_events)
 from rmikit.corpus import load_corpus
 from rmikit.machine import (MASK64, PRIVATE, SHARED, ArchState, MachineError,
                             MemoryLayout, execute, step)
 from rmikit.ni import StateSpace, enumerate_states
 
+import step_oracle
 from snippetgen import LAYOUT, SNIPPET_SPACE, generate_snippet
 
 A0, A1, A2 = reg_num("a0"), reg_num("a1"), reg_num("a2")
@@ -68,9 +70,13 @@ def test_committed_run_matches_functional_walk(seed, registers, cells):
         assert run.final_state == current
         assert run.resume == {k: after[k] for k in run.resume}
 
+        walk = ReadWalk(program, {}, {})
         for point in run.decision_points(SPEC):
             for target in point.targets:
-                run.window(point.step, target)
+                snapshot = run.resume[point.step]
+                assert wrong_path_events(
+                    program, snapshot, target, LAYOUT, walk) == (
+                    step_oracle.window(program, snapshot, target, LAYOUT), [])
         # overlay stores and later committed stores never reach a snapshot
         assert run.resume == {k: after[k] for k in run.resume}
         assert run.final_state == current

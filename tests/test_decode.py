@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 import step_oracle
 from rmikit.asm import (BURST_OFF, BURST_ON, SYNTAX, Instruction, Program,
                         parse_program, reg_num)
-from rmikit.contracts import SPEC, ContractError, simulate_committed
+from rmikit.contracts import (SPEC, ContractError, ReadWalk,
+                              simulate_committed, wrong_path_events)
 from rmikit.corpus import load_corpus
 from rmikit.machine import (MASK64, PRIVATE, SHARED, ArchState, MachineError,
                             MemoryLayout, decode, execute)
@@ -184,10 +185,13 @@ def _assert_run_matches_oracle(program, state, layout):
     assert got == want
     if want[0] == "raised":
         return
+    walk = ReadWalk(program, {}, {})
     for point in run.decision_points(SPEC):
         for target in point.targets:
-            assert run.window(point.step, target) == step_oracle.window(
-                program, run.resume[point.step], target, layout)
+            snapshot = run.resume[point.step]
+            assert wrong_path_events(program, snapshot, target, layout,
+                                     walk)[0] == step_oracle.window(
+                program, snapshot, target, layout)
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=[e.name for e in CORPUS])

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import ni_oracle
 import snippetgen
+import step_oracle
 from test_ni import _count_derived
 from test_shared_runs import _programs
 from rmikit import ni
@@ -302,13 +303,14 @@ def test_kept_runs_hold_only_what_a_view_reads():
     one committed path. Under arch the loaded byte is observed, so
     relative NI of (arch, spec) with itself, which holds, serves all
     three (under shm the byte, only copied, splits nothing, and one run
-    serves them). After that check, the path keeps its snapshots once,
-    in its first run; the other two runs are derived from it. The three
-    share its `steps` object, none holds a final state, and every run
-    has run the window of every branch (under spec, every branch has
-    one). The derived runs key their nodes by the path's own view
-    objects. No kept run caches window words, and every path, one with
-    a single run too, holds each view with its committed words."""
+    serves them). After that check, the path keeps its steps and
+    snapshots once, in its first state's CommittedRun, which holds no
+    final state; the other two runs are derived from it. A kept run is
+    its state, its windows and its nodes: every run has run the window
+    of every branch (under spec, every branch has one), each window is
+    its (steps, read slots) pair, and every run keys its nodes by the
+    path's own view objects. Every path, one
+    with a single run too, holds each view with its committed words."""
     entry = load_entry("memcpy_right")
     a1, a2 = reg_num("a1"), reg_num("a2")
     space = StateSpace(
@@ -321,21 +323,16 @@ def test_kept_runs_hold_only_what_a_view_reads():
     (path,) = [path for _, paths in exploration.runs.values()
                for path in paths.values()]
     assert len(path.kept) == 3
-    assert path.kept[0][1] is path.first and path.first.resume
-    for _, run, _ in path.kept:
-        assert run.steps is path.first.steps
-        assert run.final_state is None
-        assert {pos for pos, _ in run.windows} == set(path.first.resume)
-    views = [view for view, _ in path.views.values()]
-    for _, run, cache in path.kept[1:]:
-        assert run.resume is None
-        keys = [key for key in cache if isinstance(key[0], str)]
-        assert keys and all(any(key is view for view in views) for key in keys)
-    # A kept run carries no cache of window words: each (run, view) is
-    # spliced once. A path holds each view with its committed words, made
-    # together, also while it has a single run.
-    for _, run, _ in path.kept:
-        assert not hasattr(run, "words")
+    assert path.kept[0][0] is path.origin and path.first.resume
+    assert path.first.final_state is None
+    views = [record.view for record in path.views.values()]
+    for _, windows, nodes in path.kept:
+        assert {pos for pos, _ in windows} == set(path.first.resume)
+        assert all(len(window) == 2 for window in windows.values())
+        assert nodes and all(any(key is view for view in views)
+                             for key in nodes)
+    # A path holds each view with its committed words, made together,
+    # also while it has a single run.
     single = StateSpace(base_state=space.base_state,
                         varying_cells=((0x1104, (3,)),))
     assert check_relative_ni(entry.program, (ARCH, SPEC), (ARCH, SPEC),
@@ -345,7 +342,8 @@ def test_kept_runs_hold_only_what_a_view_reads():
     assert len(lone.kept) == 1
     for held in (path, lone):
         assert held.views
-        for key, (view, words) in held.views.items():
+        for key, record in held.views.items():
+            view, words = record.view, record.parts[0]
             if isinstance(key, Projection):
                 assert view == (key.leak.kind, key.options(held.first))
                 assert held.views[view] is held.views[key]
@@ -373,12 +371,13 @@ def _start(path, pos, origin, exploration):
 
 def _assert_kept_runs_match_committed_runs(program, space):
     """Every kept run of the slot's exploration, derived ones included:
-    its steps, the start of its windows at each control position (the
-    path's snapshot, patched for a derived run) and the raw steps of each
-    window it ran equal simulate_committed's steps, snapshots and windows
-    from its state. So does the start that the path would give every
-    other state of the space that agrees with it on its committed read
-    set. Returns the number of derived runs."""
+    its path's steps and the start of its windows at each control
+    position (the path's snapshot, patched for a derived run) equal
+    simulate_committed's steps and snapshots from its state, and the raw
+    steps of each window it ran equal the step oracle's window from that
+    snapshot. So do the steps and the start that the path would give
+    every other state of the space that agrees with it on its committed
+    read set. Returns the number of derived runs."""
     (exploration,) = ni._slot
     table = exploration.table
     paths = [path for _, paths in exploration.runs.values()
@@ -396,39 +395,51 @@ def _assert_kept_runs_match_committed_runs(program, space):
                 assert {pos: _start(path, pos, origin, exploration)
                         for pos in fresh.resume} == fresh.resume
     for path in paths:
-        for origin, run, _ in path.kept:
+        for origin, windows, _ in path.kept:
             fresh = committed_run(origin)
-            assert run.steps is path.first.steps
+            assert fresh.steps == path.first.steps
             assert {pos: _start(path, pos, origin, exploration)
                     for pos in fresh.resume} == fresh.resume
-            assert run.windows == {key: fresh.window(*key)
-                                   for key in run.windows}
+            assert {key: steps for key, (steps, _) in windows.items()} == {
+                (pos, target): step_oracle.window(
+                    program, fresh.resume[pos], target, LAYOUT)
+                for pos, target in windows}
     _assert_kept_nodes_match_committed_runs(exploration, paths, committed_run)
     return sum(len(path.kept) - 1 for path in paths)
 
 
 def _assert_kept_nodes_match_committed_runs(exploration, paths,
                                             committed_run):
-    """Every kept run, derived ones included, and every view in its cache:
-    the cached node is the exploration DAG's splice of simulate_committed's
-    run from its state under the view's kind and options, and the cached
-    read slots are what `reads` lists over that run's windows of the view,
-    last decision point first, as are the slots cached for each window."""
+    """Every kept run, derived ones included, against simulate_committed's
+    run from its state, with each window run by the step oracle from that
+    run's snapshot and its slots listed by `reads`: each window it ran is
+    that window's (steps, read slots) pair, and for each view in its node
+    map, the node is the exploration DAG's splice of those windows under
+    the view's kind and options, and the read slots are those windows',
+    last decision point first."""
     reads, dag = exploration.reads, exploration.dag
+    program, layout = exploration.program, exploration.layout
     for path in paths:
-        for origin, _, cache in path.kept:
+        for origin, windows, nodes in path.kept:
             fresh = committed_run(origin)
-            for key, cached in cache.items():
-                if isinstance(key[0], str):
-                    kind, options = key
-                    node, slots = cached
-                    assert node == dag.splice(fresh, kind, options)
-                    assert list(slots) == [
-                        slot for pos, choices in reversed(options)
-                        for target in choices[1:]
-                        for slot in reads(fresh.window(pos, target), target)]
-                else:
-                    assert list(cached) == reads(fresh.window(*key), key[1])
+
+            def window(pos, target):
+                steps = step_oracle.window(program, fresh.resume[pos], target,
+                                           layout)
+                return steps, reads(steps, target)
+
+            for (pos, target), ran in windows.items():
+                assert ran == window(pos, target)
+            for (kind, options), (node, slots) in nodes.items():
+                oracle = {(pos, target): window(pos, target)
+                          for pos, choices in options
+                          for target in choices[1:]}
+                assert node == dag.splice(oracle, kind, options, dag.parts(
+                    fresh.steps, kind, options))
+                assert list(slots) == [
+                    slot for pos, choices in reversed(options)
+                    for target in choices[1:]
+                    for slot in oracle[pos, target][1]]
 
 
 MAPPED_BASES = (0x1000, 0x1008, 0x1010, 0x8000, 0x8008)

@@ -67,7 +67,8 @@ FAULTING = ((0x40, 0x8000), (0x8001, 0x8008), (0x8000, 0x40))
 CELLS = (0x1000, 0x1001, 0x1004, 0x8000, 0x8001, 0x8004)
 
 
-def _pass_through(program, base, table, layout, derive, relevant=None):
+def _pass_through(program, base, table, layout, projections, derive,
+                  relevant=None):
     """The per-state path: every observed tuple runs, from a state built
     as a chain of with_regs and with_store calls on the base state rather
     than by ni's own builder."""

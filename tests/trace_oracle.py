@@ -1,10 +1,13 @@
 """The brute-force trace-set enumerator, kept as the reference oracle for
 rmikit.contracts.TraceDag: the product of per-point window choices,
-spliced into the committed events one trace at a time."""
+spliced into the committed events one trace at a time, with each window
+run by the step oracle (tests/step_oracle.py)."""
 
 import itertools
 
 from rmikit.contracts import ROLLBACK, STL, _events, enforce_enum_cap
+
+import step_oracle
 
 
 def splice_product(run, leak, options):
@@ -20,7 +23,9 @@ def splice_product(run, leak, options):
         segments.append(_events(run.steps[start:pos + 1], kind))
         windows.append([
             () if target is None
-            else _events(run.window(pos, target), kind) + ROLLBACK
+            else _events(step_oracle.window(run.program, run.resume[pos],
+                                            target, run.layout),
+                         kind) + ROLLBACK
             for target in choices])
         start = pos + 1
     tail = _events(run.steps[start:], kind)
