@@ -35,7 +35,7 @@ from .asm import AsmError, parse_program
 from .contracts import (EXEC_KINDS, LEAK_KINDS, EnumerationCapExceeded,
                         ExecModel, FuelExhausted, LeakageModel,
                         contract_trace_set, trace_set_to_json)
-from .corpus import (_parse_layout, _parse_policy, _parse_space, load_corpus,
+from .corpus import (_parse_layout, _parse_policy, _parse_space,
                      load_reference_table, verify_corpus)
 from .llc import LlcError, PartitionTable, PartitionedCache
 from .machine import ArchState, MachineError, MemoryLayout

@@ -13,10 +13,12 @@ Speculation" (IEEE S&P 2021). Traces are tuples of tagged event tuples:
 Speculation never changes architectural results here, so every trace is
 the committed trace with self-contained wrong-path windows spliced in
 after mispredicted control transfers. `simulate_committed` explores a
-(program, state) once: the committed steps with their burst flag and
-the state after each control instruction. A window is one record
+(program, state) once: the committed steps with their burst flag, a
+snapshot after each branch and jalr, which is the core there as the step
+functions take it, `(regs, {PRIVATE: mem, SHARED: mem})`, and the final
+state, the one ArchState a run builds. A window is one record
 everywhere, the pair of its raw steps and the slots it read, as
-`wrong_path_events` runs it from such a state; a `ReadWalk` lists, by
+`wrong_path_events` runs it from such a snapshot; a `ReadWalk` lists, by
 their slots in a state's tuple of varying values, which components of
 the initial state a run may have read, so that one run can serve every
 state that agrees on them (ni.py), and `relevant_slots` which of them
@@ -26,7 +28,8 @@ that a run serves every state that agrees on the relevant ones.
 Contracts and hardware modes (modes.py) are projections of that run
 (`Projection`): a leakage model filters events (ct, arch, mem, shm), and
 an execution model chooses decision points (seq: none, stl: taken
-branches, spec: every branch arm and jalr target). The Projection of
+branches, spec: every branch arm and jalr target) among the snapshot
+positions; `Projection.options` is the one list of them. The Projection of
 each contract is made once (`CONTRACT_VIEWS`); the two models are
 one-field named tuples, so a projection hashes in C. The NI checks keep
 the runs, and a node per projection, of one (program, space, layout)
@@ -186,18 +189,14 @@ def committed_words(steps, kind, options):
     return words
 
 
-class DecisionPoint(NamedTuple):
-    step: int                  # position in the committed step sequence
-    index: int                 # program index of the control instruction
-    targets: tuple             # admissible mispredict targets
-    burst_active: bool
-
-
 class CommittedRun:
     """The exploration of one (program, state) along its committed path:
     its committed `steps` ((index, effect, burst flag) each), `resume`,
-    from the position of each branch and jalr to the committed state
-    after it, where its wrong-path windows start, and its `final_state`.
+    from the position of each branch and jalr to its snapshot, and its
+    `final_state`. A snapshot is the core after that step, as the step
+    functions take it: `(regs, {PRIVATE: mem, SHARED: mem})`, the pc
+    being the step's next pc. The windows start there, and
+    `Projection.options` reads the decision points off those positions.
 
     simulate_committed builds one by running the committed path. The NI
     checks (ni._Path) keep one per committed path, with its snapshots,
@@ -207,18 +206,6 @@ class CommittedRun:
     def __init__(self, program, layout, steps, resume, final_state):
         self.program, self.layout = program, layout
         self.steps, self.resume, self.final_state = steps, resume, final_state
-
-    def decision_points(self, exec_model):
-        """The decision points under `exec_model`, in execution order."""
-        points = []
-        for pos in self.resume:
-            index, effect, burst_active = self.steps[pos]
-            targets = _mispredict_targets(self.program, index,
-                                          effect.next_pc, exec_model)
-            if targets:
-                points.append(DecisionPoint(pos, index, targets,
-                                            burst_active))
-        return points
 
 
 class Projection(NamedTuple):
@@ -231,14 +218,23 @@ class Projection(NamedTuple):
     burst_only: bool = False
 
     def options(self, run):
-        """The run's options for `TraceDag.splice`: each selected decision
-        point's step, paired with None and then its mispredict targets.
-        Under seq no point has a target."""
-        if self.exec_model.kind == "seq":
+        """The run's decision points under this view, the one list of
+        them, as `TraceDag.splice` takes them: in execution order, each
+        snapshot position (`run.resume`) whose instruction has a wrong
+        path under the execution model, paired with None and then its
+        mispredict targets. Under seq no point has a target."""
+        exec_model = self.exec_model
+        if exec_model.kind == "seq":
             return ()
-        return tuple((p.step, (None,) + p.targets)
-                     for p in run.decision_points(self.exec_model)
-                     if p.burst_active or not self.burst_only)
+        program, steps, options = run.program, run.steps, []
+        for pos in run.resume:
+            index, effect, burst_active = steps[pos]
+            if burst_active or not self.burst_only:
+                targets = _mispredict_targets(program, index, effect.next_pc,
+                                              exec_model)
+                if targets:
+                    options.append((pos, (None,) + targets))
+        return tuple(options)
 
     def __call__(self, dag, run):
         """The node of the run's traces under this view, in `dag`."""
@@ -256,9 +252,8 @@ class ReadWalk:
     """Lists the components of an initial state among its `registers` and
     `cells` that the steps of a run of a program may have read, as their
     indices in the order read, with repeats: called on the committed
-    steps of a CommittedRun, or, with `target`, on the steps of one of
-    its windows, run from `target`; `wrong_path_events` lists them for a
-    window while it runs it.
+    steps of a CommittedRun; `wrong_path_events` applies the same rule to
+    a window while it runs it.
 
     Listed are the rs1 and rs2 of every step (`sources`, by program
     index), every byte in the span of every load (`loads`: size by
@@ -282,7 +277,7 @@ class ReadWalk:
                       if cells and ins.opcode in LOAD_SIZES}
         self.cells = cells
 
-    def __call__(self, steps, target=None):
+    def __call__(self, steps):
         sources, loads, cells = self.sources, self.loads, self.cells
         read = []
         for step in steps:
@@ -293,10 +288,6 @@ class ReadWalk:
                 for x in range(address, address + loads[index]):
                     if x in cells:
                         read.append(cells[x])
-        if target is not None:
-            stop = steps[-1][1].next_pc if steps else target
-            if len(steps) < SPEC_DEPTH and 0 <= stop < len(sources):
-                read.extend(sources[stop])
         return read
 
 
@@ -321,8 +312,6 @@ def relevant_slots(program, registers, cells, kind):
 
 def _mispredict_targets(program, index, actual, exec_model):
     ins = program.instructions[index]
-    if exec_model.kind == "seq":
-        return ()
     fall_through = index + 1
     if ins.opcode in BRANCHES:
         if exec_model.kind == "stl":
@@ -339,23 +328,20 @@ def _mispredict_targets(program, index, actual, exec_model):
     return ()  # jal: direct target, known at decode
 
 
-def _snapshot(pc, regs, mems):
-    """A frozen ArchState that owns copies of the core's dicts."""
-    return ArchState(pc, dict(regs), dict(mems[PRIVATE]), dict(mems[SHARED]))
-
-
 def simulate_committed(program, state0, layout):
     """Run the non-speculative path once, recording each step's effect and
-    the dynamic burst-region flag, the state after each branch and jalr,
+    the dynamic burst-region flag, a snapshot after each branch and jalr,
     and the final state. Raises FuelExhausted when the path does not halt
     within FUEL steps.
 
     The path runs on one mutable core, through the program's decoded step
     table (`machine.decode`, fetched once per run), and the kind of each
-    instruction decides what a step records beyond its effect: states are
-    snapshotted only where a wrong-path window can start (after a branch
-    or a jalr: a jal has no wrong path), the final state takes the core's
-    dicts, and a csrwi sets the burst flag of the steps after it.
+    instruction decides what a step records beyond its effect: the core
+    is copied only where a wrong-path window can start (after a branch or
+    a jalr: a jal has no wrong path), as the `(regs, mems)` pair that the
+    step functions take, the final state, the one ArchState a run builds,
+    takes the core's dicts, and a csrwi sets the burst flag of the steps
+    after it.
     """
     end = len(program)
     pc = state0.pc
@@ -376,7 +362,8 @@ def simulate_committed(program, state0, layout):
         kind = kinds[pc]
         pc = effect.next_pc
         if kind == CONTROL:
-            resume[len(steps) - 1] = _snapshot(pc, regs, mems)
+            resume[len(steps) - 1] = (dict(regs), {
+                PRIVATE: dict(mems[PRIVATE]), SHARED: dict(mems[SHARED])})
         elif kind != OTHER:
             burst_active = kind == SETS_BURST_ON
         if pc == end:
@@ -387,18 +374,21 @@ def simulate_committed(program, state0, layout):
                         ArchState(pc, regs, mems[PRIVATE], mems[SHARED]))
 
 
-def wrong_path_events(program, resume_state, target, layout, walk, regs=None,
+def wrong_path_events(program, core, target, layout, walk, regs=None,
                       overlay=None):
     """One mispredicted control transfer's window: the pair of its raw
     (index, effect) steps and the slots that the ReadWalk `walk` lists
-    for them (`walk(steps, target)`), collected as each step runs.
+    for them, collected as each step runs, and then the sources of the
+    instruction at which a window shorter than SPEC_DEPTH stopped: the
+    one window read rule.
 
-    Executes up to SPEC_DEPTH instructions starting at `target` on a copy
-    of the committed post-instruction registers. Loads read the committed
-    memories through a store overlay, and stores go into the overlay, so
-    they are forwarded to younger loads and never committed. Faults and
-    out-of-range fetches squash silently. Writing the speculation CSR acts
-    as a barrier in every execution model, so a window never crosses it.
+    Executes up to SPEC_DEPTH instructions starting at `target` from the
+    snapshot `core` (CommittedRun.resume), on a copy of its registers.
+    Loads read its memories through a store overlay, and stores go into
+    the overlay, so they are forwarded to younger loads and never
+    committed. Faults and out-of-range fetches squash silently. Writing
+    the speculation CSR acts as a barrier in every execution model, so a
+    window never crosses it.
 
     `regs` ({reg number: value}) and `overlay` ({(domain, address):
     byte}), left unmodified, patch the start (ni._Path.start).
@@ -409,8 +399,8 @@ def wrong_path_events(program, resume_state, target, layout, walk, regs=None,
     append = steps.append
     sources, loads, cells = walk.sources, walk.loads, walk.cells
     overlay = dict(overlay) if overlay else {}
-    regs = {**resume_state.regs, **regs} if regs else dict(resume_state.regs)
-    mems = {PRIVATE: resume_state.private_mem, SHARED: resume_state.shared_mem}
+    start, mems = core
+    regs = {**start, **regs} if regs else dict(start)
     # a step's next pc is at most `end`, so only the target is range-checked
     pc = target if 0 <= target < end else end
     for _ in range(SPEC_DEPTH):
@@ -606,25 +596,25 @@ def contract_trace(program, state0, layout, leak, exec_model, choice=()):
     ("mispredict", target). Missing trailing entries default to correct.
     """
     run = simulate_committed(program, state0, layout)
-    points = run.decision_points(exec_model)
+    points = Projection(leak, exec_model).options(run)
     choice = tuple(choice)
     if len(choice) > len(points):
         raise InconsistentChoice(
             f"{len(choice)} decisions given but only {len(points)} "
             f"speculation points exist under {exec_model.kind}")
     options = []
-    for point, decision in zip(points, choice):
+    for (pos, choices), decision in zip(points, choice):
         if decision == CORRECT:
             continue
         if not (isinstance(decision, tuple) and len(decision) == 2
                 and decision[0] == "mispredict"):
             raise InconsistentChoice(f"bad decision {decision!r}")
         target = decision[1]
-        if target not in point.targets:
+        if target not in choices[1:]:
             raise InconsistentChoice(
-                f"target {target} not admissible at instruction {point.index} "
-                f"under {exec_model.kind}")
-        options.append((point.step, (target,)))
+                f"target {target} not admissible at instruction "
+                f"{run.steps[pos][0]} under {exec_model.kind}")
+        options.append((pos, (target,)))
     dag = TraceDag()
     (trace,) = dag.traces(trace_node(dag, run, leak.kind, options))
     return trace

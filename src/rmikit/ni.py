@@ -67,17 +67,19 @@ spliced in (Guarnieri et al., S&P 2021), so states that agree on the
 committed read set share the committed run and differ only in their
 windows. A path record (`_Path`) keeps that run once, with its runtime
 burst escape and, per view (`_View`), what every run of the path
-shares: the options, their ENUM_CAP product checked, the committed
+shares: the options (contracts.Projection.options, the one list of the
+path's decision points), their ENUM_CAP product checked, the committed
 words and the node after the last decision point. A check keeps the
 relevant slots of each path's committed read set. A kept run of the
 path is its state, its map of windows and its nodes: each window, the
 (steps, read slots) record of contracts.wrong_path_events, runs once
-from the path's snapshot with the state's values patched in, listing
-the slots it reads as it runs; per view, its windows are spliced onto
-the view's parts and their slots extend the committed prefix. So
-`simulate_committed` runs once per committed path, and a derived run
-builds no ArchState. Trace sets are compared as node ids of the
-exploration's DAG, and listed only for a violation's witness detail.
+from the path's snapshot, the core after its branch or jalr, with the
+state's values patched in, listing the slots it reads as it runs; per
+view, the options are walked last point first, and its windows are
+spliced onto the view's parts and their slots extend the committed
+prefix. So `simulate_committed` runs once per committed path, and a
+derived run builds no ArchState. Trace sets are compared as node ids of
+the exploration's DAG, and listed only for a violation's witness detail.
 """
 
 from __future__ import annotations
@@ -244,16 +246,14 @@ def _pieces(lo, hi, public):
 
 
 class _View:
-    """A path's record of one `view` (leak kind, options), made once: its
-    `parts` (contracts.TraceDag.parts, which checks the options' ENUM_CAP
-    product) and its `points`, each decision point's step and window
-    targets, last point first."""
-    __slots__ = ("view", "parts", "points")
+    """A path's record of one `view`, (leak kind, options), with the
+    options as contracts.Projection.options lists them, made once: the
+    view and its `parts` (contracts.TraceDag.parts, which checks the
+    options' ENUM_CAP product)."""
+    __slots__ = ("view", "parts")
 
     def __init__(self, view, parts):
         self.view, self.parts = view, parts
-        self.points = tuple([(pos, choices[1:])
-                             for pos, choices in reversed(view[1])])
 
 
 class _Path:
@@ -263,7 +263,9 @@ class _Path:
 
     - `first` is the CommittedRun of the path's first state, `origin` (a
       tuple of domain indices), with no final state: its `steps` are the
-      path's, and its `resume` holds the path's snapshots, once per path.
+      path's, and its `resume` holds the path's snapshots, the core after
+      each branch and jalr, once per path; the options of a view
+      (contracts.Projection.options) are read off them.
     - `views` maps a projection, and the view it has on the path, (leak
       kind, options), to the path's record of that view (`_View`), made
       on first use and shared by the projections with an equal view:
@@ -289,7 +291,8 @@ class _Path:
     with its own values in those slots. Its kept run (`derive`) runs
     only its windows, from those snapshots given as the path's and a
     patch (`start`), and its node under a view adds only those windows
-    to the view's parts (`splice`)."""
+    to the view's parts (`splice`), which walks the view's options last
+    point first."""
     __slots__ = ("first", "origin", "committed", "views", "free", "escape",
                  "kept")
 
@@ -312,12 +315,14 @@ class _Path:
 
     def splice(self, kept, record, exploration):
         """The kept run's node under the view of `record` and the slots its
-        windows read, kept under the view. Each window runs once, and
-        lists its slots as it runs; a point runs all its windows at once.
-        A view without decision points has the suffix node itself."""
+        windows read, kept under the view. The view's options are walked
+        last point first; each window runs once, and lists its slots as
+        it runs; a point runs all its windows at once."""
         origin, windows, nodes = kept
+        view = record.view
         slots = []
-        for pos, targets in record.points:
+        for pos, choices in reversed(view[1]):
+            targets = choices[1:]
             if (pos, targets[0]) not in windows:
                 snapshot, regs, overlay = self.start(pos, origin, exploration)
                 for target in targets:
@@ -326,9 +331,8 @@ class _Path:
                         exploration.layout, exploration.reads, regs, overlay)
             for target in targets:
                 slots += windows[pos, target][1]
-        node = exploration.dag.splice(windows, *record.view, record.parts) if (
-            record.points) else record.parts[1]
-        derived = nodes[record.view] = (node, tuple(slots))
+        derived = nodes[view] = (
+            exploration.dag.splice(windows, *view, record.parts), tuple(slots))
         return derived
 
     def derive(self, origin):

@@ -4,10 +4,12 @@
 space in order, the product of the domains with the last slot varying
 fastest, comparing each state with its group's first state. One
 committed run serves every tuple that agrees with an explored one on
-each slot the run read (`_shared_runs`). `sliced_check` keys that memo
-on the read slots relevant to the check's projections
-(contracts.relevant_slots), as ni._check's cubes are, so it serves the
-states the cube walk serves; `check` keys it on every read slot. Tests
+each slot the run read (`_shared_runs`), and its windows, each run once
+by the step oracle (`windows`), give both its read set and its nodes.
+`sliced_check` keys that memo on the read slots relevant to the check's
+projections (contracts.relevant_slots), as ni._check's cubes are, so it
+serves the states the cube walk serves; `check` keys it on every read
+slot. Tests
 patch `ni._check` with either, so the three public checkers run on
 either engine, and patch `_shared_runs` with a per-state path to check
 the memo itself.
@@ -16,9 +18,8 @@ the memo itself.
 import functools
 import itertools
 
-from rmikit.contracts import (ReadWalk, TraceDag, enforce_enum_cap,
-                              relevant_slots, simulate_committed,
-                              trace_set_to_json)
+from rmikit.contracts import (TraceDag, enforce_enum_cap, relevant_slots,
+                              simulate_committed, trace_set_to_json)
 from rmikit.ni import NiVerdict, _components, _public, _state
 
 import step_oracle
@@ -53,34 +54,42 @@ def _slots(table):
     return registers, cells
 
 
+def windows(run, projections, reads):
+    """The window map of `run` under the options of `projections` (None
+    for a constant), `{(step, target): (steps, read slots)}`: each window
+    run once by the step oracle from its snapshot, its slots listed by
+    `reads` (step_oracle.Reads), in the order of the projections'
+    options."""
+    found = {}
+    for projection in projections:
+        if projection is None:
+            continue
+        for pos, choices in projection.options(run):
+            for target in choices[1:]:
+                if (pos, target) not in found:
+                    steps = step_oracle.window(run.program, run.resume[pos],
+                                               target, run.layout)
+                    found[pos, target] = steps, reads(steps, target)
+    return found
+
+
 def _shared_runs(program, base, table, layout, projections, derive,
                  relevant=None):
-    """`derive(run)` of the committed run of each observed tuple, where one
-    run serves every tuple that agrees on the slots it read, or on those
-    of them in `relevant` unless it is None.
+    """`derive(run, windows)` of the committed run of each observed tuple
+    and its window map (`windows`), where one run serves every tuple that
+    agrees on the slots it read, or on those of them in `relevant` unless
+    it is None.
 
     A deterministic run depends only on the components of the initial
-    state it reads, and `contracts.ReadWalk` lists their slots: those of
-    its committed steps and of each window of the options of
-    `projections` (None for a constant), run by the step oracle
-    (tests/step_oracle.py). The memo maps each distinct read set to a
-    dict from the values on it to the result. The last tuple of a
-    check's walk is never entered: no later tuple of the walk can probe
-    it.
+    state it reads, and step_oracle.Reads lists their slots: those of its
+    committed steps and of each window in its map. The memo maps each
+    distinct read set to a dict from the values on it to the result. The
+    last tuple of a check's walk is never entered: no later tuple of the
+    walk can probe it.
     """
-    reads = ReadWalk(program, *_slots(table))
+    reads = step_oracle.Reads(program, *_slots(table))
     last = tuple(domain[-1] for *_, domain in table)
     memo = {}
-
-    def window_reads(run):
-        windows = dict.fromkeys(
-            (pos, target) for projection in projections
-            if projection is not None
-            for pos, choices in projection.options(run)
-            for target in choices[1:])
-        return [slot for pos, target in windows
-                for slot in reads(step_oracle.window(
-                    program, run.resume[pos], target, layout), target)]
 
     def observe(values):
         for read_set, results in memo.items():
@@ -88,10 +97,12 @@ def _shared_runs(program, base, table, layout, projections, derive,
             if result is not None:
                 return result
         run = simulate_committed(program, _state(base, table, values), layout)
-        result = derive(run)
+        ran = windows(run, projections, reads)
+        result = derive(run, ran)
         if values != last:
             read_set = tuple(slot for slot in dict.fromkeys(
-                reads(run.steps) + window_reads(run))
+                reads(run.steps) + [slot for _, slots in ran.values()
+                                    for slot in slots])
                 if relevant is None or slot in relevant)
             memo.setdefault(read_set, {})[
                 tuple([values[i] for i in read_set])] = result
@@ -114,9 +125,21 @@ def check(program, space, layout, projections, detail_names, policy=None,
     relevant = frozenset().union(*(
         relevant_slots(program, *_slots(table), p.leak.kind)
         for p in projections if p is not None)) if sliced else None
-    run_result = _shared_runs(
-        program, base, table, layout, projections, lambda run: tuple(
-            None if p is None else p(dag, run) for p in projections), relevant)
+
+    def derive(run, ran):
+        """The run's node under each projection: the cap checked first
+        (TraceDag.parts), then the windows of `ran` spliced in."""
+        nodes = []
+        for projection in projections:
+            node = None
+            if projection is not None:
+                view = projection.leak.kind, projection.options(run)
+                node = dag.splice(ran, *view, dag.parts(run.steps, *view))
+            nodes.append(node)
+        return tuple(nodes)
+
+    run_result = _shared_runs(program, base, table, layout, projections,
+                              derive, relevant)
 
     def observe(values):
         key, value = run_result(values)

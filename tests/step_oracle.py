@@ -1,6 +1,8 @@
 """The opcode chain that rmikit.machine's decoded step table replaced,
 kept as the reference oracle for it: one chain of opcode tests per step,
-and the committed-path and wrong-path loops written over it."""
+the committed-path and wrong-path loops written over it, and the rule
+for the slots a window reads (`Reads`), which
+contracts.wrong_path_events applies as it runs."""
 
 import operator
 
@@ -95,15 +97,19 @@ def execute(program, layout, pc, regs, mems, overlay=None):
     return StepEffect(next_pc=target, mem_event=event)
 
 
-def _snapshot(pc, regs, mems):
-    return ArchState(pc, dict(regs), dict(mems[PRIVATE]), dict(mems[SHARED]))
+def _core(regs, mems):
+    """A snapshot: copies of the core's dicts, as the step functions take
+    them."""
+    return dict(regs), {PRIVATE: dict(mems[PRIVATE]),
+                        SHARED: dict(mems[SHARED])}
 
 
 def committed(program, state0, layout):
     """(steps, resume, final state) of the committed path from `state0`,
-    as contracts.simulate_committed records them. A step's MachineError
-    propagates, and a path not at its end after FUEL steps raises
-    FuelExhausted."""
+    as contracts.simulate_committed records them: a snapshot, the core
+    `(regs, mems)`, after each branch and jalr, and the final ArchState.
+    A step's MachineError propagates, and a path not at its end after
+    FUEL steps raises FuelExhausted."""
     end = len(program)
     steps, resume = [], {}
     pc = state0.pc
@@ -118,18 +124,19 @@ def committed(program, state0, layout):
         steps.append((pc, effect, burst_active))
         pc = effect.next_pc
         if ins.opcode in BRANCHES or ins.opcode == "jalr":
-            resume[len(steps) - 1] = _snapshot(pc, regs, mems)
+            resume[len(steps) - 1] = _core(regs, mems)
         elif ins.opcode == "csrwi":
             burst_active = ins.csr_value == BURST_ON
-    return tuple(steps), resume, _snapshot(pc, regs, mems)
+    return tuple(steps), resume, ArchState(pc, regs, mems[PRIVATE],
+                                           mems[SHARED])
 
 
-def window(program, resume_state, target, layout):
-    """The (index, effect) steps of the wrong-path window at `target`, as
-    contracts.wrong_path_events runs it."""
+def window(program, core, target, layout):
+    """The (index, effect) steps of the wrong-path window at `target` from
+    the snapshot `core`, as contracts.wrong_path_events runs it."""
     steps, overlay = [], {}
-    regs = dict(resume_state.regs)
-    mems = {PRIVATE: resume_state.private_mem, SHARED: resume_state.shared_mem}
+    regs = dict(core[0])
+    mems = core[1]
     pc = target
     for _ in range(SPEC_DEPTH):
         if not 0 <= pc < len(program) or program.instructions[pc].opcode == "csrwi":
@@ -141,3 +148,36 @@ def window(program, resume_state, target, layout):
         steps.append((pc, effect))
         pc = effect.next_pc
     return tuple(steps)
+
+
+class Reads:
+    """The slots of a state's tuple of varying values, among `registers`
+    ({reg number: slot}) and `cells` ({address: slot}), that steps of a
+    run of `program` may have read, in the order read, with repeats: the
+    rs1 and rs2 of every step, and every byte in the span of every load.
+    Called with the `target` of a window on its steps, it adds the rs1
+    and rs2 of the instruction at which a window shorter than SPEC_DEPTH
+    stopped short (a fault, decided by those operands), unless it stopped
+    outside the program. Committed steps are (index, effect, burst flag)
+    and window steps (index, effect)."""
+
+    def __init__(self, program, registers, cells):
+        instructions = program.instructions
+        self.sources = [[registers[r] for r in (ins.rs1, ins.rs2)
+                         if r in registers] for ins in instructions]
+        self.sizes = [LOAD_SIZES.get(ins.opcode) for ins in instructions]
+        self.cells = cells
+
+    def __call__(self, steps, target=None):
+        read = []
+        for index, effect, *_ in steps:
+            read += self.sources[index]
+            if self.sizes[index] is not None:
+                address = effect.mem_event.address
+                read += [self.cells[x] for x in range(
+                    address, address + self.sizes[index]) if x in self.cells]
+        if target is not None:
+            stop = steps[-1][1].next_pc if steps else target
+            if len(steps) < SPEC_DEPTH and 0 <= stop < len(self.sources):
+                read += self.sources[stop]
+        return read

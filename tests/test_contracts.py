@@ -9,8 +9,8 @@ from rmikit import contracts
 from rmikit.asm import parse_program, reg_num
 from rmikit.contracts import (ARCH, CT, ENUM_CAP, MEM, SEQ, SHM, SPEC,
                               SPEC_DEPTH, STL, EnumerationCapExceeded,
-                              InconsistentChoice, contract_trace,
-                              contract_trace_set, mispredict,
+                              InconsistentChoice, Projection,
+                              contract_trace, contract_trace_set, mispredict,
                               simulate_committed)
 from rmikit.machine import ArchState, MemoryLayout, step
 from rmikit.modes import INSECURE, hw_trace_set
@@ -173,7 +173,7 @@ def test_enumeration_cap(monkeypatch):
     # every branch is taken, so stl has 20 decision points of two choices
     # each: 2^20 traces, past the cap of 2^16
     run = simulate_committed(program, ArchState(), LAYOUT)
-    assert len(run.decision_points(STL)) == 20 and ENUM_CAP == 1 << 16
+    assert len(Projection(SHM, STL).options(run)) == 20 and ENUM_CAP == 1 << 16
     with pytest.raises(EnumerationCapExceeded) as exc:
         contract_trace_set(program, ArchState(), LAYOUT, SHM, STL)
     assert exc.value.needed > ENUM_CAP

@@ -1,8 +1,8 @@
 """The mutable interpreter core against the functional `step`.
 
 `simulate_committed` and `wrong_path_events` run the decoded step table
-(`machine.decode`) on one mutable core and snapshot it only after control
-instructions; `step`
+(`machine.decode`) on one mutable core and snapshot it, as the pair of
+its register dict and memory dicts, only after branches and jalr; `step`
 copies a frozen state in and freezes the result out. These tests check
 that both walks agree, that a faulting instruction changes nothing, that
 no snapshot is written after it is taken, and that `enumerate_states`
@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmikit.asm import parse_program, reg_num
-from rmikit.contracts import (SPEC, ReadWalk, simulate_committed,
-                              wrong_path_events)
-from rmikit.corpus import load_corpus
+from rmikit.contracts import ReadWalk, simulate_committed, wrong_path_events
+from rmikit.corpus import load_corpus, load_entry
 from rmikit.machine import (MASK64, PRIVATE, SHARED, ArchState, MachineError,
                             MemoryLayout, execute, step)
 from rmikit.ni import StateSpace, enumerate_states
 
 import step_oracle
 from snippetgen import LAYOUT, SNIPPET_SPACE, generate_snippet
+from trace_oracle import decision_points
 
 A0, A1, A2 = reg_num("a0"), reg_num("a1"), reg_num("a2")
 
@@ -35,6 +35,12 @@ def _subdomains(domains):
         st.lists(st.sampled_from(values), min_size=1, max_size=len(values),
                  unique=True).map(lambda vs, c=c: (c, tuple(vs)))
         for c, values in domains))
+
+
+def _core(state):
+    """The snapshot of `state` as simulate_committed takes one: its core,
+    (regs, mems)."""
+    return state.regs, {PRIVATE: state.private_mem, SHARED: state.shared_mem}
 
 
 def _execute_or_unchanged(program, layout, pc, state, overlay):
@@ -68,23 +74,43 @@ def test_committed_run_matches_functional_walk(seed, registers, cells):
 
         assert [(index, effect) for index, effect, _ in run.steps] == walk
         assert run.final_state == current
-        assert run.resume == {k: after[k] for k in run.resume}
+        assert run.resume == {k: _core(after[k]) for k in run.resume}
 
         walk = ReadWalk(program, {}, {})
-        for point in run.decision_points(SPEC):
-            for target in point.targets:
-                snapshot = run.resume[point.step]
+        for pos, choices in decision_points(run, "spec"):
+            for target in choices[1:]:
+                snapshot = run.resume[pos]
                 assert wrong_path_events(
                     program, snapshot, target, LAYOUT, walk) == (
                     step_oracle.window(program, snapshot, target, LAYOUT), [])
         # overlay stores and later committed stores never reach a snapshot
-        assert run.resume == {k: after[k] for k in run.resume}
+        assert run.resume == {k: _core(after[k]) for k in run.resume}
         assert run.final_state == current
 
         for pc in range(len(program)):
             _execute_or_unchanged(program, LAYOUT, pc, state, {})
             _execute_or_unchanged(program, LAYOUT, pc, state,
                                   {(PRIVATE, 0x1000): 0xAB})
+
+
+def test_committed_run_builds_only_its_final_state(monkeypatch):
+    """A 12-trip memcpy_right run has 13 control steps, a bgeu and 12
+    bne, and a snapshot after each: each is the core as the step
+    functions take it, not an ArchState, so the run builds exactly one
+    ArchState, its final state."""
+    entry = load_entry("memcpy_right")
+    state = ArchState(regs={A0: 0x1800, A1: 0x1000, A2: 12},
+                      private_mem={0x1000 + i: i for i in range(12)})
+    built = []
+    init = ArchState.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ArchState, "__init__", counting)
+    run = simulate_committed(entry.program, state, entry.layout)
+    assert len(run.resume) == 13
+    assert len(built) == 1 and built[0] is run.final_state
 
 
 FAULT_PRONE = ("ld a2, 0(a0)", "lw a2, 2(a0)", "lbu a2, 0(a0)",

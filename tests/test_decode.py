@@ -29,14 +29,15 @@ from hypothesis import strategies as st
 import step_oracle
 from rmikit.asm import (BURST_OFF, BURST_ON, SYNTAX, Instruction, Program,
                         parse_program, reg_num)
-from rmikit.contracts import (SPEC, ContractError, ReadWalk,
-                              simulate_committed, wrong_path_events)
+from rmikit.contracts import (ContractError, ReadWalk, simulate_committed,
+                              wrong_path_events)
 from rmikit.corpus import load_corpus
 from rmikit.machine import (MASK64, PRIVATE, SHARED, ArchState, MachineError,
                             MemoryLayout, decode, execute)
 from rmikit.ni import enumerate_states
 
 from snippetgen import generate_snippet
+from trace_oracle import decision_points
 
 LAYOUT = MemoryLayout()
 CORPUS = load_corpus()
@@ -186,9 +187,9 @@ def _assert_run_matches_oracle(program, state, layout):
     if want[0] == "raised":
         return
     walk = ReadWalk(program, {}, {})
-    for point in run.decision_points(SPEC):
-        for target in point.targets:
-            snapshot = run.resume[point.step]
+    for pos, choices in decision_points(run, "spec"):
+        for target in choices[1:]:
+            snapshot = run.resume[pos]
             assert wrong_path_events(program, snapshot, target, layout,
                                      walk)[0] == step_oracle.window(
                 program, snapshot, target, layout)

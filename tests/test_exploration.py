@@ -34,8 +34,8 @@ from rmikit.contracts import (ARCH, LEAK_KINDS, SEQ, SHM, SPEC, STL,
                               SelfContainmentViolation, committed_words,
                               simulate_committed)
 from rmikit.corpus import load_entry
-from rmikit.machine import (PRIVATE, SHARED, ArchState, MachineError,
-                            MemoryLayout, OutOfRangeAccess)
+from rmikit.machine import (ArchState, MachineError, MemoryLayout,
+                            OutOfRangeAccess)
 from rmikit.modes import BURST, hw_trace_set
 from rmikit.ni import (Policy, StateSpace, check_direct_ni,
                        check_hw_satisfies_one, check_relative_ni)
@@ -359,14 +359,13 @@ CONTRACTS = [(LeakageModel(leak), ExecModel(kind))
 def _start(path, pos, origin, exploration):
     """The state a window of `origin` after the control step `pos` starts
     from, as ni._Path.start gives it: the path's snapshot with the
-    register patch set and the overlay's cells stored."""
-    snapshot, regs, overlay = path.start(pos, origin, exploration)
-    mems = {PRIVATE: dict(snapshot.private_mem),
-            SHARED: dict(snapshot.shared_mem)}
+    register patch set and the overlay's cells stored, as a core
+    (regs, mems)."""
+    (start, snapshot), regs, overlay = path.start(pos, origin, exploration)
+    mems = {domain: dict(mem) for domain, mem in snapshot.items()}
     for (domain, address), byte in overlay.items():
         mems[domain][address] = byte
-    return ArchState(snapshot.pc, {**snapshot.regs, **regs}, mems[PRIVATE],
-                     mems[SHARED])
+    return {**start, **regs}, mems
 
 
 def _assert_kept_runs_match_committed_runs(program, space):
@@ -412,13 +411,16 @@ def _assert_kept_nodes_match_committed_runs(exploration, paths,
                                             committed_run):
     """Every kept run, derived ones included, against simulate_committed's
     run from its state, with each window run by the step oracle from that
-    run's snapshot and its slots listed by `reads`: each window it ran is
-    that window's (steps, read slots) pair, and for each view in its node
-    map, the node is the exploration DAG's splice of those windows under
-    the view's kind and options, and the read slots are those windows',
-    last decision point first."""
-    reads, dag = exploration.reads, exploration.dag
-    program, layout = exploration.program, exploration.layout
+    run's snapshot and its slots listed by the step oracle's read rule
+    (step_oracle.Reads): each window it ran is that window's (steps, read
+    slots) pair, and for each view in its node map, the node is the
+    exploration DAG's splice of those windows under the view's kind and
+    options, and the read slots are those windows', last decision point
+    first."""
+    dag, program, layout = (exploration.dag, exploration.program,
+                            exploration.layout)
+    reads = step_oracle.Reads(program, exploration.registers,
+                              exploration.cells)
     for path in paths:
         for origin, windows, nodes in path.kept:
             fresh = committed_run(origin)

@@ -1,7 +1,5 @@
 """Hardware-mode semantics tests."""
 
-import warnings
-
 import pytest
 
 from rmikit.analyzer import analyze

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ni_oracle
+import step_oracle
 from rmikit import ni
 from rmikit.analyzer import PathExplosion, analyze
 from rmikit.asm import parse_program, reg_num
@@ -71,7 +72,7 @@ def _pass_through(program, base, table, layout, projections, derive,
                   relevant=None):
     """The per-state path: every observed tuple runs, from a state built
     as a chain of with_regs and with_store calls on the base state rather
-    than by ni's own builder."""
+    than by ni's own builder, with its windows (ni_oracle.windows)."""
     def observe(values):
         state = base
         for (name, key, _, _), value in zip(table, values):
@@ -80,7 +81,9 @@ def _pass_through(program, base, table, layout, projections, derive,
             else:
                 state = state.with_store(layout.classify(key), key, value, 1,
                                          pc=state.pc)
-        return derive(simulate_committed(program, state, layout))
+        run = simulate_committed(program, state, layout)
+        return derive(run, ni_oracle.windows(
+            run, projections, step_oracle.Reads(program, {}, {})))
     return observe
 
 

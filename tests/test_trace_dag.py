@@ -1,7 +1,8 @@
 """Trace-set keys (contracts.TraceDag) against the brute-force enumerator
 of tests/trace_oracle.py: key equality is trace-set equality, the walk of
 a key is its trace set, and NI checks compare keys without building any
-trace set."""
+trace set. The decision points that a key splices windows at,
+contracts.Projection.options, equal the oracle's own derivation."""
 
 import random
 import sys
@@ -21,7 +22,7 @@ from rmikit.modes import BURST, hw_projection
 from rmikit.ni import Policy, StateSpace, check_direct_ni, enumerate_states
 
 import snippetgen
-from trace_oracle import oracle_burst_set, oracle_trace_set
+from trace_oracle import decision_points, oracle_burst_set, oracle_trace_set
 
 # jal_far_away leaves its burst region by design
 pytestmark = pytest.mark.filterwarnings(
@@ -73,6 +74,37 @@ def test_snippet_keys_match_oracle(seed, projection):
     states = enumerate_states(snippetgen.SNIPPET_SPACE, snippetgen.LAYOUT)
     assert len(states) == 16
     _assert_keys_match_oracle(program, states, snippetgen.LAYOUT, projection)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       source=st.sampled_from(("snippet", "jalr", "corpus")))
+def test_options_match_oracle_decision_points(seed, source):
+    """Projection.options, the one list of a run's decision points, under
+    every execution model and under burst mode's burst-only (shm, stl)
+    view, equals tests/trace_oracle.py's derivation from every committed
+    step, in every state of the space of a snippet, of a jalr snippet or
+    of a corpus entry (memcpy_right's bgeu runs with the burst flag
+    off)."""
+    rng = random.Random(seed)
+    if source == "corpus":
+        entry = ENTRIES[rng.choice(ENTRY_NAMES)]
+        program, space, layout = entry.program, entry.space, entry.layout
+    else:
+        program, space = (snippetgen.generate_jalr_snippet(rng)
+                          if source == "jalr" else
+                          (snippetgen.generate_snippet(rng),
+                           snippetgen.SNIPPET_SPACE))
+        layout = snippetgen.LAYOUT
+    views = [(Projection(SHM, ExecModel(kind)), kind, False)
+             for kind in EXEC_KINDS]
+    views.append((hw_projection(program, BURST), "stl", True))
+    assert views[-1][0] == Projection(SHM, ExecModel("stl"), burst_only=True)
+    for state in enumerate_states(space, layout):
+        run = simulate_committed(program, state, layout)
+        for projection, kind, burst_only in views:
+            assert projection.options(run) == tuple(
+                decision_points(run, kind, burst_only))
 
 
 @settings(max_examples=40, deadline=None)
