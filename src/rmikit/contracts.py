@@ -13,15 +13,22 @@ Speculation" (IEEE S&P 2021). Traces are tuples of tagged event tuples:
 Speculation never changes architectural results here, so every trace is
 the committed trace with self-contained wrong-path windows spliced in
 after mispredicted control transfers. `simulate_committed` explores a
-(program, state) once: the committed steps with their burst flag, a
-snapshot after each branch and jalr, which is the core there as the step
-functions take it, `(regs, {PRIVATE: mem, SHARED: mem})`, and the final
-state, the one ArchState a run builds. A window is one record
-everywhere, the pair of its raw steps and the slots it read, as
-`wrong_path_events` runs it from such a snapshot; a `ReadWalk` lists, by
-their slots in a state's tuple of varying values, which components of
-the initial state a run may have read, so that one run can serve every
-state that agrees on them (ni.py), and `relevant_slots` which of them
+(program, state) once, from a core `(pc, regs, mems)` that it takes over
+(ni.py builds one per fresh run) or from an ArchState's copy: the
+committed steps with their burst flag, the slots they read, listed as
+they run, a snapshot after each branch and jalr, which is the core
+there as the step functions take it, `(regs, {PRIVATE: mem, SHARED:
+mem})`, or None where no window can read it, and the final core. It
+builds no ArchState: `CommittedRun.final_state` builds one when asked.
+A window is one record everywhere, the pair of its raw steps and the
+slots it read, as `wrong_path_events` runs it from such a snapshot; a
+window that reads no register and no memory (state-free) is the same
+from every core, so the decoded program holds it once per target
+(machine.decode) and a run copies its core only where some wrong arm's
+window is not state-free. The runners list, by their slots in a state's
+tuple of varying values, which components of the initial state a run
+may have read (`ReadWalk`), so that one run can serve every state that
+agrees on them (ni.py), and `relevant_slots` which of them
 can reach an observation under a leakage model at all, by a static
 dependence slice of the program (`asm.Program.observed_labels`), so
 that a run serves every state that agrees on the relevant ones.
@@ -62,30 +69,27 @@ empty run). A path not at its end after FUEL steps raises
 `FuelExhausted`; no result rests on a truncated run.
 
 Constants, not parameters, bound every verdict: `FUEL` a committed path,
-`SPEC_DEPTH` a wrong-path window (the analyzer's too), and `ENUM_CAP` the
+`SPEC_DEPTH` a wrong-path window (the analyzer's too; it is defined in
+machine.py, whose decoded table holds the state-free windows), and
+`ENUM_CAP` the
 product of a trace set's per-point choice counts, the pieces an NI check
 forms (ni._check) and the states of a listed state space.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from typing import NamedTuple
 
-from .asm import BRANCHES, LOAD_SIZES
-from .machine import (CONTROL, OTHER, PRIVATE, SETS_BURST_OFF, SETS_BURST_ON,
-                      SHARED, ArchState, InvalidPc, MachineError, decode)
+from .asm import LOAD_SIZES
+from .machine import (CONTROL, PRIVATE, SETS_BURST_ON, SHARED, SPEC_DEPTH,
+                      ArchState, InvalidPc, MachineError, decode, wrong_arms)
 
 # The most instructions a committed path may run.
 FUEL = 10_000
-# The most instructions a wrong-path window runs.
-SPEC_DEPTH = 8
 # The most combinations of window choices in a trace set, pieces an NI
 # check forms, and states a listed state space holds.
 ENUM_CAP = 1 << 16
-
-# Writing the speculation CSR ends every wrong-path window.
-_BARRIERS = (SETS_BURST_ON, SETS_BURST_OFF)
 
 LEAK_KINDS = ("ct", "arch", "mem", "shm")
 EXEC_KINDS = ("seq", "stl", "spec")
@@ -192,20 +196,30 @@ def committed_words(steps, kind, options):
 class CommittedRun:
     """The exploration of one (program, state) along its committed path:
     its committed `steps` ((index, effect, burst flag) each), `resume`,
-    from the position of each branch and jalr to its snapshot, and its
-    `final_state`. A snapshot is the core after that step, as the step
-    functions take it: `(regs, {PRIVATE: mem, SHARED: mem})`, the pc
-    being the step's next pc. The windows start there, and
-    `Projection.options` reads the decision points off those positions.
+    from the position of each branch and jalr to its snapshot, its
+    `final` core, `(pc, regs, mems)`, and `read`, the slots that its
+    steps read as the ReadWalk of the run lists them. A snapshot is the
+    core after that step, as the step functions take it: `(regs,
+    {PRIVATE: mem, SHARED: mem})`, the pc being the step's next pc; it
+    is None where every wrong arm's window is state-free
+    (machine.decode), as no window reads it. The windows start there,
+    and `Projection.options` reads the decision points off those
+    positions.
 
     simulate_committed builds one by running the committed path. The NI
     checks (ni._Path) keep one per committed path, with its snapshots,
-    and drop its final state (None)."""
-    __slots__ = ("program", "layout", "steps", "resume", "final_state")
+    and drop its final core and read slots (None)."""
+    __slots__ = ("program", "layout", "steps", "resume", "final", "read")
 
-    def __init__(self, program, layout, steps, resume, final_state):
-        self.program, self.layout = program, layout
-        self.steps, self.resume, self.final_state = steps, resume, final_state
+    def __init__(self, program, layout, steps, resume, final, read):
+        self.program, self.layout, self.steps = program, layout, steps
+        self.resume, self.final, self.read = resume, final, read
+
+    @property
+    def final_state(self):
+        """The ArchState of the final core, built on each call."""
+        pc, regs, mems = self.final
+        return ArchState(pc, regs, mems[PRIVATE], mems[SHARED])
 
 
 class Projection(NamedTuple):
@@ -249,11 +263,11 @@ CONTRACT_VIEWS = {(leak, exec_model): Projection(leak, exec_model)
 
 
 class ReadWalk:
-    """Lists the components of an initial state among its `registers` and
-    `cells` that the steps of a run of a program may have read, as their
-    indices in the order read, with repeats: called on the committed
-    steps of a CommittedRun; `wrong_path_events` applies the same rule to
-    a window while it runs it.
+    """The tables by which the runners list the components of an initial
+    state among its `registers` and `cells` that the steps of a run of a
+    program may have read, as their indices in the order read, with
+    repeats: `simulate_committed` for its committed steps and
+    `wrong_path_events` for a window, each while it runs them.
 
     Listed are the rs1 and rs2 of every step (`sources`, by program
     index), every byte in the span of every load (`loads`: size by
@@ -270,25 +284,19 @@ class ReadWalk:
 
     def __init__(self, program, registers, cells):
         instructions = program.instructions
-        self.sources = [tuple(registers[r] for r in (ins.rs1, ins.rs2)
-                              if r in registers) for ins in instructions]
-        self.loads = {i: LOAD_SIZES[ins.opcode]
-                      for i, ins in enumerate(instructions)
-                      if cells and ins.opcode in LOAD_SIZES}
+        # each register's slot as a 1-tuple, so a step's sources are the
+        # sum of two lookups
+        slot = {reg: (i,) for reg, i in registers.items()}
+        self.sources = [slot.get(ins.rs1, ()) + slot.get(ins.rs2, ())
+                        for ins in instructions]
+        self.loads = {i: LOAD_SIZES[ins.opcode] for i, ins in enumerate(
+            instructions) if ins.opcode in LOAD_SIZES} if cells else {}
         self.cells = cells
 
-    def __call__(self, steps):
-        sources, loads, cells = self.sources, self.loads, self.cells
-        read = []
-        for step in steps:
-            index = step[0]
-            read.extend(sources[index])
-            if index in loads:
-                address = step[1].mem_event.address
-                for x in range(address, address + loads[index]):
-                    if x in cells:
-                        read.append(cells[x])
-        return read
+
+# The walk over no components, for every program: it lists no slot.
+NO_READS = object.__new__(ReadWalk)
+NO_READS.sources, NO_READS.loads, NO_READS.cells = defaultdict(tuple), {}, {}
 
 
 def relevant_slots(program, registers, cells, kind):
@@ -311,67 +319,73 @@ def relevant_slots(program, registers, cells, kind):
 
 
 def _mispredict_targets(program, index, actual, exec_model):
+    """The wrong-path targets after the branch or jalr at `index` under
+    stl or spec (machine.wrong_arms); a jal has none, its target is
+    known at decode."""
     ins = program.instructions[index]
-    fall_through = index + 1
-    if ins.opcode in BRANCHES:
-        if exec_model.kind == "stl":
-            # branches predicted not-taken: a wrong path exists only when
-            # the branch is actually taken
-            return (fall_through,) if actual != fall_through else ()
-        wrong_arm = fall_through if actual != fall_through else ins.target
-        return (wrong_arm,)
-    if exec_model.kind != "spec":
-        return ()
-    if ins.opcode == "jalr":
-        # target predicted from a poisoned BTB/RSB: any program index
-        return tuple(t for t in range(len(program)) if t != actual)
-    return ()  # jal: direct target, known at decode
+    if exec_model.kind == "spec":
+        return wrong_arms(ins, index, actual, len(program))
+    # stl: branches predicted not-taken: a wrong path exists only when the
+    # branch is actually taken
+    return (index + 1,) if ins.opcode != "jalr" and actual != index + 1 else ()
 
 
-def simulate_committed(program, state0, layout):
-    """Run the non-speculative path once, recording each step's effect and
-    the dynamic burst-region flag, a snapshot after each branch and jalr,
-    and the final state. Raises FuelExhausted when the path does not halt
-    within FUEL steps.
+def simulate_committed(program, start, layout, walk=NO_READS):
+    """Run the non-speculative path once from `start`, recording each
+    step's effect and the dynamic burst-region flag, a snapshot after
+    each branch and jalr where a window can read it (None elsewhere),
+    the final core and the slots that the ReadWalk `walk` lists for the
+    steps (none under NO_READS). Raises FuelExhausted when the path
+    does not halt within FUEL steps.
 
-    The path runs on one mutable core, through the program's decoded step
-    table (`machine.decode`, fetched once per run), and the kind of each
-    instruction decides what a step records beyond its effect: the core
-    is copied only where a wrong-path window can start (after a branch or
-    a jalr: a jal has no wrong path), as the `(regs, mems)` pair that the
-    step functions take, the final state, the one ArchState a run builds,
-    takes the core's dicts, and a csrwi sets the burst flag of the steps
-    after it.
+    `start` is a core `(pc, regs, mems)`, which the run takes over and
+    updates in place (ni builds one per fresh run), or an ArchState,
+    whose core it copies (ArchState.core). It builds no ArchState: the
+    run's `final_state` is built when a caller asks for it.
+
+    The path runs on that core, through the program's decoded table
+    (`machine.decode`, fetched once per run), and the kind of each
+    instruction decides what a step records beyond its effect and its
+    read slots, listed by the read rule that `wrong_path_events` applies
+    to a window: after a branch or a jalr (a jal has no wrong path) the
+    core is copied, as the `(regs, mems)` pair that the step functions
+    take, only where one of its wrong arms starts a window that is not
+    state-free (`Decoded.copies`), and None is kept elsewhere; a csrwi
+    sets the burst flag of the steps after it.
     """
+    pc, regs, mems = start.core() if isinstance(start, ArchState) else start
     end = len(program)
-    pc = state0.pc
     if pc == end:
-        return CommittedRun(program, layout, (), {}, state0)
+        return CommittedRun(program, layout, (), {}, (pc, regs, mems), [])
     if not 0 <= pc < end:
         raise InvalidPc(pc)
-    table, kinds = decode(program)
-    steps = []
-    resume = {}
-    regs = dict(state0.regs)
-    mems = {PRIVATE: dict(state0.private_mem), SHARED: dict(state0.shared_mem)}
+    table, kinds, _, copies = decode(program)
+    sources, loads, cells = walk.sources, walk.loads, walk.cells
+    steps, resume, read = [], {}, []
     burst_active = False
     append = steps.append
     for _ in range(FUEL):
         effect = table[pc](layout, regs, mems)
         append((pc, effect, burst_active))
-        kind = kinds[pc]
-        pc = effect.next_pc
+        read += sources[pc]
+        if pc in loads:
+            address = effect.mem_event.address
+            for x in range(address, address + loads[pc]):
+                if x in cells:
+                    read.append(cells[x])
+        kind, index, pc = kinds[pc], pc, effect.next_pc
         if kind == CONTROL:
             resume[len(steps) - 1] = (dict(regs), {
-                PRIVATE: dict(mems[PRIVATE]), SHARED: dict(mems[SHARED])})
-        elif kind != OTHER:
+                PRIVATE: dict(mems[PRIVATE]), SHARED: dict(mems[SHARED])}
+            ) if pc in copies[index] else None
+        elif kind > CONTROL:
             burst_active = kind == SETS_BURST_ON
         if pc == end:
             break
     else:
         raise FuelExhausted(f"committed path runs past {FUEL} steps")
     return CommittedRun(program, layout, tuple(steps), resume,
-                        ArchState(pc, regs, mems[PRIVATE], mems[SHARED]))
+                        (pc, regs, mems), read)
 
 
 def wrong_path_events(program, core, target, layout, walk, regs=None,
@@ -388,30 +402,35 @@ def wrong_path_events(program, core, target, layout, walk, regs=None,
     the overlay, so they are forwarded to younger loads and never
     committed. Faults and out-of-range fetches squash silently. Writing
     the speculation CSR acts as a barrier in every execution model, so a
-    window never crosses it.
+    window never crosses it. A state-free window (machine.decode) is the
+    same from every core: it is returned from the decoded table, without
+    touching `core`, which is None where every window is state-free.
 
     `regs` ({reg number: value}) and `overlay` ({(domain, address):
     byte}), left unmodified, patch the start (ni._Path.start).
     """
-    table, kinds = decode(program)
+    table, kinds, free, _ = decode(program)
     end = len(table)
+    # a step's next pc is at most `end`, so only the target is range-checked
+    pc = target if 0 <= target < end else end
+    if free[pc] is not None:
+        return free[pc]
     steps, read = [], []
     append = steps.append
     sources, loads, cells = walk.sources, walk.loads, walk.cells
     overlay = dict(overlay) if overlay else {}
     start, mems = core
     regs = {**start, **regs} if regs else dict(start)
-    # a step's next pc is at most `end`, so only the target is range-checked
-    pc = target if 0 <= target < end else end
     for _ in range(SPEC_DEPTH):
-        if pc == end or kinds[pc] in _BARRIERS:
+        # writing the speculation CSR, a barrier, ends every window
+        if pc == end or kinds[pc] > CONTROL:
             break
         try:
             effect = table[pc](layout, regs, mems, overlay)
         except MachineError:
             break
         append((pc, effect))
-        read.extend(sources[pc])
+        read += sources[pc]
         if pc in loads:
             address = effect.mem_event.address
             for x in range(address, address + loads[pc]):
@@ -419,8 +438,8 @@ def wrong_path_events(program, core, target, layout, walk, regs=None,
                     read.append(cells[x])
         pc = effect.next_pc
     if len(steps) < SPEC_DEPTH and pc < end:
-        read.extend(sources[pc])
-    return tuple(steps), read
+        read += sources[pc]
+    return tuple(steps), tuple(read)
 
 
 # The node of {()}, the set holding only the empty trace, in every TraceDag.
@@ -577,12 +596,11 @@ def trace_node(dag, run, kind, options):
     leakage model `kind` and `options` (`TraceDag.splice`). The cap is
     checked first (`TraceDag.parts`), so a refused set runs no window;
     then each window runs once, from its snapshot in `run.resume`, with
-    a walk over no components: it lists no slots."""
+    the walk over no components (NO_READS): it lists no slots."""
     parts = dag.parts(run.steps, kind, options)
     program, resume, layout = run.program, run.resume, run.layout
-    walk = ReadWalk(program, {}, {})
     windows = {(pos, target): wrong_path_events(program, resume[pos], target,
-                                                layout, walk)
+                                                layout, NO_READS)
                for pos, choices in options for target in choices
                if target is not None}
     return dag.splice(windows, kind, options, parts)

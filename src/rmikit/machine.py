@@ -6,7 +6,10 @@ instruction on a mutable core (a register dict and one memory dict per
 domain), updating it in place, or reading and writing a store-buffer
 overlay in place of memory on a wrong path. The table is the one copy of
 the opcode semantics, decoded once per program and dispatched once per
-step; `lbu` and `sb` classify one address, other widths a span.
+step; `lbu` and `sb` classify one address, other widths a span. It also
+holds, per target, the wrong-path window that reads no state (a
+state-free one), and per branch and jalr the successors after which a
+window can read the core.
 `execute` runs one instruction of a program through its table, and
 `step` is the functional wrapper over frozen `ArchState`s (copy in,
 execute, freeze out). This is the non-speculative base semantics every
@@ -125,6 +128,13 @@ class ArchState:
     def mem(self, domain):
         return self.private_mem if domain == PRIVATE else self.shared_mem
 
+    def core(self):
+        """The state as a core `(pc, regs, mems)` in dicts of its own, as
+        contracts.simulate_committed takes it (the step functions take
+        its `regs` and `mems`)."""
+        return self.pc, dict(self.regs), {PRIVATE: dict(self.private_mem),
+                                          SHARED: dict(self.shared_mem)}
+
     def with_store(self, domain, address, value, size, pc):
         mem = dict(self.mem(domain))
         for i, b in enumerate(int(value & MASK64).to_bytes(8, "little")[:size]):
@@ -177,15 +187,24 @@ _TAKEN = {"beq": operator.eq, "bne": operator.ne, "bgeu": operator.ge,
 _REGISTER_OPS = frozenset(_ALU) | {"addi", "li", "mv", "slli", "srli"}
 
 # The kind of each instruction in a decoded table, for the runners in
-# contracts: a branch or a jalr (a control transfer whose target is
+# contracts: an inert one, which reads no register and no memory, falls
+# through and never faults (a label, or a register op whose sources are
+# all x0), a branch or a jalr (a control transfer whose target is
 # predicted, so a wrong path can follow it), a csrwi that turns burst
-# mode on or off (a speculation barrier), or any other instruction.
-OTHER, CONTROL, SETS_BURST_ON, SETS_BURST_OFF = range(4)
+# mode on or off (a speculation barrier), or any other instruction. The
+# barriers come last.
+OTHER, INERT, CONTROL, SETS_BURST_ON, SETS_BURST_OFF = range(5)
+
+# The most instructions a wrong-path window runs (contracts.SPEC_DEPTH),
+# here because the decoded table holds the state-free windows.
+SPEC_DEPTH = 8
 
 
 class Decoded(NamedTuple):
     steps: tuple    # pc -> step function (layout, regs, mems, overlay=None)
-    kinds: tuple    # pc -> OTHER, CONTROL, SETS_BURST_ON or SETS_BURST_OFF
+    kinds: tuple    # pc -> OTHER, INERT, CONTROL, SETS_BURST_ON or _OFF
+    free: tuple     # target -> its window where state-free, else None
+    copies: tuple   # pc -> next pcs after which a window reads the core
 
 
 _last = (None, None)    # (program, Decoded) of the most recent decode
@@ -203,6 +222,16 @@ def decode(program):
     write, so an instruction that raises leaves the core unchanged. The
     caller checks the pc's range before it indexes the table.
 
+    A wrong-path window (contracts.wrong_path_events) that starts at a
+    target is state-free when each step it runs, up to where it stops,
+    reads no register and no memory: its steps are INERT, up to
+    SPEC_DEPTH steps, a barrier or the end. It is the same window from
+    every core, so `free` holds it once per target, as the pair of its
+    steps and no read slots; `free[end]` is the empty window. `copies`
+    holds, per branch and jalr, the next pcs after which one of its
+    wrong paths (`wrong_arms`) starts a window that is not state-free:
+    only there does a committed run copy its core.
+
     Only the most recent program is kept, with its table as one tuple,
     so a concurrent reader never pairs a program with another's table.
     """
@@ -212,12 +241,44 @@ def decode(program):
         return decoded
     instructions = program.instructions
     end = len(instructions)
+    kinds = tuple([_kind(ins) for ins in instructions])
+    # last target first: `chain` holds the inert steps from pc, at most
+    # SPEC_DEPTH; the window is state-free when it holds SPEC_DEPTH, or
+    # when the kind past them is a barrier (the end reads as one)
+    padded, chain, free = kinds + (SETS_BURST_OFF,), (), [((), ())] * (end + 1)
+    for pc in range(end - 1, -1, -1):
+        chain = (((pc, StepEffect(pc + 1)),) + chain[:SPEC_DEPTH - 1]
+                 if kinds[pc] == INERT else ())
+        free[pc] = ((chain, ()) if len(chain) == SPEC_DEPTH
+                    or padded[pc + len(chain)] > CONTROL else None)
+    # a target outside the program starts the empty window
+    stateful = {pc for pc, window in enumerate(free) if window is None}
     decoded = Decoded(
         tuple([_step_function(ins, pc, end)
                for pc, ins in enumerate(instructions)]),
-        tuple([_kind(ins) for ins in instructions]))
+        # every index but its successor is a wrong arm of a jalr: some is
+        # stateful unless the only stateful one is the successor, a test
+        # in constant time where the wrong arms would take linear time
+        kinds, tuple(free), tuple([frozenset([
+            to for to in (range(end + 1) if ins.opcode == "jalr"
+                          else (pc + 1, ins.target))
+            if (len(stateful) > (to in stateful) if ins.opcode == "jalr"
+                else not stateful.isdisjoint(wrong_arms(ins, pc, to, end)))])
+            if kind == CONTROL else None
+            for pc, (ins, kind) in enumerate(zip(instructions, kinds))]))
     _last = (program, decoded)
     return decoded
+
+
+def wrong_arms(ins, pc, actual, end):
+    """The targets of the wrong paths after the branch or jalr `ins` at
+    `pc` of a program of `end` instructions whose committed successor is
+    `actual`, when any prediction can be wrong (spec): the other arm of
+    a branch, or its one arm when both are one target, and after a jalr
+    every other program index (a poisoned BTB or RSB)."""
+    if ins.opcode == "jalr":
+        return tuple([t for t in range(end) if t != actual])
+    return (pc + 1 if actual != pc + 1 else ins.target,)
 
 
 def _kind(ins):
@@ -225,7 +286,8 @@ def _kind(ins):
         return CONTROL
     if ins.opcode == "csrwi":
         return SETS_BURST_ON if ins.csr_value == BURST_ON else SETS_BURST_OFF
-    return OTHER
+    return INERT if ins.opcode == "label" or (
+        ins.opcode in _REGISTER_OPS and not (ins.rs1 or ins.rs2)) else OTHER
 
 
 def _step_function(ins, pc, end):
@@ -397,7 +459,6 @@ def step(program, state, layout):
     The functional form of `execute`: copy the state in, execute, freeze
     the result out.
     """
-    regs = dict(state.regs)
-    mems = {PRIVATE: dict(state.private_mem), SHARED: dict(state.shared_mem)}
-    effect = execute(program, layout, state.pc, regs, mems)
+    pc, regs, mems = state.core()
+    effect = execute(program, layout, pc, regs, mems)
     return ArchState(effect.next_pc, regs, mems[PRIVATE], mems[SHARED]), effect

@@ -27,7 +27,10 @@ the cubes, cut by the values of their unread public slots, exactly as
 the walk of every state would find them. The work therefore grows with
 the read classes and public patterns, not with the states: `ENUM_CAP`
 bounds the pieces a check forms, and only `enumerate_states` lists
-states. An ArchState is built only for a committed run or a witness.
+states. A fresh run starts from a core `(pc, regs, mems)` built from
+the base state and the state's values (`_core`), and lists the slots
+its committed steps read as it runs them; an ArchState is built only
+for a witness.
 
 A cube fixes only the read slots that are relevant to the check: those
 whose values can reach an address, a branch operand or a jalr operand,
@@ -77,9 +80,12 @@ from the path's snapshot, the core after its branch or jalr, with the
 state's values patched in, listing the slots it reads as it runs; per
 view, the options are walked last point first, and its windows are
 spliced onto the view's parts and their slots extend the committed
-prefix. So `simulate_committed` runs once per committed path, and a
-derived run builds no ArchState. Trace sets are compared as node ids of
-the exploration's DAG, and listed only for a violation's witness detail.
+prefix. A path keeps a snapshot only where a window can read it
+(contracts.CommittedRun), and a state-free window is the decoded
+program's, the same for every run. So `simulate_committed` runs once per
+committed path, and neither a fresh nor a derived run builds an
+ArchState. Trace sets are compared as node ids of the exploration's
+DAG, and listed only for a violation's witness detail.
 """
 
 from __future__ import annotations
@@ -132,8 +138,9 @@ class StateSpace:
 
 def _components(space, layout):
     """The space's component table, the one place a space is validated:
-    an (ArchState field, register or address, base value, masked domain)
-    row per varying register, then per varying cell."""
+    a ("regs", register, base value, masked domain) row per varying
+    register, then a (domain, address, base value, masked domain) row
+    per varying cell."""
     base = space.base_state
     table = []
     for r, domain in space.varying_registers:
@@ -145,8 +152,7 @@ def _components(space, layout):
         kind = layout.classify(addr)
         if kind is None:
             raise InvalidSpace(f"varying cell {addr:#x} is in no mapped range")
-        name = "private_mem" if kind == PRIVATE else "shared_mem"
-        table.append((name, addr, getattr(base, name).get(addr, 0) & 0xFF,
+        table.append((kind, addr, base.mem(kind).get(addr, 0) & 0xFF,
                       tuple(v & 0xFF for v in domain)))
     if not all(domain for *_, domain in table):
         raise InvalidSpace("a varying register or cell has an empty value domain")
@@ -158,14 +164,20 @@ def _components(space, layout):
     return table
 
 
-def _state(base, table, values):
-    """The ArchState of the slot values `values`: `base`, owning copies of
-    its dicts, with each component of `table` set to its slot's value."""
-    fields = {"regs": dict(base.regs), "private_mem": dict(base.private_mem),
-              "shared_mem": dict(base.shared_mem)}
+def _core(base, table, values):
+    """The core `(pc, regs, mems)` of the slot values `values`, as
+    contracts.simulate_committed takes it: `base`'s, in dicts of its own,
+    with each component of `table` set to its slot's value."""
+    pc, regs, mems = base.core()
     for (name, key, _, _), value in zip(table, values):
-        fields[name][key] = value
-    return ArchState(base.pc, **fields)
+        (regs if name == "regs" else mems[name])[key] = value
+    return pc, regs, mems
+
+
+def _state(base, table, values):
+    """The ArchState of the slot values `values` (`_core`)."""
+    pc, regs, mems = _core(base, table, values)
+    return ArchState(pc, regs, mems[PRIVATE], mems[SHARED])
 
 
 def enumerate_states(space, layout):
@@ -184,7 +196,7 @@ def _public(table, policy):
     component, and the pc, is the base state's in every state of a space,
     so equal projections on these slots are pi-equivalence."""
     return [i for i, (name, key, _, _) in enumerate(table)
-            if name == "shared_mem"
+            if name == SHARED
             or key in (policy.public_regs if name == "regs"
                        else policy.public_private_cells)]
 
@@ -297,7 +309,7 @@ class _Path:
                  "kept")
 
     def __init__(self, run, committed, origin):
-        run.final_state = None
+        run.final = run.read = None
         self.first, self.origin, self.committed = run, origin, committed
         self.views, self.free, self.escape = {}, None, False
         self.kept = [(origin, {}, {})]
@@ -430,9 +442,9 @@ class _Exploration:
         given as (slot, whether it is a register, its register or its
         overlay key (domain, address), its domain of values)."""
         instructions, cells = self.program.instructions, self.cells
-        rows = [(slot, name == "regs", key if name == "regs" else (
-            PRIVATE if name == "private_mem" else SHARED, key), domain)
-            for slot, (name, key, _, domain) in enumerate(self.table)]
+        rows = [(slot, name == "regs", key if name == "regs" else (name, key),
+                 domain)
+                for slot, (name, key, _, domain) in enumerate(self.table)]
         free = set(range(len(self.table))).difference(path.committed)
         controls = path.first.resume
         unwritten = {}
@@ -517,8 +529,8 @@ def _check(program, space, layout, projections, detail_names, policy=None):
     burst = any(p is not None and p.burst_only for p in projections)
     escape = None   # the first runtime escape met
 
-    def state(lo):
-        return _state(base, table, [d[i] for d, i in zip(domains, lo)])
+    def core(lo):
+        return _core(base, table, [d[i] for d, i in zip(domains, lo)])
 
     def enter(path, kept, prefix):
         """Derive the kept run's (key, value, escape) under this check's
@@ -570,8 +582,8 @@ def _check(program, space, layout, projections, detail_names, policy=None):
                 if path is not None:
                     break
             else:
-                run = simulate_committed(program, state(lo), layout)
-                committed = tuple(dict.fromkeys(reads(run.steps)))
+                run = simulate_committed(program, core(lo), layout, reads)
+                committed = tuple(dict.fromkeys(run.read))
                 if committed not in runs:
                     runs[committed] = (_projection(committed), {})
                 at, paths = runs[committed]
@@ -640,7 +652,8 @@ def _check(program, space, layout, projections, detail_names, policy=None):
         (a, value_a), (b, value_b) = _shrink(t[:2], t[2:], resets, observe)
         name_a, name_b = detail_names
         verdict = NiVerdict(
-            holds=False, witness=(state(a), state(b)),
+            holds=False, witness=tuple(ArchState(pc, r, m[PRIVATE], m[SHARED])
+                                       for pc, r, m in map(core, (a, b))),
             witness_detail={name_a: trace_set_to_json(dag.traces(value_a)),
                             name_b: trace_set_to_json(dag.traces(value_b))},
             # the states up to t, less the first state of each group below t

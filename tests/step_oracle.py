@@ -1,8 +1,11 @@
 """The opcode chain that rmikit.machine's decoded step table replaced,
 kept as the reference oracle for it: one chain of opcode tests per step,
-the committed-path and wrong-path loops written over it, and the rule
-for the slots a window reads (`Reads`), which
-contracts.wrong_path_events applies as it runs."""
+the committed-path and wrong-path loops written over it, the rule for
+the slots a run's committed steps and a window read (`Reads`), which
+contracts.simulate_committed and contracts.wrong_path_events apply as
+they run, and the rule for the windows that read no state
+(`state_free`), by which machine.decode marks the windows it holds and
+simulate_committed keeps a snapshot only where a window can read it."""
 
 import operator
 
@@ -104,12 +107,48 @@ def _core(regs, mems):
                         SHARED: dict(mems[SHARED])}
 
 
+# the instructions that only write rd from their sources and fall through
+_REGISTER_OPS = R_OPS | {"addi", "li", "mv", "slli", "srli"}
+
+
+def state_free(program, target):
+    """Whether the window at `target` reads no state: each instruction it
+    runs, up to where it stops (a csrwi, the end, or SPEC_DEPTH steps),
+    is a label, or a register op with no source register but x0, which
+    reads no register and no memory, falls through and never faults, so
+    the window is the same from every core. A target outside the program
+    starts the empty window."""
+    instructions = program.instructions
+    pc = target if 0 <= target < len(instructions) else len(instructions)
+    for _ in range(SPEC_DEPTH):
+        if pc == len(instructions) or instructions[pc].opcode == "csrwi":
+            return True
+        ins = instructions[pc]
+        if ins.opcode != "label" and (ins.opcode not in _REGISTER_OPS
+                                      or ins.rs1 or ins.rs2):
+            return False
+        pc += 1
+    return True
+
+
+def wrong_arms(program, index, actual):
+    """Every target a wrong path can take after the branch or jalr at
+    `index` whose committed successor is `actual`, under any execution
+    model: the other arm of a branch, or its one arm when both arms are
+    one target, and every program index but `actual` after a jalr."""
+    ins = program.instructions[index]
+    if ins.opcode == "jalr":
+        return [t for t in range(len(program)) if t != actual]
+    return [index + 1 if actual != index + 1 else ins.target]
+
+
 def committed(program, state0, layout):
     """(steps, resume, final state) of the committed path from `state0`,
-    as contracts.simulate_committed records them: a snapshot, the core
-    `(regs, mems)`, after each branch and jalr, and the final ArchState.
-    A step's MachineError propagates, and a path not at its end after
-    FUEL steps raises FuelExhausted."""
+    as contracts.simulate_committed records them: after each branch and
+    jalr a snapshot, the core `(regs, mems)`, or None where every wrong
+    arm's window is state-free, and the final ArchState. A step's
+    MachineError propagates, and a path not at its end after FUEL steps
+    raises FuelExhausted."""
     end = len(program)
     steps, resume = [], {}
     pc = state0.pc
@@ -124,16 +163,35 @@ def committed(program, state0, layout):
         steps.append((pc, effect, burst_active))
         pc = effect.next_pc
         if ins.opcode in BRANCHES or ins.opcode == "jalr":
-            resume[len(steps) - 1] = _core(regs, mems)
+            resume[len(steps) - 1] = None if all(
+                state_free(program, t)
+                for t in wrong_arms(program, steps[-1][0], pc)) else _core(
+                    regs, mems)
         elif ins.opcode == "csrwi":
             burst_active = ins.csr_value == BURST_ON
     return tuple(steps), resume, ArchState(pc, regs, mems[PRIVATE],
                                            mems[SHARED])
 
 
+def as_state(start):
+    """The state that a committed run starts from, as an ArchState:
+    `start` itself, or a copy of a core `(pc, regs, mems)`, which
+    contracts.simulate_committed takes over and updates in place (ni
+    runs every fresh state from one), so the copy is taken before the
+    run."""
+    if isinstance(start, ArchState):
+        return start
+    pc, regs, mems = start
+    return ArchState(pc, dict(regs), dict(mems[PRIVATE]), dict(mems[SHARED]))
+
+
 def window(program, core, target, layout):
     """The (index, effect) steps of the wrong-path window at `target` from
-    the snapshot `core`, as contracts.wrong_path_events runs it."""
+    the snapshot `core`, as contracts.wrong_path_events runs it. A
+    state-free window takes no core (None): it runs from an empty one."""
+    if core is None:
+        assert state_free(program, target), "a window that reads state"
+        core = {}, {PRIVATE: {}, SHARED: {}}
     steps, overlay = [], {}
     regs = dict(core[0])
     mems = core[1]
@@ -155,6 +213,8 @@ class Reads:
     ({reg number: slot}) and `cells` ({address: slot}), that steps of a
     run of `program` may have read, in the order read, with repeats: the
     rs1 and rs2 of every step, and every byte in the span of every load.
+    Called on a run's committed steps, it lists what
+    contracts.simulate_committed lists in `CommittedRun.read`.
     Called with the `target` of a window on its steps, it adds the rs1
     and rs2 of the instruction at which a window shorter than SPEC_DEPTH
     stopped short (a fault, decided by those operands), unless it stopped

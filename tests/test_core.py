@@ -43,6 +43,16 @@ def _core(state):
     return state.regs, {PRIVATE: state.private_mem, SHARED: state.shared_mem}
 
 
+def _snapshots(program, run, after):
+    """The snapshot at each control position of `run`, from the states
+    `after` each step: the core, or None where the step oracle finds
+    every wrong arm's window state-free."""
+    return {pos: None if all(step_oracle.state_free(program, t)
+                             for t in step_oracle.wrong_arms(
+                                 program, run.steps[pos][0], after[pos].pc))
+            else _core(after[pos]) for pos in run.resume}
+
+
 def _execute_or_unchanged(program, layout, pc, state, overlay):
     """Execute on a copy of `state`'s core; if the instruction raises, the
     core and the overlay must be as they were."""
@@ -74,7 +84,7 @@ def test_committed_run_matches_functional_walk(seed, registers, cells):
 
         assert [(index, effect) for index, effect, _ in run.steps] == walk
         assert run.final_state == current
-        assert run.resume == {k: _core(after[k]) for k in run.resume}
+        assert run.resume == _snapshots(program, run, after)
 
         walk = ReadWalk(program, {}, {})
         for pos, choices in decision_points(run, "spec"):
@@ -82,9 +92,9 @@ def test_committed_run_matches_functional_walk(seed, registers, cells):
                 snapshot = run.resume[pos]
                 assert wrong_path_events(
                     program, snapshot, target, LAYOUT, walk) == (
-                    step_oracle.window(program, snapshot, target, LAYOUT), [])
+                    step_oracle.window(program, snapshot, target, LAYOUT), ())
         # overlay stores and later committed stores never reach a snapshot
-        assert run.resume == {k: _core(after[k]) for k in run.resume}
+        assert run.resume == _snapshots(program, run, after)
         assert run.final_state == current
 
         for pc in range(len(program)):
@@ -94,13 +104,17 @@ def test_committed_run_matches_functional_walk(seed, registers, cells):
 
 
 def test_committed_run_builds_only_its_final_state(monkeypatch):
-    """A 12-trip memcpy_right run has 13 control steps, a bgeu and 12
-    bne, and a snapshot after each: each is the core as the step
-    functions take it, not an ArchState, so the run builds exactly one
-    ArchState, its final state."""
-    entry = load_entry("memcpy_right")
+    """A 12-trip memcpy_right or memcpy_left run has 13 control steps, a
+    bgeu and 12 bne, and keeps each position in `resume`. Only the last
+    bne, which falls out of the loop, has a wrong arm whose window reads
+    the core (the loop body's load); the bgeu's wrong arm is a label
+    before the end or a barrier, and a taken bne's a barrier or a label
+    before one, so the run copies exactly one core, where the parent
+    copied 13. It builds no ArchState on the way in (it starts from a
+    core) or out: its final state is built when asked for."""
     state = ArchState(regs={A0: 0x1800, A1: 0x1000, A2: 12},
                       private_mem={0x1000 + i: i for i in range(12)})
+    entries = [load_entry(name) for name in ("memcpy_right", "memcpy_left")]
     built = []
     init = ArchState.__init__
 
@@ -108,9 +122,15 @@ def test_committed_run_builds_only_its_final_state(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
     monkeypatch.setattr(ArchState, "__init__", counting)
-    run = simulate_committed(entry.program, state, entry.layout)
-    assert len(run.resume) == 13
-    assert len(built) == 1 and built[0] is run.final_state
+    for entry in entries:
+        run = simulate_committed(entry.program, state.core(), entry.layout)
+        assert len(run.resume) == 13
+        cores = [pos for pos, core in run.resume.items() if core is not None]
+        assert cores == [max(run.resume)]
+        assert built == []
+        final = run.final_state
+        assert built == [final] and final.reg(A0) == 0x1800 + 12
+        del built[:]
 
 
 FAULT_PRONE = ("ld a2, 0(a0)", "lw a2, 2(a0)", "lbu a2, 0(a0)",

@@ -29,14 +29,14 @@ from hypothesis import strategies as st
 import step_oracle
 from rmikit.asm import (BURST_OFF, BURST_ON, SYNTAX, Instruction, Program,
                         parse_program, reg_num)
-from rmikit.contracts import (ContractError, ReadWalk, simulate_committed,
-                              wrong_path_events)
+from rmikit.contracts import (SPEC_DEPTH, ContractError, ReadWalk,
+                              simulate_committed, wrong_path_events)
 from rmikit.corpus import load_corpus
 from rmikit.machine import (MASK64, PRIVATE, SHARED, ArchState, MachineError,
                             MemoryLayout, decode, execute)
 from rmikit.ni import enumerate_states
 
-from snippetgen import generate_snippet
+from snippetgen import generate_jalr_snippet, generate_snippet
 from trace_oracle import decision_points
 
 LAYOUT = MemoryLayout()
@@ -210,6 +210,96 @@ def test_runs_match_oracle_on_random_cores(program, core, data):
     pc = data.draw(st.integers(-1, len(program)), label="pc")
     _assert_run_matches_oracle(program, ArchState(
         pc, state.regs, state.private_mem, state.shared_mem), LAYOUT)
+
+
+# a walk over every register but x0, and over the cells of the cores
+_REGISTER_SLOTS = {r: r - 1 for r in range(1, 32)}
+_CELL_SLOTS = {x: 31 + i for i, x in enumerate(PRIVATE_CELLS + SHARED_CELLS)}
+
+
+@settings(deadline=None)
+@given(program=st.one_of(_programs, st.integers(0, 2**32 - 1).map(
+    lambda seed: generate_jalr_snippet(random.Random(seed))[0])),
+    core=_cores())
+def test_state_free_windows_match_oracle(program, core):
+    """machine.decode's state-free windows against the step oracle's own
+    rule (step_oracle.state_free), over tests/snippetgen.py programs,
+    jalr ones included, the corpus, programs of every mnemonic, and
+    random cores. The table marks a target, inside the program or not,
+    state-free exactly where the oracle's rule does, and for each such
+    target the oracle's window from the core is the table's window: its
+    steps, and its read slots listed by the oracle's read rule under a
+    walk over every register and every cell of the core, none of them.
+    wrong_path_events returns that window, with no core. The committed
+    run from the core lists the oracle's committed read slots."""
+    state, _ = core
+    decoded = decode(program)
+    end = len(program)
+    walk = ReadWalk(program, _REGISTER_SLOTS, _CELL_SLOTS)
+    reads = step_oracle.Reads(program, _REGISTER_SLOTS, _CELL_SLOTS)
+    for target in range(-1, end + 2):
+        window = decoded.free[target if 0 <= target < end else end]
+        assert (window is not None) == step_oracle.state_free(program, target)
+        if window is not None:
+            steps = step_oracle.window(program, state.core()[1:], target,
+                                       LAYOUT)
+            assert window == (steps, tuple(reads(steps, target))) == (
+                steps, ())
+            assert wrong_path_events(program, None, target, LAYOUT,
+                                     walk) is window
+    got = _outcome(simulate_committed, program, state, LAYOUT, walk)
+    if got[0] == "returned":
+        assert got[1].read == reads(got[1].steps)
+
+
+@pytest.mark.parametrize("inert", range(SPEC_DEPTH + 3))
+def test_state_free_window_stops_at_spec_depth(inert):
+    """A run of inert instructions (labels, li, and ALU ops on x0) before
+    a load: a window reads no state exactly when it runs SPEC_DEPTH of
+    them before it reaches the load, and is then their SPEC_DEPTH steps;
+    a window from a target past the load, which ends at a barrier, reads
+    none either."""
+    fillers = ("label", "li t0, 1", "add t1, zero, zero", "mv t2, zero")
+    lines = [f"l{i}:" if fillers[i % 4] == "label" else fillers[i % 4]
+             for i in range(inert)]
+    program = parse_program("\n".join(lines + [
+        "lbu a0, 0(a1)", "csrwi MSPEC, BURST_ON", "csrwi MSPEC, BURST_OFF"])
+        + "\n")
+    free = decode(program).free
+    for target in range(inert + 1):
+        reads = inert - target >= SPEC_DEPTH
+        assert (free[target] is not None) == reads
+        assert step_oracle.state_free(program, target) == reads
+        if reads:
+            assert [pc for pc, _ in free[target][0]] == list(
+                range(target, target + SPEC_DEPTH))
+    assert free[inert + 1:] == (((), ()),) * 3
+
+
+@pytest.mark.parametrize("target", [-5, -1, 2, 3, 9])
+def test_branch_past_the_program_keeps_no_snapshot(target):
+    """A branch that is never taken, to a numeric target at or past
+    either end of the program: its wrong arm starts at the target, which
+    runs the empty window, so the run keeps no snapshot after it, though
+    the fall-through arm would load."""
+    program = parse_program(f"bne a0, a0, {target}\nlbu a1, 0(a2)\n")
+    state = ArchState(regs={reg_num("a2"): 0x1000})
+    assert simulate_committed(program, state, LAYOUT).resume == {0: None}
+    assert step_oracle.committed(program, state, LAYOUT)[1] == {0: None}
+
+
+def test_jalr_keeps_a_snapshot_only_where_another_target_reads_state():
+    """`jalr a0, 0(a0)` from a0 = 0 jumps to itself, then past itself to
+    an li. Every index but its successor is a wrong arm of a jalr: after
+    the first jump that is only the li, whose window reads no state, so
+    no snapshot is kept; after the second it is the jalr itself, which
+    reads a0, so the core is."""
+    program = parse_program("jalr a0, 0(a0)\nli t0, 1\n")
+    state = ArchState(regs={reg_num("a0"): 0})
+    run = simulate_committed(program, state, LAYOUT)
+    assert [index for index, _, _ in run.steps] == [0, 0, 1]
+    assert run.resume[0] is None and run.resume[1] is not None
+    assert step_oracle.committed(program, state, LAYOUT)[1] == run.resume
 
 
 def _li_a0(program):

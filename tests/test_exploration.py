@@ -66,9 +66,9 @@ def _count_runs(monkeypatch):
     runs = []
     original = ni.simulate_committed
 
-    def counting(program, state, layout):
-        runs.append(state)
-        return original(program, state, layout)
+    def counting(program, start, layout, *walk):
+        runs.append(step_oracle.as_state(start))
+        return original(program, start, layout, *walk)
     monkeypatch.setattr(ni, "simulate_committed", counting)
     return runs
 
@@ -324,7 +324,7 @@ def test_kept_runs_hold_only_what_a_view_reads():
                for path in paths.values()]
     assert len(path.kept) == 3
     assert path.kept[0][0] is path.origin and path.first.resume
-    assert path.first.final_state is None
+    assert path.first.final is None and path.first.read is None
     views = [record.view for record in path.views.values()]
     for _, windows, nodes in path.kept:
         assert {pos for pos, _ in windows} == set(path.first.resume)
@@ -360,8 +360,12 @@ def _start(path, pos, origin, exploration):
     """The state a window of `origin` after the control step `pos` starts
     from, as ni._Path.start gives it: the path's snapshot with the
     register patch set and the overlay's cells stored, as a core
-    (regs, mems)."""
-    (start, snapshot), regs, overlay = path.start(pos, origin, exploration)
+    (regs, mems); or None where the path keeps no snapshot, as every
+    window there is state-free and so needs no patch."""
+    core, regs, overlay = path.start(pos, origin, exploration)
+    if core is None:
+        return None
+    start, snapshot = core
     mems = {domain: dict(mem) for domain, mem in snapshot.items()}
     for (domain, address), byte in overlay.items():
         mems[domain][address] = byte
@@ -428,7 +432,7 @@ def _assert_kept_nodes_match_committed_runs(exploration, paths,
             def window(pos, target):
                 steps = step_oracle.window(program, fresh.resume[pos], target,
                                            layout)
-                return steps, reads(steps, target)
+                return steps, tuple(reads(steps, target))
 
             for (pos, target), ran in windows.items():
                 assert ran == window(pos, target)

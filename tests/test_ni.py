@@ -20,6 +20,7 @@ from rmikit.ni import (Policy, StateSpace, check_direct_ni,
                        enumerate_states)
 
 import ni_oracle
+import step_oracle
 from test_shared_runs import _programs
 
 LAYOUT = MemoryLayout()
@@ -258,13 +259,14 @@ def test_empty_value_domain_raises(space, message):
 
 def _count_runs(monkeypatch):
     """The states simulate_committed runs from, in call order, from here
-    on. The exploration slot is emptied, so nothing run before counts."""
+    on, as ArchStates (step_oracle.as_state). The exploration slot is
+    emptied, so nothing run before counts."""
     ni._slot.clear()
     calls = []
     original = contracts.simulate_committed
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(step_oracle.as_state(args[1]))
         return original(*args, **kwargs)
 
     for module in (contracts, ni):
@@ -399,9 +401,9 @@ def test_verify_corpus_runs_each_state_once(monkeypatch):
     ni._slot.clear()
     runs = []
 
-    def counting(program, state, layout):
-        runs.append((id(program), repr(state)))
-        return contracts.simulate_committed(program, state, layout)
+    def counting(program, start, layout, *walk):
+        runs.append((id(program), repr(step_oracle.as_state(start))))
+        return contracts.simulate_committed(program, start, layout, *walk)
     monkeypatch.setattr(ni, "simulate_committed", counting)
     derived = _count_derived(monkeypatch)
     assert verify_corpus(entries)["ok"]
@@ -616,47 +618,65 @@ def test_violated_check_past_the_state_cap_matches_tuple_walk(
     assert json.loads(cubes)["verdict"] == "violated"
 
 
-def _count_built(monkeypatch):
-    """The ArchStates that ni builds from here on."""
-    built = []
+def _count_starts(monkeypatch):
+    """What ni's committed runs start from, from here on, as it passes
+    them: each must be a core, not an ArchState. The exploration slot is
+    emptied, so nothing run before counts."""
+    ni._slot.clear()
+    starts = []
+    original = ni.simulate_committed
 
-    def counting(*args, **kwargs):
-        built.append(ArchState(*args, **kwargs))
-        return built[-1]
-    monkeypatch.setattr(ni, "ArchState", counting)
+    def counting(program, start, layout, *walk):
+        assert not isinstance(start, ArchState)
+        starts.append(start)
+        return original(program, start, layout, *walk)
+    monkeypatch.setattr(ni, "simulate_committed", counting)
+    return starts
+
+
+def _count_built(monkeypatch):
+    """The ArchStates built anywhere from here on."""
+    built = []
+    init = ArchState.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ArchState, "__init__", counting)
     return built
 
 
 def test_holding_check_builds_only_the_states_it_runs(monkeypatch):
     """Over spectre_v1's 1 024 states, a holding direct (shm, seq) check
-    builds an ArchState only for each of its 3 committed runs: every
-    other state stays a tuple of values."""
+    makes 3 committed runs and builds no ArchState: each run starts from
+    a core built from the base state and its values, and no caller asks
+    for its final state. Every other state stays a tuple of values."""
     entry = load_entry("spectre_v1")
     layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    starts = _count_starts(monkeypatch)
     built = _count_built(monkeypatch)
-    calls = _count_runs(monkeypatch)
     assert check_direct_ni(entry.program, (SHM, SEQ), entry.policy,
                            SPECTRE_1024, layout).holds
-    assert len(built) == 3
-    assert [id(state) for state in built] == [id(state) for state in calls]
+    assert len(starts) == 3 and built == []
 
 
 @pytest.mark.parametrize("space, runs, derived_runs", [
     (SPECTRE_2_20, 271, 255), (SPECTRE_2_36, 16, 1020)],
     ids=["2^20", "2^36"])
 def test_derived_runs_build_no_state(monkeypatch, space, runs, derived_runs):
-    """Burst mode over 2^20 and 2^36 spectre_v1 states: ni builds one
-    ArchState per committed run and none for the 255 and 1 020 runs
+    """Burst mode over 2^20 and 2^36 spectre_v1 states: ni builds no
+    ArchState, neither for its committed runs, which start from a core
+    and leave their final state unbuilt, nor for the 255 and 1 020 runs
     derived from those paths, whose windows start on the path's
     snapshot with a register patch and a store overlay."""
     entry = load_entry("spectre_v1")
     layout = MemoryLayout(shared_range=(0x8000, 0xC000))
+    starts = _count_starts(monkeypatch)
     built = _count_built(monkeypatch)
-    calls = _count_runs(monkeypatch)
     derived = _count_derived(monkeypatch)
     assert _burst_stl(entry, space, layout).holds
-    assert (len(calls), len(derived)) == (runs, derived_runs)
-    assert [id(state) for state in built] == [id(state) for state in calls]
+    assert (len(starts), len(derived)) == (runs, derived_runs)
+    assert built == []
 
 
 # GADGET behind a store to each memory, and a base state with something

@@ -101,9 +101,9 @@ def _outcome_and_runs(check, engine, space):
     runs = []
     derive = ni._Path.derive
 
-    def recording(program, state, layout):
-        runs.append(repr(state))
-        return simulate_committed(program, state, layout)
+    def recording(program, start, layout, *walk):
+        runs.append(repr(step_oracle.as_state(start)))
+        return simulate_committed(program, start, layout, *walk)
 
     def deriving(path, origin):
         table = ni._components(space, LAYOUT)
